@@ -146,9 +146,10 @@ def _cmd_field(args) -> dict:
             raise AlgebraError("--op requires --a and --b")
         fn = {"add": ctx.add, "sub": ctx.sub, "mul": ctx.mul,
               "div": ctx.div, "pow": ctx.pow}[args.op]
-        report["result"] = fn(args.a, args.b)
+        b = args.b if args.op == "pow" else ctx.check_code(args.b)  # pow: --b is an exponent
+        report["result"] = fn(ctx.check_code(args.a), b)
     if args.order is not None:
-        report["mult_order"] = ctx.mult_order(args.order)
+        report["mult_order"] = ctx.mult_order(ctx.check_code(args.order))
     return report
 
 

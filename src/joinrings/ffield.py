@@ -2,9 +2,20 @@
 
 Elements are canonically encoded as integers in [0, q): the element with
 polynomial representative c_0 + c_1 x + ... + c_{k-1} x^{k-1} is encoded as
-sum(c_i * p**i).  A :class:`FieldCtx` owns the modulus and (for small q)
-precomputed addition / multiplication tables so that inner loops elsewhere
-in the package can work on raw integer codes.
+sum(c_i * p**i).  A :class:`FieldCtx` owns the modulus and binds the raw
+operations on codes once, so that inner loops elsewhere in the package work
+on plain integers.
+
+For q up to ``_TABLE_LIMIT`` the kernel is a set of O(q) arrays built by
+walking the powers of a primitive element g: ``exp[i] = g^i`` and
+``log[g^i] = i``, plus, for odd p with k > 1, the Zech logarithms
+``zech[i] = log(1 + g^i)`` (K. Huber, "Some comments on Zech's logarithms",
+IEEE Trans. Inf. Theory 36(4), 1990).  Multiplication and inversion are
+index arithmetic; addition is XOR in characteristic 2, plain modular
+arithmetic in prime fields and one Zech lookup otherwise.  Larger fields
+compute each operation modulo p (k = 1) or on polynomials (k > 1).  The
+polynomial routines below are also the independent reference the tests
+compare the kernel with.
 
 The public element type :class:`FieldElement` wraps a code together with
 its context and supports the usual operators.  Elements from different
@@ -14,13 +25,16 @@ contexts never mix; cross-context arithmetic raises
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import AlgebraError, ContextMismatchError, NotInvertibleError, ParseError
 from .ntheory import factorize, is_prime, prime_power
 
-# Contexts with q at most this bound get full q x q lookup tables.
+# Contexts with q at most this bound get the O(q) log/antilog (and Zech)
+# arrays; above it every operation is computed on demand and set-up is free.
 _TABLE_LIMIT = 1024
 
 Poly = tuple[int, ...]  # dense coefficients, constant term first
@@ -107,6 +121,17 @@ def _poly_sub(a: Poly, b: Poly, p: int) -> list[int]:
     return out
 
 
+def _poly_pow_mod(a: Poly, n: int, m: Poly, p: int) -> Poly:
+    """a**n modulo m over F_p, by square and multiply (n >= 0)."""
+    result, base = (1,), _poly_mod(a, m, p)
+    while n:
+        if n & 1:
+            result = _poly_mod(_poly_mul(result, base, p), m, p)
+        base = _poly_mod(_poly_mul(base, base, p), m, p)
+        n >>= 1
+    return result
+
+
 def _is_irreducible(m: Poly, p: int) -> bool:
     """Trial-division irreducibility: no roots, no monic factor of degree <= deg/2."""
     k = len(m) - 1
@@ -157,6 +182,54 @@ def _canonical_modulus(p: int, k: int) -> Poly:
     raise AlgebraError(f"no irreducible polynomial of degree {k} over F_{p}")  # pragma: no cover
 
 
+def _primitive_element(p: int, k: int, modulus: Poly) -> Poly:
+    """The least code g with g^((q-1)/f) != 1 for every prime f | q - 1.
+
+    Tested with the polynomial routines: x need not be primitive (it has
+    order 4 modulo x^2 + 1 over F_3).
+    """
+    q1 = p**k - 1
+    exponents = [q1 // f for f in factorize(q1)]
+    for code in range(1, q1 + 1):
+        g = _decode_poly(code, p, k)
+        if all(_poly_pow_mod(g, e, modulus, p) != (1,) for e in exponents):
+            return g
+    raise AlgebraError(f"no primitive element modulo {modulus}")  # pragma: no cover
+
+
+def _log_tables(p: int, k: int, modulus: Poly) -> tuple[list[int], list[int]]:
+    """exp[i] = code of g^i for 0 <= i <= 2(q-1), and log[code] for code != 0.
+
+    exp holds two periods plus one entry, so exp[log[a] + log[b]] needs no
+    reduction mod q - 1.  log[0] is left as None: zero has no logarithm, and
+    a caller that forgets to test for it fails loudly.
+    """
+    q1 = p**k - 1
+    g = _primitive_element(p, k, modulus)
+    exp = [0] * (2 * q1 + 1)
+    log: list = [None] * (q1 + 1)
+    power: Poly = (1,)
+    for i in range(q1):
+        code = _encode_poly(power, p)
+        exp[i] = exp[i + q1] = code
+        log[code] = i
+        power = _poly_mod(_poly_mul(power, g, p), modulus, p)
+    exp[2 * q1] = 1
+    return exp, log
+
+
+def _zech_table(p: int, exp: list[int], log: list) -> list[int]:
+    """zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0, over two periods."""
+    q1 = len(log) - 1
+    zech = [0] * q1
+    for i in range(q1):
+        code = exp[i]
+        c0 = code % p  # 1 + g^i only changes the constant digit
+        one_plus = code - c0 + (c0 + 1) % p
+        zech[i] = log[one_plus] if one_plus else -1
+    return zech + zech
+
+
 # ---------------------------------------------------------------------------
 # field context
 # ---------------------------------------------------------------------------
@@ -164,9 +237,18 @@ def _canonical_modulus(p: int, k: int) -> Poly:
 class FieldCtx:
     """The field F_{p^k} with a fixed monic irreducible modulus.
 
-    Immutable after construction; safe to share.  Raw operations
-    (:meth:`add`, :meth:`mul`, ...) act on integer codes in [0, q).
+    Immutable after construction; safe to share.  The raw operations
+    :attr:`add`, :attr:`sub`, :attr:`neg`, :attr:`mul` and :attr:`inv` act on
+    integer codes in [0, q).  They are plain functions bound per context and
+    do not check their arguments: codes from outside the program are checked
+    where they enter (the parsers, the JSON readers and the CLI).
     """
+
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]  # raises NotInvertibleError on zero
 
     def __init__(self, p: int, k: int = 1, modulus: Poly | None = None):
         if not is_prime(p):
@@ -187,77 +269,106 @@ class FieldCtx:
             if not _is_irreducible(modulus, p):
                 raise AlgebraError(f"modulus {self.poly_str(modulus)} is reducible over F_{p}")
         self.modulus: Poly = modulus
-        self._build_tables()
+        if self.q <= _TABLE_LIMIT:
+            self._bind_tabled()
+        else:
+            self._bind_untabled()
 
-    def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        self._mul_t: list[list[int]] | None = None
-        self._add_t: list[list[int]] | None = None
-        self._inv_t: list[int] | None = None
-        self._neg_t: list[int] | None = None
-        if q > _TABLE_LIMIT:
-            return
+    def _bind_tabled(self) -> None:
+        p, k, q1 = self.p, self.k, self.q - 1
+        exp, log = _log_tables(p, k, self.modulus)
+
+        def inv(a: int) -> int:
+            if not a:
+                raise NotInvertibleError("division by zero in field")
+            return exp[q1 - log[a]]
+
+        self.inv = inv
         if k == 1:
-            self._add_t = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul_t = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._neg_t = [(-a) % p for a in range(p)]
-            self._inv_t = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+            self._bind_prime()
+        else:
+
+            def mul(a: int, b: int) -> int:
+                if a and b:
+                    return exp[log[a] + log[b]]
+                return 0
+
+            self.mul = mul
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+        elif k > 1:
+            self._bind_zech(exp, log, _zech_table(p, exp, log))
+
+    def _bind_prime(self) -> None:
+        """add, sub, neg and mul modulo p, which measure faster than any lookup."""
+        p = self.p
+        self.add = lambda a, b: (a + b) % p
+        self.sub = lambda a, b: (a - b) % p
+        self.neg = lambda a: -a % p
+        self.mul = lambda a, b: a * b % p
+
+    def _bind_zech(self, exp: list[int], log: list[int], zech: list[int]) -> None:
+        # With a = g^i and b = g^j, a + b = g^i (1 + g^(j-i)) = g^(i + zech[j-i]),
+        # and -b = g^(j+half).  zech holds two periods, so every index difference
+        # below lies within its range, negative ones included.
+        half = (self.q - 1) // 2
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp[la + z] if z >= 0 else 0
+
+        def sub(a: int, b: int) -> int:
+            if not b:
+                return a
+            if not a:
+                return exp[log[b] + half]
+            la = log[a]
+            z = zech[log[b] + half - la]
+            return exp[la + z] if z >= 0 else 0
+
+        def neg(a: int) -> int:
+            return exp[log[a] + half] if a else 0
+
+        self.add, self.sub, self.neg = add, sub, neg
+
+    def _bind_untabled(self) -> None:
+        p, k, m = self.p, self.k, self.modulus
+        if k == 1:
+            self._bind_prime()
+
+            def inv(a: int) -> int:
+                if not a:
+                    raise NotInvertibleError("division by zero in field")
+                return pow(a, p - 2, p)
+
+            self.inv = inv
             return
-        polys = [_decode_poly(c, p, k) for c in range(q)]
-        self._add_t = [
-            [_encode_poly(tuple(_poly_sub(a, tuple(-x for x in b), p)), p) for b in polys]
-            for a in polys
-        ]
-        self._mul_t = [
-            [_encode_poly(_poly_mod(_poly_mul(a, b, p), self.modulus, p), p) for b in polys]
-            for a in polys
-        ]
-        self._neg_t = [_encode_poly(tuple((-x) % p for x in a), p) for a in polys]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = _encode_poly(
-                _poly_ext_gcd_inverse(_decode_poly(a, p, k), self.modulus, p), p
-            )
-        self._inv_t = inv
 
-    # -- raw code arithmetic ------------------------------------------------
+        def dec(a: int) -> Poly:
+            return _decode_poly(a, p, k)
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        if self.k == 1:
-            return (a + b) % self.p
-        pa, pb = _decode_poly(a, self.p, self.k), _decode_poly(b, self.p, self.k)
-        return _encode_poly(tuple(_poly_sub(pa, tuple((-x) % self.p for x in pb), self.p)), self.p)
+        def add(a: int, b: int) -> int:
+            return _encode_poly(tuple(_poly_sub(dec(a), tuple((-x) % p for x in dec(b)), p)), p)
 
-    def neg(self, a: int) -> int:
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        if self.k == 1:
-            return (-a) % self.p
-        pa = _decode_poly(a, self.p, self.k)
-        return _encode_poly(tuple((-x) % self.p for x in pa), self.p)
+        def neg(a: int) -> int:
+            return _encode_poly(tuple((-x) % p for x in dec(a)), p)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        def mul(a: int, b: int) -> int:
+            return _encode_poly(_poly_mod(_poly_mul(dec(a), dec(b), p), m, p), p)
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        if self.k == 1:
-            return (a * b) % self.p
-        pa, pb = _decode_poly(a, self.p, self.k), _decode_poly(b, self.p, self.k)
-        return _encode_poly(_poly_mod(_poly_mul(pa, pb, self.p), self.modulus, self.p), self.p)
+        def inv(a: int) -> int:
+            if not a:
+                raise NotInvertibleError("division by zero in field")
+            return _encode_poly(_poly_ext_gcd_inverse(dec(a), m, p), p)
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise NotInvertibleError("division by zero in field")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        pa = _decode_poly(a, self.p, self.k)
-        return _encode_poly(_poly_ext_gcd_inverse(pa, self.modulus, self.p), self.p)
+        self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
+        self.sub = lambda a, b: add(a, neg(b))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -272,6 +383,16 @@ class FieldCtx:
             base = self.mul(base, base)
             n >>= 1
         return result
+
+    def check_code(self, value) -> int:
+        """value itself if it is an element code, an int in [0, q).
+
+        The check for codes arriving from outside the program (parsers, JSON,
+        the CLI); the raw operations do not make it.  Raises ParseError.
+        """
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < self.q:
+            raise ParseError(f"element code {value!r} out of range for F_{self.q}")
+        return value
 
     def scalar(self, n: int) -> int:
         """Image of the integer n under Z -> F_q (lands in the prime field)."""
@@ -327,6 +448,10 @@ class FieldCtx:
             else:
                 terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
         return "+".join(terms) if terms else "0"
+
+    def __reduce__(self):
+        # the bound operations are closures; pickle the definition instead
+        return FieldCtx, (self.p, self.k, self.modulus)
 
     def __eq__(self, other):
         return (

@@ -329,8 +329,7 @@ def parse_element(text: str, group: FiniteGroup, ctx: FieldCtx) -> GroupRingElem
             raise ParseError(f"bad element term {term!r}")
         c = int(m.group(1)) if m.group(1) is not None else 1
         g = int(m.group(2)) if m.group(2) is not None else 0
-        if not 0 <= c < ctx.q:
-            raise ParseError(f"coefficient {c} out of range for F_{ctx.q}")
+        ctx.check_code(c)
         if not 0 <= g < group.order:
             raise ParseError(f"element index g{g} out of range for {group.name}")
         coeffs[g] = ctx.add(coeffs[g], c)

@@ -189,14 +189,35 @@ class JoinElem:
 
     @classmethod
     def from_json(cls, text: str, shape: JoinShape | None = None) -> "JoinElem":
-        data = json.loads(text)
+        """Read :meth:`to_json` output; ParseError on any malformed or out-of-range entry."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"bad join element JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParseError("join element JSON must be an object")
         if shape is None:
-            shape = parse_shape_spec(data["shape"])
-        blocks = [
-            GroupRingElem(shape.ctx, g, coeffs)
-            for g, coeffs in zip(shape.groups, data["blocks"])
-        ]
-        return cls(shape, blocks, data["offdiag"])
+            shape = parse_shape_spec(str(data.get("shape")))
+        ctx, d, blocks = shape.ctx, shape.d, data.get("blocks")
+        if not isinstance(blocks, list) or len(blocks) != d:
+            raise ParseError(f"expected {d} blocks for {shape}")
+        for g, coeffs in zip(shape.groups, blocks):
+            if not isinstance(coeffs, list) or len(coeffs) != g.order:
+                raise ParseError(f"a block over {g.name} needs {g.order} coefficients")
+            for c in coeffs:
+                ctx.check_code(c)
+        offdiag = data.get("offdiag")
+        if not isinstance(offdiag, list) or len(offdiag) != d or any(
+            not isinstance(row, list) or len(row) != d for row in offdiag
+        ):
+            raise ParseError(f"the off-diagonal family must be a {d} x {d} list")
+        for i, row in enumerate(offdiag):
+            for v in row:
+                ctx.check_code(v)
+            if row[i]:
+                raise ParseError("diagonal entries of the off-diagonal family must be zero")
+        blocks = [GroupRingElem(ctx, g, coeffs) for g, coeffs in zip(shape.groups, blocks)]
+        return cls(shape, blocks, offdiag)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +504,7 @@ def parse_join_element(text: str, shape: JoinShape) -> JoinElem:
             i, j, v = int(m.group(1)) - 1, int(m.group(2)) - 1, int(m.group(3))
             if not (0 <= i < shape.d and 0 <= j < shape.d) or i == j:
                 raise ParseError(f"bad off-diagonal position in {part!r}")
-            offdiag[i][j] = v % shape.ctx.q if shape.ctx.k == 1 else v
+            offdiag[i][j] = shape.ctx.check_code(v)
         else:
             if len(blocks) >= shape.d:
                 raise ParseError("too many block literals")

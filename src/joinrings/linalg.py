@@ -21,10 +21,6 @@ def zero(n: int, m: int | None = None) -> Matrix:
     return [[0] * (m if m is not None else n) for _ in range(n)]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def mat_add(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
     add = ctx.add
     return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

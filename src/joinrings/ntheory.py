@@ -118,14 +118,3 @@ def is_fermat_prime(q: int) -> tuple[bool, int | None]:
         return False, None
     return True, n
 
-
-def multiplicative_order_in_group(power: "callable", one, u, group_order: int) -> int:
-    """Order of u in a finite group of known order.
-
-    `power(u, t)` must compute u**t; reduces group_order prime by prime.
-    """
-    t = group_order
-    for p in factorize(group_order):
-        while t % p == 0 and power(u, t // p) == one:
-            t //= p
-    return t

@@ -112,3 +112,22 @@ def test_element_json_roundtrip_via_cli(capsys):
     shape = parse_shape_spec("join(C3,C5;F2)")
     elem = JoinElem.from_json(json.dumps(data["result"]), shape)
     assert json.loads(elem.to_json()) == data["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "F5", "--op", "add", "--a", "-1", "--b", "0"],
+    ["field", "F5", "--op", "add", "--a", "7", "--b", "0"],
+    ["field", "F5", "--op", "mul", "--a", "1", "--b", "5"],
+    ["field", "F4", "--order", "9"],
+    ["field", "F4", "--order", "-1"],
+])
+def test_field_codes_out_of_range_exit_1(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_field_pow_exponent_may_exceed_q(capsys):
+    data = run_json(capsys, "field", "F5", "--op", "pow", "--a", "2", "--b", "9")
+    assert data["result"] == 2  # 2^9 = 2^(9 mod 4) in F_5

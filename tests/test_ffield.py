@@ -1,7 +1,20 @@
+import random
+
 import pytest
 
 from joinrings.errors import AlgebraError, NotInvertibleError, ParseError
-from joinrings.ffield import field_make, parse_field, parse_poly
+from joinrings.ffield import (
+    _decode_poly,
+    _encode_poly,
+    _poly_ext_gcd_inverse,
+    _poly_mod,
+    _poly_mul,
+    _poly_sub,
+    field_make,
+    parse_field,
+    parse_poly,
+)
+from joinrings.ntheory import prime_power
 
 
 def test_prime_field_arithmetic():
@@ -79,3 +92,77 @@ def test_mult_order_generator_exists():
     for q in (4, 8, 9, 25):
         ctx = parse_field(f"F{q}")
         assert max(ctx.mult_order(a) for a in range(1, q)) == q - 1
+
+
+# ---------------------------------------------------------------------------
+# the log/antilog kernel against the polynomial routines
+# ---------------------------------------------------------------------------
+
+def _reference_ops(ctx):
+    """add, sub, neg, mul, inv computed on polynomials, apart from the kernel."""
+    p, k, m = ctx.p, ctx.k, ctx.modulus
+
+    def dec(a):
+        return _decode_poly(a, p, k)
+
+    def enc(c):
+        return _encode_poly(tuple(c), p)
+
+    return {
+        "add": lambda a, b: enc(_poly_sub(dec(a), tuple((-x) % p for x in dec(b)), p)),
+        "sub": lambda a, b: enc(_poly_sub(dec(a), dec(b), p)),
+        "neg": lambda a: enc(_poly_sub((), dec(a), p)),
+        "mul": lambda a, b: enc(_poly_mod(_poly_mul(dec(a), dec(b), p), m, p)),
+        "inv": lambda a: enc(_poly_ext_gcd_inverse(dec(a), m, p)),
+    }
+
+
+def _check_kernel(ctx, pairs):
+    ref = _reference_ops(ctx)
+    for a, b in pairs:
+        assert ctx.add(a, b) == ref["add"](a, b), ("add", a, b)
+        assert ctx.sub(a, b) == ref["sub"](a, b), ("sub", a, b)
+        assert ctx.mul(a, b) == ref["mul"](a, b), ("mul", a, b)
+    for a in {a for a, _ in pairs}:
+        assert ctx.neg(a) == ref["neg"](a), ("neg", a)
+        if a:
+            assert ctx.inv(a) == ref["inv"](a), ("inv", a)
+    with pytest.raises(NotInvertibleError):
+        ctx.inv(0)
+
+
+CANONICAL_Q_UP_TO_64 = [q for q in range(2, 65) if prime_power(q)]
+
+
+@pytest.mark.parametrize("q", CANONICAL_Q_UP_TO_64)
+def test_kernel_matches_polynomials_every_pair(q):
+    ctx = parse_field(f"F{q}")
+    _check_kernel(ctx, [(a, b) for a in range(q) for b in range(q)])
+
+
+@pytest.mark.parametrize("q", [128, 243, 256, 343, 625, 729, 1024])
+def test_kernel_matches_polynomials_sampled(q):
+    ctx = parse_field(f"F{q}")
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1500)]
+    pairs += [(0, b) for b in range(0, q, 37)] + [(a, a) for a in range(0, q, 41)]
+    _check_kernel(ctx, pairs)
+
+
+@pytest.mark.parametrize("p, k, modulus, x_order", [
+    (2, 4, "x^4+x^3+x^2+x+1", 5),  # x is not primitive: the kernel must not assume it
+    (3, 2, "x^2+x+2", 8),
+])
+def test_kernel_matches_polynomials_custom_modulus(p, k, modulus, x_order):
+    ctx = field_make(p, k, modulus)
+    assert ctx.mult_order(p) == x_order  # the code of x is p
+    _check_kernel(ctx, [(a, b) for a in range(ctx.q) for b in range(ctx.q)])
+
+
+def test_context_pickles_by_definition():
+    import pickle
+
+    for ctx in (parse_field("F7"), parse_field("F9"), parse_field("F2048")):
+        copy = pickle.loads(pickle.dumps(ctx))
+        assert copy == ctx and copy.mul(3, 5) == ctx.mul(3, 5)
+

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import joinrings.linalg as linalg
-from joinrings.errors import AlgebraError, NotInvertibleError
+from joinrings.errors import AlgebraError, NotInvertibleError, ParseError
 from joinrings.ffield import parse_field
 from joinrings.groupring import GroupRingElem, parse_element
 from joinrings.groups import cyclic, parse_group_spec, trivial
@@ -200,6 +200,33 @@ def test_parse_join_element_literals():
     assert a.offdiag[0][1] == 1 and a.offdiag[1][0] == 1
     with pytest.raises(AlgebraError):
         parse_join_element("1;1;a[1][1]=1", shape)  # diagonal scalar forbidden
+
+
+@pytest.mark.parametrize("field", ["F4", "F5"])
+def test_parse_join_element_rejects_out_of_range_scalar(field):
+    shape = parse_shape_spec(f"join(C3,C5;{field})")
+    with pytest.raises(ParseError):
+        parse_join_element("1;1;a[1][2]=7", shape)
+
+
+@pytest.mark.parametrize("blocks, offdiag", [
+    ([[5, 0], [1, -1, 0]], [[0, 0], [0, 0]]),  # codes outside [0, 2)
+    ([[1, 0], [1, 0]], [[0, 0], [0, 0]]),  # second block too short
+    ([[1, 0]], [[0, 0], [0, 0]]),  # one block missing
+    ([[1, 0], [1, 0, 0]], [[0, 1]]),  # off-diagonal family not 2 x 2
+    ([[1, 0], [1, 0, 0]], [[0, 1], [1, 0, 0]]),  # ragged off-diagonal row
+    ([[1, 0], [1, 0, 0]], [[1, 0], [0, 0]]),  # nonzero diagonal
+    ([[1, 0], [1, 0, 0]], [[0, 2], [0, 0]]),  # off-diagonal code outside [0, 2)
+])
+def test_from_json_rejects_malformed_elements(blocks, offdiag):
+    import json
+
+    shape = parse_shape_spec("join(C2,C3;F2)")
+    text = json.dumps({"shape": repr(shape), "blocks": blocks, "offdiag": offdiag})
+    with pytest.raises(ParseError):
+        JoinElem.from_json(text, shape)
+    with pytest.raises(ParseError):
+        JoinElem.from_json(text)
 
 
 def test_trivial_blocks_give_full_matrix_ring():
