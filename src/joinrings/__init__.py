@@ -29,20 +29,17 @@ from .errors import (
 )
 from .ffield import FieldCtx, FieldElement, field_make, parse_field, parse_poly
 from .groupring import (
-    CirculantMatrix,
     GroupRingElem,
     WedderburnData,
     augmentation,
     circulant_rows,
     format_element,
-    from_circulant,
     gr_decompose,
     gr_inverse,
     gr_is_unit,
     gr_unit_count,
     idempotent_eH,
     parse_element,
-    to_circulant,
     wedderburn_abelian,
 )
 from .groups import (
@@ -74,6 +71,7 @@ from .joinring import (
     parse_join_element,
     parse_shape_spec,
     quotient_shape,
+    random_join_element,
     thm_unit_count_rooted,
 )
 from .ntheory import (

@@ -28,8 +28,6 @@ from .groupring import (
 )
 from .groups import parse_group_spec
 from .joinring import (
-    JoinElem,
-    JoinShape,
     join_embed,
     join_idempotents,
     join_inverse,
@@ -37,9 +35,9 @@ from .joinring import (
     join_unit_count,
     parse_join_element,
     parse_shape_spec,
+    random_join_element,
     thm_unit_count_rooted,
 )
-from .groupring import GroupRingElem
 from .zeta import zeta_group_ring, zeta_join, zeta_semimagic
 
 DEFAULT_SEED = 20240817
@@ -342,19 +340,6 @@ def _sweep_delta_fields(args) -> dict:
                 arith.classify_field_delta(q, p, r)  # raises on any mismatch
                 checked += 1
     return {"kind": "delta-fields", "cases": checked, "all_consistent": True}
-
-
-def random_join_element(shape: JoinShape, rng: random.Random) -> JoinElem:
-    q = shape.ctx.q
-    blocks = [
-        GroupRingElem(shape.ctx, g, [rng.randrange(q) for _ in range(g.order)])
-        for g in shape.groups
-    ]
-    offdiag = [
-        [rng.randrange(q) if i != j else 0 for j in range(shape.d)]
-        for i in range(shape.d)
-    ]
-    return JoinElem(shape, blocks, offdiag)
 
 
 def _sweep_block_formula(args) -> dict:

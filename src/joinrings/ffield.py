@@ -31,7 +31,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import AlgebraError, ContextMismatchError, NotInvertibleError, ParseError
-from .ntheory import factorize, is_prime, prime_power
+from .ntheory import factorize, is_prime, order_dividing, prime_power
 
 # Contexts with q at most this bound get the O(q) log/antilog (and Zech)
 # arrays; above it every operation is computed on demand and set-up is free.
@@ -61,39 +61,24 @@ def _poly_mul(a: Poly, b: Poly, p: int) -> Poly:
     return _poly_trim(out)
 
 
-def _poly_mod(a: Poly, m: Poly, p: int) -> Poly:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
 def _poly_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b over F_p."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 1)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 1)
     inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
+    while a and len(a) > db:
+        top = a.pop()  # factor * b[db] cancels it, so only the lower terms change
+        if not top:
             continue
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        q[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-        a.pop()
-    return _poly_trim(q), _poly_trim(list(a))
+        factor = top * inv_lead % p
+        shift = len(a) - db
+        quot[shift] = factor
+        for i in range(db):
+            a[shift + i] = (a[shift + i] - factor * b[i]) % p
+    return _poly_trim(quot), _poly_trim(a)
 
 
 def _poly_ext_gcd_inverse(a: Poly, m: Poly, p: int) -> Poly:
@@ -123,11 +108,11 @@ def _poly_sub(a: Poly, b: Poly, p: int) -> list[int]:
 
 def _poly_pow_mod(a: Poly, n: int, m: Poly, p: int) -> Poly:
     """a**n modulo m over F_p, by square and multiply (n >= 0)."""
-    result, base = (1,), _poly_mod(a, m, p)
+    result, base = (1,), _poly_divmod(a, m, p)[1]
     while n:
         if n & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
+            result = _poly_divmod(_poly_mul(result, base, p), m, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), m, p)[1]
         n >>= 1
     return result
 
@@ -147,7 +132,7 @@ def _is_irreducible(m: Poly, p: int) -> bool:
     for d in range(2, k // 2 + 1):
         for code in range(p**d):
             cand = _decode_poly(code, p, d) + (1,)
-            if not _poly_mod(m, cand, p):
+            if not _poly_divmod(m, cand, p)[1]:
                 return False
     return True
 
@@ -213,7 +198,7 @@ def _log_tables(p: int, k: int, modulus: Poly) -> tuple[list[int], list[int]]:
         code = _encode_poly(power, p)
         exp[i] = exp[i + q1] = code
         log[code] = i
-        power = _poly_mod(_poly_mul(power, g, p), modulus, p)
+        power = _poly_divmod(_poly_mul(power, g, p), modulus, p)[1]
     exp[2 * q1] = 1
     return exp, log
 
@@ -360,7 +345,7 @@ class FieldCtx:
             return _encode_poly(tuple((-x) % p for x in dec(a)), p)
 
         def mul(a: int, b: int) -> int:
-            return _encode_poly(_poly_mod(_poly_mul(dec(a), dec(b), p), m, p), p)
+            return _encode_poly(_poly_divmod(_poly_mul(dec(a), dec(b), p), m, p)[1], p)
 
         def inv(a: int) -> int:
             if not a:
@@ -427,11 +412,7 @@ class FieldCtx:
         """Least t >= 1 with a**t == 1.  Divides q - 1."""
         if a == 0:
             raise AlgebraError("zero has no multiplicative order")
-        t = self.q - 1
-        for f in factorize(self.q - 1):
-            while t % f == 0 and self.pow(a, t // f) == 1:
-                t //= f
-        return t
+        return order_dividing(self.q - 1, lambda t: self.pow(a, t) == 1)
 
     # -- misc -----------------------------------------------------------------
 

@@ -157,40 +157,14 @@ def _convolve(a, b, table, ctx: FieldCtx):
 # circulant representation (regular representation)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CirculantMatrix:
-    """|G| x |G| matrix with entry (i, j) = a_{inv(g_i) g_j}."""
-
-    rows: tuple
-    group: FiniteGroup
-    ctx: FieldCtx
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
-
-def to_circulant(a: GroupRingElem) -> CirculantMatrix:
-    rows = circulant_rows(a)
-    return CirculantMatrix(tuple(tuple(r) for r in rows), a.group, a.ctx)
-
-
 def circulant_rows(a: GroupRingElem) -> list[list[int]]:
-    """Raw rows of the circulant image (no wrapper object)."""
+    """Rows of the circulant image: entry (i, j) is a_{inv(g_i) g_j}."""
     g = a.group
     coeffs = a.coeffs
     return [
         [coeffs[row[j]] for j in range(g.order)]
         for row in (g.table[g.inverse[i]] for i in range(g.order))
     ]
-
-
-def from_circulant(m: CirculantMatrix) -> GroupRingElem:
-    g, ctx = m.group, m.ctx
-    coeffs = m.rows[0]
-    elem = GroupRingElem(ctx, g, coeffs)
-    if circulant_rows(elem) != m.as_lists():
-        raise AlgebraError("matrix does not satisfy the circulant condition")
-    return elem
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError
 from .ntheory import factorize, is_prime
 
 ORDER_CAP = 256
+
+
+def _check_order(n: int) -> None:
+    """Refuse a group beyond ORDER_CAP before its n x n table is built."""
+    if n > ORDER_CAP:
+        raise AlgebraError(f"group order {n} exceeds cap {ORDER_CAP}")
 
 
 class FiniteGroup:
@@ -25,14 +31,13 @@ class FiniteGroup:
     """
 
     def __init__(self, table, invariants=None, name=None, _validated=False):
+        _check_order(len(table))
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.invariants = tuple(invariants) if invariants else None
         self.name = name or (
             "x".join(f"C{m}" for m in self.invariants) if self.invariants else f"G{self.order}"
         )
-        if self.order > ORDER_CAP:
-            raise AlgebraError(f"group order {self.order} exceeds cap {ORDER_CAP}")
         if not _validated:
             self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
@@ -257,6 +262,7 @@ def trivial() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise AlgebraError(f"cyclic group order must be >= 1, got {n}")
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, invariants=(n,), name=f"C{n}", _validated=True)
 
@@ -273,8 +279,7 @@ def abelian(invariants) -> FiniteGroup:
     n = 1
     for m in invariants:
         n *= m
-    if n > ORDER_CAP:
-        raise AlgebraError(f"group order {n} exceeds cap {ORDER_CAP}")
+    _check_order(n)
 
     def decode(i: int) -> tuple[int, ...]:
         out = []
@@ -304,6 +309,9 @@ def from_table(table) -> FiniteGroup:
 
 def symmetric(n: int) -> FiniteGroup:
     """The symmetric group S_n (n <= 5 keeps the order under the cap)."""
+    # n! >= n, so testing n first only spares computing a huge factorial
+    if n > ORDER_CAP or factorial(n) > ORDER_CAP:
+        raise AlgebraError(f"S{n} has order {n}!, which exceeds cap {ORDER_CAP}")
     perms = list(itertools.permutations(range(n)))  # identity comes first
     index = {p: i for i, p in enumerate(perms)}
     table = [
@@ -350,8 +358,11 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         return symmetric(int(spec[1:]))
     if spec.startswith("table:"):
         path = spec[len("table:"):]
-        with open(path) as fh:
-            rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+        try:
+            with open(path) as fh:
+                rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read a Cayley table from {path!r}: {exc}") from None
         return from_table(rows)
     parts = spec.split("x")
     invariants = []

@@ -13,6 +13,7 @@ the full matrix embedding stays available as an independent oracle.
 from __future__ import annotations
 
 import json
+import random
 import re
 from math import gcd
 
@@ -284,15 +285,14 @@ def join_embed(a: JoinElem) -> list[list[int]]:
 
 def join_unembed(shape: JoinShape, rows) -> JoinElem:
     """Inverse of join_embed; raises if the matrix is not in the join subring."""
-    from .groupring import CirculantMatrix, from_circulant
-
     blocks = []
     for i, g in enumerate(shape.groups):
         off = shape.offsets[i]
-        sub = [row[off : off + g.order] for row in rows[off : off + g.order]]
-        blocks.append(
-            from_circulant(CirculantMatrix(tuple(tuple(r) for r in sub), g, shape.ctx))
-        )
+        sub = [list(row[off : off + g.order]) for row in rows[off : off + g.order]]
+        blk = GroupRingElem(shape.ctx, g, sub[0])
+        if circulant_rows(blk) != sub:
+            raise AlgebraError(f"diagonal block {i} does not satisfy the circulant condition")
+        blocks.append(blk)
     offdiag = [[0] * shape.d for _ in range(shape.d)]
     for i in range(shape.d):
         for j in range(shape.d):
@@ -307,6 +307,20 @@ def join_unembed(shape: JoinShape, rows) -> JoinElem:
                             f"off-diagonal block ({i}, {j}) is not constant"
                         )
             offdiag[i][j] = v
+    return JoinElem(shape, blocks, offdiag)
+
+
+def random_join_element(shape: JoinShape, rng: random.Random) -> JoinElem:
+    """A uniform element: every block coefficient in order, then a_ij row by row."""
+    q = shape.ctx.q
+    blocks = [
+        GroupRingElem(shape.ctx, g, [rng.randrange(q) for _ in range(g.order)])
+        for g in shape.groups
+    ]
+    offdiag = [
+        [rng.randrange(q) if i != j else 0 for j in range(shape.d)]
+        for i in range(shape.d)
+    ]
     return JoinElem(shape, blocks, offdiag)
 
 

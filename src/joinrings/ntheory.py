@@ -6,6 +6,7 @@ sqrt(n), n < 2**64 in practice).  No probabilistic tests.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd
 
 from .errors import AlgebraError
@@ -66,6 +67,19 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def order_dividing(m: int, is_one: Callable[[int], bool]) -> int:
+    """Least t dividing m with is_one(t), found by stripping the primes of m.
+
+    is_one(t) must hold, among the divisors t of m, exactly for the
+    multiples of the answer, as "x**t == 1" does for an x with x**m == 1.
+    """
+    t = m
+    for p in factorize(m):
+        while t % p == 0 and is_one(t // p):
+            t //= p
+    return t
+
+
 def ord_mod(d: int, q: int) -> int:
     """Multiplicative order of q modulo d: least t >= 1 with q**t == 1 (mod d).
 
@@ -77,12 +91,7 @@ def ord_mod(d: int, q: int) -> int:
         return 1
     if gcd(q, d) != 1:
         raise AlgebraError(f"gcd({q}, {d}) != 1, order undefined")
-    # The order divides phi(d); strip prime factors greedily.
-    t = euler_phi(d)
-    for p in factorize(t):
-        while t % p == 0 and pow(q, t // p, d) == 1:
-            t //= p
-    return t
+    return order_dividing(euler_phi(d), lambda t: pow(q, t, d) == 1)
 
 
 def is_q_rooted(p: int, q: int) -> bool:

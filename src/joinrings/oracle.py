@@ -30,8 +30,13 @@ DEFAULT_CAP = 2**20
 class EnumerableRing:
     """Uniform enumeration interface over the ring families we brute-force.
 
-    Index 0 is zero; `one_index` marks the identity.  `element(i)` decodes
-    the i-th coefficient vector (lexicographic, least significant first).
+    Index 0 is zero; `one` is the identity.  `element(i)` decodes the i-th
+    coefficient vector (lexicographic, least significant first).  Every
+    oracle below works through these methods alone: `add`, `sub` and `mul`
+    default to the element operators, and `count_units` to counting the
+    elements that pass `is_unit`.  Elements are hashable and compare by
+    value.  Subclasses provide `element(i)`, `is_unit(a)` and `label(a)`,
+    and override the arithmetic when their elements have no operators.
     """
 
     ctx: FieldCtx
@@ -61,7 +66,17 @@ class EnumerableRing:
             index //= q
         return out
 
-    # subclasses provide: one, mul(a, b), is_unit(a), label(a)
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def count_units(self) -> int:
+        return sum(1 for a in self.elements() if self.is_unit(a))
 
 
 class GroupRingEnum(EnumerableRing):
@@ -76,8 +91,25 @@ class GroupRingEnum(EnumerableRing):
     def element(self, index: int) -> GroupRingElem:
         return GroupRingElem(self.ctx, self.group, self._vector(index))
 
-    def mul(self, a, b):
-        return a * b
+    def count_units(self) -> int:
+        """Over F2, one packed-row elimination per coefficient bitmask.
+
+        It builds no elements, which measures faster than the generic count.
+        """
+        if self.ctx.q != 2:
+            return super().count_units()
+        g = self.group
+        n = g.order
+        inv_rows = [g.table[g.inverse[i]] for i in range(n)]
+        count = 0
+        for code in range(2**n):
+            rows = [
+                sum(((code >> row[j]) & 1) << j for j in range(n))
+                for row in inv_rows
+            ]
+            if linalg._rank_gf2(rows, n) == n:
+                count += 1
+        return count
 
     def is_unit(self, a) -> bool:
         return linalg.is_invertible(circulant_rows(a), self.ctx)
@@ -113,9 +145,6 @@ class JoinRingEnum(EnumerableRing):
                     offdiag[i][j] = vec[pos]
                     pos += 1
         return JoinElem(self.shape, blocks, offdiag)
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a) -> bool:
         return linalg.is_invertible(join_embed(a), self.ctx)
@@ -194,6 +223,14 @@ class SemimagicRing(EnumerableRing):
         """The common row/column sum."""
         return reduce(self.ctx.add, a[0], 0)
 
+    def add(self, a, b):
+        add = self.ctx.add
+        return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+    def sub(self, a, b):
+        sub = self.ctx.sub
+        return tuple(tuple(sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
     def mul(self, a, b):
         return tuple(tuple(r) for r in linalg.mat_mul([list(r) for r in a], [list(r) for r in b], self.ctx))
 
@@ -215,46 +252,21 @@ def semimagic_ring(n: int, ctx: FieldCtx) -> SemimagicRing:
 # enumeration oracles
 # ---------------------------------------------------------------------------
 
-def enumerate_units(ring: EnumerableRing, cap: int = DEFAULT_CAP, stream: bool = False):
-    """Exact unit count (or the units themselves with stream=True)."""
+def enumerate_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> int:
+    """Exact unit count."""
     ring.check_cap(cap)
-    if stream:
-        return [a for a in ring.elements() if ring.is_unit(a)]
-    if isinstance(ring, GroupRingEnum) and ring.ctx.q == 2:
-        return _count_units_gf2_groupring(ring)
-    if isinstance(ring, JoinRingEnum) and ring.ctx.q == 2:
-        return _count_units_gf2_join(ring)
-    return sum(1 for a in ring.elements() if ring.is_unit(a))
+    return ring.count_units()
 
 
-def _count_units_gf2_groupring(ring: GroupRingEnum) -> int:
-    """Packed-row fast path: one bitset elimination per element."""
-    g = ring.group
-    n = g.order
-    inv_rows = [g.table[g.inverse[i]] for i in range(n)]
-    count = 0
-    for code in range(2**n):
-        rows = [
-            sum(((code >> row[j]) & 1) << j for j in range(n))
-            for row in inv_rows
-        ]
-        if linalg._rank_gf2(rows, n) == n:
-            count += 1
-    return count
-
-
-def _count_units_gf2_join(ring: JoinRingEnum) -> int:
-    count = 0
-    for a in ring.elements():
-        rows = [sum(bit << j for j, bit in enumerate(r)) for r in join_embed(a)]
-        if linalg._rank_gf2(rows, ring.shape.n) == ring.shape.n:
-            count += 1
-    return count
+def list_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
+    """Every unit, in enumeration order."""
+    ring.check_cap(cap)
+    return [a for a in ring.elements() if ring.is_unit(a)]
 
 
 def unit_orders(ring: EnumerableRing, cap: int = DEFAULT_CAP):
     """List of (unit, multiplicative order) over all units."""
-    units = enumerate_units(ring, cap, stream=True)
+    units = list_units(ring, cap)
     n_units = len(units)
 
     def power(u, t):
@@ -266,6 +278,8 @@ def unit_orders(ring: EnumerableRing, cap: int = DEFAULT_CAP):
             t >>= 1
         return result
 
+    # Deliberately not ntheory.order_dividing: this loop is the brute-force
+    # route that the closed forms built on ord_mod are checked against.
     primes = list(factorize(n_units)) if n_units > 1 else []
     out = []
     for u in units:
@@ -340,8 +354,7 @@ def jacobson_radical(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
     for x in elements:
         ok = True
         for r in elements:
-            candidate = _one_minus(ring, one, ring.mul(r, x))
-            if not ring.is_unit(candidate):
+            if not ring.is_unit(ring.sub(one, ring.mul(r, x))):
                 ok = False
                 break
         if ok:
@@ -366,52 +379,15 @@ def jacobson_radical(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
     return rad
 
 
-def _one_minus(ring: EnumerableRing, one, a):
-    if isinstance(a, GroupRingElem):
-        return one - a
-    if isinstance(a, JoinElem):
-        return one - a
-    # semimagic tuples
-    ctx = ring.ctx
-    return tuple(
-        tuple(ctx.sub(o, x) for o, x in zip(orow, arow)) for orow, arow in zip(one, a)
-    )
-
-
 def semisimple_unit_factorization(ring: EnumerableRing, cap: int = DEFAULT_CAP):
     """Check |R^x| = |Rad(R)| * |image of R^x in R/Rad(R)|.
 
     Returns (unit_count, radical_size, image_size).  The image is counted
-    by mapping each unit to a canonical coset representative of 1 + Rad
-    cosets, which is an independent count of the semisimplification's
-    units.
+    as the number of distinct cosets u(1 + Rad) = {u + u x : x in Rad}, each
+    taken as a set of elements, which is an independent count of the
+    semisimplification's units.
     """
     rad = jacobson_radical(ring, cap)
-    units = enumerate_units(ring, cap, stream=True)
-    rad_list = list(rad)
-
-    def coset_key(u):
-        # canonical representative: the lexicographically smallest element
-        # of the coset u * (1 + Rad) = u + u*Rad
-        members = [_coset_member(ring, u, ring.mul(u, x)) for x in rad_list]
-        return min(_key(ring, m) for m in members)
-
-    image = {coset_key(u) for u in units}
-    return len(units), len(rad_list), len(image)
-
-
-def _coset_member(ring, u, ux):
-    if isinstance(u, (GroupRingElem, JoinElem)):
-        return u + ux
-    ctx = ring.ctx
-    return tuple(
-        tuple(ctx.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(u, ux)
-    )
-
-
-def _key(ring, a):
-    if isinstance(a, GroupRingElem):
-        return a.coeffs
-    if isinstance(a, JoinElem):
-        return (tuple(b.coeffs for b in a.blocks), a.offdiag)
-    return a
+    units = list_units(ring, cap)
+    image = {frozenset(ring.add(u, ring.mul(u, x)) for x in rad) for u in units}
+    return len(units), len(rad), len(image)

@@ -19,12 +19,12 @@ from joinrings.groups import (
     parse_group_spec,
 )
 from joinrings.joinring import (
-    JoinElem,
     JoinShape,
     join_embed,
     join_idempotents,
     join_unit_count,
     parse_shape_spec,
+    random_join_element,
     thm_unit_count_rooted,
 )
 from joinrings.ntheory import is_prime
@@ -44,21 +44,6 @@ from joinrings.zeta import zeta_join, zeta_semimagic
 
 def _report(number, detail):
     print(f"CRITERION {number}: PASS — {detail}")
-
-
-def _random_join_elem(shape, rng):
-    from joinrings.groupring import GroupRingElem
-
-    q = shape.ctx.q
-    blocks = [
-        GroupRingElem(shape.ctx, g, [rng.randrange(q) for _ in range(g.order)])
-        for g in shape.groups
-    ]
-    offdiag = [
-        [rng.randrange(q) if i != j else 0 for j in range(shape.d)]
-        for i in range(shape.d)
-    ]
-    return JoinElem(shape, blocks, offdiag)
 
 
 def test_criterion_1_rooted_equivalence_sweep():
@@ -170,8 +155,8 @@ def test_criterion_6_block_formula_vs_matrix_oracle():
     for spec in specs:
         shape = parse_shape_spec(spec)
         for _ in range(pairs_per_shape):
-            a = _random_join_elem(shape, rng)
-            b = _random_join_elem(shape, rng)
+            a = random_join_element(shape, rng)
+            b = random_join_element(shape, rng)
             expected = linalg.mat_mul(join_embed(a), join_embed(b), shape.ctx)
             assert join_embed(a * b) == expected
             total += 1

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from joinrings.arith import (
@@ -27,6 +29,18 @@ def test_ord_mod():
     assert euler_phi(7) % ord_mod(7, 2) == 0
     with pytest.raises(AlgebraError):
         ord_mod(6, 2)
+
+
+def test_ord_mod_matches_linear_scan():
+    for d in range(1, 151):
+        for q in range(1, 31):
+            if gcd(d, q) != 1:
+                continue
+            t, x = 1, q % d
+            while x != 1 % d:
+                x = x * q % d
+                t += 1
+            assert ord_mod(d, q) == t, (d, q)
 
 
 def test_is_q_rooted():

@@ -131,3 +131,17 @@ def test_field_codes_out_of_range_exit_1(capsys, argv):
 def test_field_pow_exponent_may_exceed_q(capsys):
     data = run_json(capsys, "field", "F5", "--op", "pow", "--a", "2", "--b", "9")
     assert data["result"] == 2  # 2^9 = 2^(9 mod 4) in F_5
+
+
+@pytest.mark.parametrize("spec, table", [
+    ("S8", None),
+    ("table:{dir}/missing.txt", None),
+    ("table:{dir}/table.txt", "0 1\n1 x\n"),
+], ids=["S8", "missing-table", "non-integer-table"])
+def test_group_spec_errors_exit_1(capsys, tmp_path, spec, table):
+    if table is not None:
+        (tmp_path / "table.txt").write_text(table)
+    assert run(["group", spec.format(dir=tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

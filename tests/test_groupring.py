@@ -7,14 +7,12 @@ from joinrings.groupring import (
     augmentation,
     circulant_rows,
     format_element,
-    from_circulant,
     gr_decompose,
     gr_inverse,
     gr_is_unit,
     gr_unit_count,
     idempotent_eH,
     parse_element,
-    to_circulant,
     wedderburn_abelian,
 )
 from joinrings.groups import cyclic, parse_group_spec, symmetric
@@ -62,8 +60,8 @@ def test_circulant_roundtrip_and_product():
     g = cyclic(5)
     a = parse_element("1+g1+3*g4", g, F7)
     b = parse_element("2+g2", g, F7)
-    ca, cb = to_circulant(a), to_circulant(b)
-    assert from_circulant(ca) == a
+    # the first row of the circulant is the coefficient family itself
+    assert GroupRingElem(F7, g, circulant_rows(a)[0]) == a
     # circulant of a product is the product of circulants
     import joinrings.linalg as linalg
 

@@ -104,6 +104,13 @@ def test_parse_group_spec():
         parse_group_spec("C0")
 
 
+def test_order_cap_checked_before_the_table():
+    # each would build a table far beyond ORDER_CAP (S8 alone is 40320 x 40320)
+    for build in (lambda: symmetric(6), lambda: symmetric(8), lambda: cyclic(10**5)):
+        with pytest.raises(AlgebraError):
+            build()
+
+
 def test_from_table_validates_associativity():
     bad = [[0, 1], [1, 1]]  # not a group
     with pytest.raises(AlgebraError):

@@ -5,7 +5,7 @@ import pytest
 import joinrings.linalg as linalg
 from joinrings.errors import AlgebraError, NotInvertibleError, ParseError
 from joinrings.ffield import parse_field
-from joinrings.groupring import GroupRingElem, parse_element
+from joinrings.groupring import parse_element
 from joinrings.groups import cyclic, parse_group_spec, trivial
 from joinrings.joinring import (
     JoinElem,
@@ -22,24 +22,12 @@ from joinrings.joinring import (
     join_unit_count,
     parse_join_element,
     parse_shape_spec,
+    random_join_element,
     thm_unit_count_rooted,
 )
 
 F2 = parse_field("F2")
 F7 = parse_field("F7")
-
-
-def _random_elem(shape, rng):
-    q = shape.ctx.q
-    blocks = [
-        GroupRingElem(shape.ctx, g, [rng.randrange(q) for _ in range(g.order)])
-        for g in shape.groups
-    ]
-    offdiag = [
-        [rng.randrange(q) if i != j else 0 for j in range(shape.d)]
-        for i in range(shape.d)
-    ]
-    return JoinElem(shape, blocks, offdiag)
 
 
 def test_parse_shape_spec():
@@ -56,7 +44,7 @@ def test_embed_respects_product():
     rng = random.Random(7)
     shape = parse_shape_spec("join(C3,C5;F2)")
     for _ in range(50):
-        a, b = _random_elem(shape, rng), _random_elem(shape, rng)
+        a, b = random_join_element(shape, rng), random_join_element(shape, rng)
         assert join_embed(a * b) == linalg.mat_mul(join_embed(a), join_embed(b), F2)
         assert join_embed(a + b) == linalg.mat_add(join_embed(a), join_embed(b), F2)
 
@@ -65,8 +53,9 @@ def test_unembed_roundtrip():
     rng = random.Random(11)
     shape = parse_shape_spec("join(S3,C2;F7)")
     for _ in range(20):
-        a = _random_elem(shape, rng)
+        a = random_join_element(shape, rng)
         assert join_unembed(shape, join_embed(a)) == a
+        assert join_unembed(shape, [tuple(r) for r in join_embed(a)]) == a
 
 
 def test_unembed_rejects_non_member():
@@ -79,7 +68,7 @@ def test_unembed_rejects_non_member():
 def test_one_and_zero():
     shape = parse_shape_spec("join(C3,C5;F2)")
     one, zero = shape.one(), shape.zero()
-    a = _random_elem(shape, random.Random(3))
+    a = random_join_element(shape, random.Random(3))
     assert a * one == a
     assert one * a == a
     assert a + zero == a
@@ -93,7 +82,7 @@ def test_gen_augmentation_is_hom():
         shape.groups[1].subgroup([0, 3]),
     ]
     for _ in range(30):
-        a, b = _random_elem(shape, rng), _random_elem(shape, rng)
+        a, b = random_join_element(shape, rng), random_join_element(shape, rng)
         lhs = gen_augmentation(a * b, subs)
         rhs = gen_augmentation(a, subs) * gen_augmentation(b, subs)
         assert lhs == rhs
@@ -121,7 +110,7 @@ def test_idempotents_central_orthogonal_sum_one():
     # centrality against random elements
     rng = random.Random(17)
     for _ in range(10):
-        a = _random_elem(shape, rng)
+        a = random_join_element(shape, rng)
         for e in idems:
             assert e * a == a * e
 
@@ -132,14 +121,14 @@ def test_join_decompose_components():
     shape = parse_shape_spec("join(C3,C5;F2)")
     subs = [g.full_subgroup() for g in shape.groups]
     rng = random.Random(19)
-    a = _random_elem(shape, rng)
+    a = random_join_element(shape, rng)
     image, deltas = join_decompose(a, subs)
     assert image.shape.d == shape.d
     # each delta component has zero classical augmentation
     for blk, h in zip(deltas, subs):
         assert not any(augmentation(blk, h).coeffs)
     # decomposition is multiplicative on both coordinates
-    b = _random_elem(shape, rng)
+    b = random_join_element(shape, rng)
     image_b, deltas_b = join_decompose(b, subs)
     image_ab, deltas_ab = join_decompose(a * b, subs)
     assert image_ab == image * image_b
@@ -173,7 +162,7 @@ def test_inverse_stays_in_subring():
     rng = random.Random(23)
     found = 0
     while found < 10:
-        a = _random_elem(shape, rng)
+        a = random_join_element(shape, rng)
         if join_is_unit(a):
             found += 1
             inv = join_inverse(a)
@@ -189,7 +178,7 @@ def test_non_unit_inverse_raises():
 
 def test_element_json_roundtrip():
     shape = parse_shape_spec("join(C3,C5;F2)")
-    a = _random_elem(shape, random.Random(29))
+    a = random_join_element(shape, random.Random(29))
     assert JoinElem.from_json(a.to_json(), shape) == a
 
 

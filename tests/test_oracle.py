@@ -1,9 +1,13 @@
+from math import lcm, prod
+
 import pytest
 
 from joinrings.errors import AlgebraError, EnumerationCapError
 from joinrings.ffield import parse_field
+from joinrings.groupring import gr_unit_count
 from joinrings.groups import cyclic, parse_group_spec
-from joinrings.joinring import parse_shape_spec
+from joinrings.joinring import join_unit_count, parse_shape_spec
+from joinrings.ntheory import factorize
 from joinrings.oracle import (
     GroupRingEnum,
     JoinRingEnum,
@@ -11,14 +15,17 @@ from joinrings.oracle import (
     exp_U1,
     is_delta_n,
     jacobson_radical,
+    list_units,
     semimagic_ring,
     semisimple_unit_factorization,
     unit_group_exponent,
+    unit_orders,
     units_of_order,
 )
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
+F5 = parse_field("F5")
 
 
 def test_enumeration_is_bijective():
@@ -41,9 +48,9 @@ def test_unit_count_join_ring():
     assert enumerate_units(ring) == 270
 
 
-def test_stream_matches_count():
+def test_list_units_matches_count():
     ring = GroupRingEnum(cyclic(5), F2)
-    units = enumerate_units(ring, stream=True)
+    units = list_units(ring)
     assert len(units) == enumerate_units(ring) == 15
 
 
@@ -113,6 +120,7 @@ def test_unit_factorization():
         GroupRingEnum(cyclic(6), F2),
         GroupRingEnum(cyclic(2), F3),
         semimagic_ring(2, F3),
+        semimagic_ring(2, F2),  # radical {0, all-ones}: 2 units, one coset
         JoinRingEnum(parse_shape_spec("join(C2,C2;F2)")),
     ):
         units, rad, image = semisimple_unit_factorization(ring)
@@ -143,3 +151,83 @@ def test_semimagic_sigma():
     sm = semimagic_ring(3, F3)
     one = sm.one
     assert sm.sigma(one) == 1
+
+
+# ---------------------------------------------------------------------------
+# every oracle on every adapter kind, against closed forms
+# ---------------------------------------------------------------------------
+
+def _semimagic_unit_count(n, ctx):
+    """(q - 1) |GL_{n-1}(F_q)|, since SM_n(F_q) = F_q x M_{n-1}(F_q) when p does not divide n."""
+    q = ctx.q
+    return (q - 1) * prod(q ** (n - 1) - q**i for i in range(n - 1))
+
+
+def _adapter_cases():
+    """label -> (ring, unit count by a closed form, unit-group exponent).
+
+    p divides no group order and no n, so every ring is semisimple and its
+    radical is {0}.  Exponents: F2[C7] = F2 x F8 x F8 and F3[C4] = F3 x F3 x F9;
+    a join is GL_d(F_q) x prod Delta(G_i), where GL_2(F_q) has exponent
+    lcm(q^2 - 1, p(q - 1)), Delta(C3) = F4 over F2 and Delta(C2) = F3 over F3;
+    SM_n(F_q) has the exponent of F_q^x x GL_{n-1}(F_q).
+    """
+    c7, c4 = cyclic(7), cyclic(4)
+    j2, j3 = parse_shape_spec("join(C3,C3;F2)"), parse_shape_spec("join(C2,C2;F3)")
+    return {
+        "F2[C7]": (GroupRingEnum(c7, F2), gr_unit_count(c7, F2), 7),
+        "F3[C4]": (GroupRingEnum(c4, F3), gr_unit_count(c4, F3), 8),
+        "join(C3,C3;F2)": (JoinRingEnum(j2), join_unit_count(j2), 6),
+        "join(C2,C2;F3)": (JoinRingEnum(j3), join_unit_count(j3), 24),
+        "SM2(F3)": (semimagic_ring(2, F3), _semimagic_unit_count(2, F3), 2),
+        "SM3(F2)": (semimagic_ring(3, F2), _semimagic_unit_count(3, F2), 6),
+        "SM2(F5)": (semimagic_ring(2, F5), _semimagic_unit_count(2, F5), 4),
+    }
+
+
+ADAPTERS = _adapter_cases()
+
+
+def _power(ring, u, t):
+    result = ring.one
+    while t:
+        if t & 1:
+            result = ring.mul(result, u)
+        u = ring.mul(u, u)
+        t >>= 1
+    return result
+
+
+def test_semimagic_closed_form_values():
+    assert [_semimagic_unit_count(n, f) for n, f in ((2, F3), (3, F2), (2, F5))] == [4, 6, 16]
+    assert _semimagic_unit_count(4, F3) == enumerate_units(semimagic_ring(4, F3)) == 22464
+
+
+@pytest.mark.parametrize("label", ADAPTERS)
+def test_unit_count_on_every_adapter(label):
+    ring, count, _ = ADAPTERS[label]
+    # over F2 the group-ring count is the packed override; list_units is the generic path
+    assert enumerate_units(ring) == ring.count_units() == len(list_units(ring)) == count
+
+
+@pytest.mark.parametrize("label", ADAPTERS)
+def test_unit_orders_on_every_adapter(label):
+    ring, count, exponent = ADAPTERS[label]
+    orders = unit_orders(ring)
+    assert len(orders) == count
+    for u, t in orders:
+        assert _power(ring, u, t) == ring.one
+        assert all(_power(ring, u, t // f) != ring.one for f in factorize(t))
+    assert lcm(*(t for _, t in orders)) == unit_group_exponent(ring) == exponent
+    assert units_of_order(ring, 1) == 1
+    assert is_delta_n(ring, exponent) == (True, None, None)
+    n = exponent // max(factorize(exponent))
+    ok, witness, order = is_delta_n(ring, n)
+    assert not ok and n % order and _power(ring, witness, n) != ring.one
+
+
+@pytest.mark.parametrize("label", ADAPTERS)
+def test_radical_on_every_adapter(label):
+    ring, count, _ = ADAPTERS[label]
+    assert jacobson_radical(ring) == [ring.element(0)]
+    assert semisimple_unit_factorization(ring) == (count, 1, count)
