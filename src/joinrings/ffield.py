@@ -17,6 +17,22 @@ compute each operation modulo p (k = 1) or on polynomials (k > 1).  The
 polynomial routines below are also the independent reference the tests
 compare the kernel with.
 
+Sums of many products are computed on *lifted* values and reduced once:
+
+- For the group-ring convolution, a tabled field lifts each code to a plain
+  integer.  In a prime field the lift is the code and the sum is reduced
+  mod p at the end; in characteristic 2 it is the code and lifted values
+  add by XOR, which needs no reduction; for odd p with k > 1 digit i of the
+  code sits in a lane starting at bit ``i * w``, wide enough that sums of
+  up to 2**``_LANE_HEADROOM`` lifted codes never carry between lanes, and
+  the reduction takes each lane mod p.  ``lane_exp[i]`` is the lift of
+  g^i, so a product of two nonzero codes is ``lane_exp[log a + log b]``.
+- For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
+  packs a whole matrix row into one integer with the same per-digit lanes,
+  each just wide enough for a reduced row plus one multiple of a reduced
+  row.  A row update x - f*y is then one integer addition (XOR in
+  characteristic 2) followed by one reduction of the whole row.
+
 The public element type :class:`FieldElement` wraps a code together with
 its context and supports the usual operators.  Elements from different
 contexts never mix; cross-context arithmetic raises
@@ -28,7 +44,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Callable
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import AlgebraError, ContextMismatchError, NotInvertibleError, ParseError
 from .ntheory import factorize, is_prime, order_dividing, prime_power
@@ -36,6 +52,11 @@ from .ntheory import factorize, is_prime, order_dividing, prime_power
 # Contexts with q at most this bound get the O(q) log/antilog (and Zech)
 # arrays; above it every operation is computed on demand and set-up is free.
 _TABLE_LIMIT = 1024
+
+# Each lane of a lifted code (odd p, k > 1) holds the sum of 2**_LANE_HEADROOM
+# lifted codes without carrying into the next lane.  A convolution sums one
+# term per group element, far fewer than that.
+_LANE_HEADROOM = 32
 
 Poly = tuple[int, ...]  # dense coefficients, constant term first
 
@@ -216,6 +237,139 @@ def _zech_table(p: int, exp: list[int], log: list) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# packed rows for the eliminations
+# ---------------------------------------------------------------------------
+
+class PackedRows:
+    """Rows of codes packed into one integer each, for :mod:`joinrings.linalg`.
+
+    Entry j of a row takes the ``entry_bits`` bits from ``j * entry_bits``
+    up.  In characteristic 2 an entry holds its code and rows add by XOR.
+    For odd p an entry holds one lane of whole bytes per base-p digit, wide
+    enough for a reduced row plus one multiple of a reduced row.  Every row
+    that :meth:`pack` and :meth:`combine` return is reduced, so an entry
+    ``x & entry_mask`` is read back as ``code_of[x & entry_mask]``.
+    ``times(x, c)`` is c times the reduced row x, lane by lane but not
+    reduced: only :meth:`combine` reduces.
+    """
+
+    def __init__(self, ctx: "FieldCtx"):
+        p, k, q, mul = ctx.p, ctx.k, ctx.q, ctx.mul
+        if p == 2:
+            lane, size = 1, (k + 7) // 8
+            self._encoded = [c.to_bytes(size, "little") for c in range(q)]
+            self.combine = operator.xor
+        else:
+            top = (p - 1) * (1 + k * (p - 1))  # largest lane value before a reduction
+            width = 1
+            while top >> 8 * width:
+                width *= 2
+            lane, size = 8 * width, k * width
+            self._encoded = [
+                b"".join(d.to_bytes(width, "little") for d in _decode_poly(c, p, k))
+                for c in range(q)
+            ]
+            self.combine = _lane_adder(p, width)
+        self._size = size
+        self.entry_bits = 8 * size
+        self.entry_mask = (1 << self.entry_bits) - 1
+        if k == 1 or p == 2:  # an entry is its code
+            self.code_of = range(q)
+        else:
+            self.code_of = {int.from_bytes(e, "little"): c for c, e in enumerate(self._encoded)}
+        if size == 1:  # the byte of an entry is its code
+            self.pack = lambda codes: int.from_bytes(bytes(codes), "little")
+        if k == 1:
+            self.times = operator.mul  # each lane of c * x stays below p^2
+        elif p == 2 and size == 1:
+            self.times = self._byte_times(mul, q)
+        elif p > 2 and q <= _TABLE_LIMIT:
+            self.times = self._lane_times(mul, p, k, lane)
+        else:
+            # one product per entry, as many as a scalar loop makes
+            self.times = lambda x, c: self.pack(
+                [mul(c, y) for y in self.unpack(x, -(-x.bit_length() // self.entry_bits))]
+            )
+
+    def _byte_times(self, mul, q: int) -> Callable[[int, int], int]:
+        """c * x by one bytes.translate, when every entry is one byte, its code."""
+        tables: dict[int, bytes] = {}  # c -> its multiplication table, at most q of them
+
+        def times(x: int, c: int) -> int:
+            table = tables.get(c)
+            if table is None:
+                table = tables[c] = bytes([mul(c, y) for y in range(q)] + [0] * (256 - q))
+            return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table), "little")
+
+        return times
+
+    def _lane_times(self, mul, p: int, k: int, lane: int) -> Callable[[int, int], int]:
+        """c * x as sum_j (digit j of every entry of x) * lift(c x^j).
+
+        A shift and a mask move digit j of every entry to lane 0.  The digit
+        is below p, so its product with the k-lane lift of c x^j (the code
+        c * p^j) stays inside its entry.
+        """
+        encoded, size = self._encoded, self._size
+        unit = ((1 << lane) - 1).to_bytes(size, "little")  # lane 0 of one entry
+        shifts = [lane * j for j in range(k)]
+        lifts: dict[int, list[int]] = {}  # c -> lifts of c x^j, at most q of them
+        mask = 0  # lane 0 of every entry, for rows up to its length
+
+        def times(x: int, c: int) -> int:
+            nonlocal mask
+            lift = lifts.get(c)
+            if lift is None:
+                lift = lifts[c] = [int.from_bytes(encoded[mul(c, p**j)], "little") for j in range(k)]
+            if x.bit_length() > mask.bit_length():
+                mask = int.from_bytes(unit * (2 * x.bit_length() // (8 * size) + 1), "little")
+            acc = 0
+            for s, v in zip(shifts, lift):
+                acc += (x >> s & mask) * v
+            return acc
+
+        return times
+
+    def pack(self, codes) -> int:
+        return int.from_bytes(b"".join(map(self._encoded.__getitem__, codes)), "little")
+
+    def unpack(self, x: int, n: int) -> list[int]:
+        """The n codes of the reduced row x."""
+        size, code_of = self._size, self.code_of
+        data = x.to_bytes(n * size, "little")
+        return [
+            code_of[int.from_bytes(data[i : i + size], "little")]
+            for i in range(0, n * size, size)
+        ]
+
+
+def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:
+    """x + y with every lane of `width` bytes reduced mod p."""
+    if width == 1:
+        table = bytes(i % p for i in range(256))
+
+        def combine(x: int, y: int) -> int:
+            s = x + y
+            data = s.to_bytes((s.bit_length() + 7) >> 3, "little")
+            return int.from_bytes(data.translate(table), "little")
+
+        return combine
+
+    def combine(x: int, y: int) -> int:
+        s = x + y
+        data = s.to_bytes(-(-s.bit_length() // (8 * width)) * width, "little")
+        return int.from_bytes(
+            b"".join(
+                (int.from_bytes(data[i : i + width], "little") % p).to_bytes(width, "little")
+                for i in range(0, len(data), width)
+            ),
+            "little",
+        )
+
+    return combine
+
+
+# ---------------------------------------------------------------------------
 # field context
 # ---------------------------------------------------------------------------
 
@@ -227,7 +381,15 @@ class FieldCtx:
     integer codes in [0, q).  They are plain functions bound per context and
     do not check their arguments: codes from outside the program are checked
     where they enter (the parsers, the JSON readers and the CLI).
+
+    A tabled context (q <= ``_TABLE_LIMIT``) also binds the lifted kernel of
+    the module docstring: :attr:`log` (``log[0]`` is None), :attr:`lane_exp`,
+    :attr:`lane_add` on lifted values and :attr:`reduce` back to a code.
+    Above the limit :attr:`lane_exp` is None.  :attr:`packing`, built on
+    first use, is the :class:`PackedRows` layout, for every context.
     """
+
+    lane_exp: list[int] | None = None
 
     add: Callable[[int, int], int]
     sub: Callable[[int, int], int]
@@ -269,6 +431,7 @@ class FieldCtx:
             return exp[q1 - log[a]]
 
         self.inv = inv
+        self.log = log
         if k == 1:
             self._bind_prime()
         else:
@@ -284,6 +447,36 @@ class FieldCtx:
             self.neg = operator.pos
         elif k > 1:
             self._bind_zech(exp, log, _zech_table(p, exp, log))
+        self._bind_lanes(exp)
+
+    def _bind_lanes(self, exp: list[int]) -> None:
+        """lane_exp, lane_add and reduce: the lifted kernel (module docstring)."""
+        p, k = self.p, self.k
+        if k == 1 or p == 2:
+            self.lane_exp = exp
+            self.lane_add = operator.xor if p == 2 else operator.add
+            self.reduce = operator.pos if p == 2 else p.__rmod__
+            return
+        w = (p - 1).bit_length() + _LANE_HEADROOM
+        mask = (1 << w) - 1
+        shifts = range((k - 1) * w, -1, -w)
+        lift = [
+            sum(d << (i * w) for i, d in enumerate(_decode_poly(c, p, k))) for c in range(self.q)
+        ]
+
+        def reduce(x: int) -> int:
+            code = 0
+            for s in shifts:
+                code = code * p + (x >> s & mask) % p
+            return code
+
+        self.lane_exp = [lift[c] for c in exp]
+        self.lane_add = operator.add
+        self.reduce = reduce
+
+    @cached_property
+    def packing(self) -> PackedRows:
+        return PackedRows(self)
 
     def _bind_prime(self) -> None:
         """add, sub, neg and mul modulo p, which measure faster than any lookup."""
@@ -435,7 +628,7 @@ class FieldCtx:
         return FieldCtx, (self.p, self.k, self.modulus)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldCtx)
             and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
         )

@@ -117,7 +117,7 @@ class GroupRingElem:
         )
 
     def __hash__(self):
-        return hash((self.ctx.q, id(self.group), self.coeffs))
+        return hash((self.ctx.q, self.group, self.coeffs))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -139,18 +139,33 @@ class GroupRingElem:
         return f"<{format_element(self)} in {self.ctx}[{self.group.name}]>"
 
 
-def _convolve(a, b, table, ctx: FieldCtx):
+def _convolve(a, b, table, ctx: FieldCtx) -> list[int]:
+    """Coefficients of a * b: out[table[h][k]] sums a_h b_k.
+
+    A tabled field adds the lifted products lane_exp[log a_h + log b_k] and
+    reduces each output once; a larger field uses its scalar operations.
+    """
     out = [0] * len(a)
-    add, mul = ctx.add, ctx.mul
+    lane_exp = ctx.lane_exp
+    if lane_exp is None:
+        add, mul = ctx.add, ctx.mul
+        for h, ah in enumerate(a):
+            if ah:
+                row = table[h]
+                for k, bk in enumerate(b):
+                    if bk:
+                        g = row[k]
+                        out[g] = add(out[g], mul(ah, bk))
+        return out
+    add, log = ctx.lane_add, ctx.log
     for h, ah in enumerate(a):
-        if not ah:
-            continue
-        row = table[h]
-        for k, bk in enumerate(b):
-            if bk:
-                g = row[k]
-                out[g] = add(out[g], mul(ah, bk))
-    return out
+        if ah:
+            la, row = log[ah], table[h]
+            for k, bk in enumerate(b):
+                if bk:
+                    g = row[k]
+                    out[g] = add(out[g], lane_exp[la + log[bk]])
+    return list(map(ctx.reduce, out))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +201,7 @@ _QUOTIENT_CACHE: dict = {}
 
 
 def _quotient_cached(H: Subgroup):
-    key = (id(H.parent), H.elements)
+    key = (H.parent, H.elements)  # by value; the key keeps the parent alive
     if key not in _QUOTIENT_CACHE:
         _QUOTIENT_CACHE[key] = H.parent.quotient(H)
     return _QUOTIENT_CACHE[key]

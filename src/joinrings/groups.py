@@ -33,6 +33,7 @@ class FiniteGroup:
     def __init__(self, table, invariants=None, name=None, _validated=False):
         _check_order(len(table))
         self.table = tuple(tuple(row) for row in table)
+        self._hash = hash(self.table)  # groups are equal by table; hash it once
         self.order = len(self.table)
         self.invariants = tuple(invariants) if invariants else None
         self.name = name or (
@@ -189,10 +190,14 @@ class FiniteGroup:
         return FiniteGroup(table, name=name), proj
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return self is other or (
+            isinstance(other, FiniteGroup)
+            and self._hash == other._hash
+            and self.table == other.table
+        )
 
     def __hash__(self):
-        return hash(self.table)
+        return self._hash
 
     def __repr__(self):
         return f"<{self.name}: order {self.order}>"
@@ -245,7 +250,7 @@ class Subgroup:
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.elements))
+        return hash((self.parent, self.elements))
 
     def __repr__(self):
         return f"H{list(self.elements)}"

@@ -3,6 +3,14 @@
 Only what the rest of the package needs: multiplication, invertibility,
 inversion, and nullspaces, all by Gaussian elimination.  A packed bitset
 path handles F_2, which is where the big brute-force enumerations live.
+
+The other loops work on rows packed into one integer each
+(:class:`~joinrings.ffield.PackedRows`, one lane per base-p digit of each
+entry).  The update x - f*y of a whole row is one integer addition of a
+multiple of the pivot row, reduced lane by lane in one step, and that
+multiple is built once per distinct factor f within a column.  Single
+entries are decoded only where they are read: the pivot column (to find
+the pivot and the factors) and the output.
 """
 
 from __future__ import annotations
@@ -29,19 +37,17 @@ def mat_add(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
     if ctx.q == 2:
         return _mat_mul_gf2(a, b)
-    n, m, l = len(a), len(b), len(b[0])
-    add, mul = ctx.add, ctx.mul
-    bt = [[b[k][j] for k in range(m)] for j in range(l)]  # columns of b
+    packing = ctx.packing
+    combine, times = packing.combine, packing.times
+    brows = list(map(packing.pack, b))
+    width = len(b[0])
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
+        acc = 0
+        for x, brow in zip(row, brows):
+            if x:
+                acc = combine(acc, times(brow, x))
+        out.append(packing.unpack(acc, width))
     return out
 
 
@@ -64,23 +70,35 @@ def is_invertible(a: Matrix, ctx: FieldCtx) -> bool:
     n = len(a)
     if ctx.q == 2:
         return _rank_gf2(_pack_gf2(a), n) == n
-    rows = [row[:] for row in a]
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
+    packing = ctx.packing
+    code_of, mask, width = packing.code_of, packing.entry_mask, packing.entry_bits
+    combine, times = packing.combine, packing.times
+    mul, neg, inv = ctx.mul, ctx.neg, ctx.inv
+    rows = list(map(packing.pack, a))
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
+        # rows[col:] hold their entries from column col on
+        for r in range(col, n):
+            if rows[r] & mask:
+                break
+        else:
             return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        piv_inv = inv(rows[col][col])
-        prow = rows[col]
+        if col == n - 1:
+            return True
+        prow, rows[r] = rows[r], rows[col]
+        neg_inv = neg(inv(code_of[prow & mask]))
+        tail = prow >> width
+        scaled: dict[int, int] = {}  # factor -> -factor/pivot * tail
         for r in range(col + 1, n):
-            f = rows[r][col]
+            row = rows[r]
+            f = code_of[row & mask]
             if f:
-                f = mul(f, piv_inv)
-                rr = rows[r]
-                for c in range(col, n):
-                    rr[c] = sub(rr[c], mul(f, prow[c]))
-    return True
+                s = scaled.get(f)
+                if s is None:
+                    s = scaled[f] = times(tail, mul(f, neg_inv))
+                rows[r] = combine(row >> width, s)
+            else:
+                rows[r] = row >> width
+    return True  # n == 0
 
 
 def _rank_gf2(rows: list[int], ncols: int) -> int:
@@ -98,60 +116,68 @@ def _rank_gf2(rows: list[int], ncols: int) -> int:
     return rank
 
 
+def _row_reduce(rows: list[int], ncols: int, ctx: FieldCtx) -> list[int]:
+    """Gauss-Jordan on packed rows, in place, over their first ncols columns.
+
+    Returns the pivot columns: row i then has a 1 in column pivots[i], and
+    every other row a 0 there.
+    """
+    packing = ctx.packing
+    code_of, mask, width = packing.code_of, packing.entry_mask, packing.entry_bits
+    combine, times = packing.combine, packing.times
+    mul, neg, inv = ctx.mul, ctx.neg, ctx.inv
+    pivots: list[int] = []
+    for col in range(ncols):
+        r, shift = len(pivots), col * width
+        piv = next((i for i in range(r, len(rows)) if rows[i] >> shift & mask), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        tail = rows[r] >> shift  # the pivot row from column col on
+        piv_inv = inv(code_of[tail & mask])
+        neg_inv = neg(piv_inv)
+        scaled: dict[int, int] = {}  # factor -> -factor/pivot * tail, shifted back
+        for i, row in enumerate(rows):
+            f = code_of[row >> shift & mask]
+            if f and i != r:
+                s = scaled.get(f)
+                if s is None:
+                    s = scaled[f] = times(tail, mul(f, neg_inv)) << shift
+                rows[i] = combine(row, s)
+        rows[r] = combine(0, times(tail, piv_inv)) << shift
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
 def inverse(a: Matrix, ctx: FieldCtx) -> Matrix:
     """Gauss-Jordan inverse; raises NotInvertibleError on singular input."""
     n = len(a)
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-    rows = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise NotInvertibleError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        piv_inv = inv(rows[col][col])
-        rows[col] = [mul(piv_inv, x) for x in rows[col]]
-        prow = rows[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = rows[r][col]
-            if f:
-                rr = rows[r]
-                for c in range(col, 2 * n):
-                    rr[c] = sub(rr[c], mul(f, prow[c]))
-    return [row[n:] for row in rows]
+    packing = ctx.packing
+    rows = [packing.pack(row + ident_row) for row, ident_row in zip(a, identity(n))]
+    if len(_row_reduce(rows, n, ctx)) < n:
+        raise NotInvertibleError("matrix is singular")
+    shift = n * packing.entry_bits
+    return [packing.unpack(row >> shift, n) for row in rows]
 
 
 def nullspace(a: Matrix, ctx: FieldCtx) -> list[list[int]]:
     """Basis of the right nullspace {x : a x = 0}."""
     if not a:
         return []
-    nrows, ncols = len(a), len(a[0])
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-    rows = [row[:] for row in a]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        piv_inv = inv(rows[r][col])
-        rows[r] = [mul(piv_inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(a[0])
+    packing = ctx.packing
+    rows = list(map(packing.pack, a))
+    pivots = _row_reduce(rows, ncols, ctx)
+    reduced = [packing.unpack(row, ncols) for row in rows[: len(pivots)]]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(rows[i][fc])
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = ctx.neg(row[fc])
         basis.append(vec)
     return basis

@@ -1,7 +1,9 @@
 """Elementary number theory helpers: primality, factoring, orders mod n.
 
-Everything here is deterministic and desk-scale (trial division up to
-sqrt(n), n < 2**64 in practice).  No probabilistic tests.
+Everything here is deterministic.  Primality is Miller-Rabin with a fixed
+set of bases that is proven exact below ``MR_LIMIT``; factoring is trial
+division up to sqrt(n), so it is meant for desk-scale n.  No probabilistic
+tests.
 """
 
 from __future__ import annotations
@@ -12,19 +14,39 @@ from math import gcd
 from .errors import AlgebraError
 
 
+# Miller-Rabin with the first thirteen primes as bases has no strong
+# pseudoprime below this bound (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin primality test.
+
+    Exact below MR_LIMIT.  Above it a witness still proves n composite, but
+    passing every base proves nothing, so that case raises AlgebraError.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= MR_LIMIT:
+        raise AlgebraError(f"primality of {n} is beyond the deterministic test")
     return True
 
 
@@ -49,15 +71,31 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, in integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # above the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n == p**k, or None if n is not a prime power."""
+    """Return (p, k) with n == p**k, or None if n is not a prime power.
+
+    Tries exponents from the largest down, so a prime k-th root is the
+    prime itself; no factorisation is needed.
+    """
     if n < 2:
         return None
-    fac = factorize(n)
-    if len(fac) != 1:
-        return None
-    ((p, k),) = fac.items()
-    return p, k
+    for k in range(n.bit_length(), 0, -1):
+        p = iroot(n, k)
+        if p**k == n and is_prime(p):
+            return p, k
+    return None
 
 
 def euler_phi(n: int) -> int:

@@ -14,11 +14,16 @@ from joinrings.errors import AlgebraError
 from joinrings.groups import parse_group_spec
 from joinrings.joinring import parse_shape_spec
 from joinrings.ntheory import (
+    MR_LIMIT,
     euler_phi,
+    factorize,
+    iroot,
     is_fermat_prime,
     is_mersenne_prime,
+    is_prime,
     is_q_rooted,
     ord_mod,
+    prime_power,
 )
 
 
@@ -192,3 +197,39 @@ def test_delta_args_validated():
         classify_field_delta(4, 4, 1)
     with pytest.raises(AlgebraError):
         classify_field_delta(4, 3, 0)
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for f in range(2, int(n**0.5) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, n, f)))
+    assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+def test_is_prime_large_cases():
+    # strong pseudoprimes: 3215031751 to bases 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 + 3)
+    assert not is_prime(MR_LIMIT + 1)  # beyond the range, but even
+    assert not is_prime((2**61 - 1) * (2**89 - 1))  # beyond it, and a witness shows it
+    with pytest.raises(AlgebraError):
+        is_prime(2**89 - 1)  # a Mersenne prime beyond the proven range
+
+
+def test_iroot_and_prime_power():
+    for n in range(3000):
+        for k in range(1, 13):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+    for n in range(2, 20_000):
+        fac = factorize(n)
+        assert prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None)
+    assert prime_power(3**40) == (3, 40)
+    assert prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    assert prime_power(1) is None

@@ -145,3 +145,12 @@ def test_group_spec_errors_exit_1(capsys, tmp_path, spec, table):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_huge_prime_field_spec_is_fast(capsys):
+    import time
+
+    start = time.perf_counter()
+    data = run_json(capsys, "field", "F1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert data["p"] == 10**18 + 3 and data["k"] == 1

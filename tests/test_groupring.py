@@ -136,3 +136,27 @@ def test_parse_and_format_roundtrip():
 def test_parse_rejects_out_of_range_generator():
     with pytest.raises(AlgebraError):
         parse_element("g9", cyclic(3), F2)
+
+
+def test_hash_agrees_with_equality_across_equal_groups():
+    # two separately built copies of C3 and C4 are equal groups, so equal
+    # elements, subgroups and quotients must hash and cache alike
+    g1, g2 = cyclic(3), cyclic(3)
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    a = GroupRingElem(F3, g1, (1, 2, 0))
+    b = GroupRingElem(F3, g2, (1, 2, 0))
+    assert a == b and hash(a) == hash(b) and b in {a}
+
+    from joinrings.groupring import _QUOTIENT_CACHE, _quotient_cached
+
+    h1, h2 = cyclic(4).subgroup([0, 2]), cyclic(4).subgroup([0, 2])
+    assert h1 == h2 and hash(h1) == hash(h2) and h2 in {h1}
+    _QUOTIENT_CACHE.clear()
+    quotient, proj = _quotient_cached(h1)
+    assert _quotient_cached(h2) == (quotient, proj)
+    assert len(_QUOTIENT_CACHE) == 1
+    # the key holds the parent, so its id cannot be reused by a new group
+    (key,) = _QUOTIENT_CACHE
+    assert key[0] is h1.parent
+    x = GroupRingElem(F3, h2.parent, (1, 1, 2, 0))
+    assert augmentation(x, h2).coeffs == (0, 1)
