@@ -279,6 +279,7 @@ class PackedRows:
             self.code_of = {int.from_bytes(e, "little"): c for c, e in enumerate(self._encoded)}
         if size == 1:  # the byte of an entry is its code
             self.pack = lambda codes: int.from_bytes(bytes(codes), "little")
+            self.unpack = lambda x, n: list(x.to_bytes(n, "little"))
         if k == 1:
             self.times = operator.mul  # each lane of c * x stays below p^2
         elif p == 2 and size == 1:
@@ -335,12 +336,8 @@ class PackedRows:
 
     def unpack(self, x: int, n: int) -> list[int]:
         """The n codes of the reduced row x."""
-        size, code_of = self._size, self.code_of
-        data = x.to_bytes(n * size, "little")
-        return [
-            code_of[int.from_bytes(data[i : i + size], "little")]
-            for i in range(0, n * size, size)
-        ]
+        code_of, mask, width = self.code_of, self.entry_mask, self.entry_bits
+        return [code_of[x >> s & mask] for s in range(0, n * width, width)]
 
 
 def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:
@@ -384,7 +381,8 @@ class FieldCtx:
 
     A tabled context (q <= ``_TABLE_LIMIT``) also binds the lifted kernel of
     the module docstring: :attr:`log` (``log[0]`` is None), :attr:`lane_exp`,
-    :attr:`lane_add` on lifted values and :attr:`reduce` back to a code.
+    :attr:`lane_add` on lifted values and :attr:`reduce` back to a code
+    (None in characteristic 2, where a lifted value is its code).
     Above the limit :attr:`lane_exp` is None.  :attr:`packing`, built on
     first use, is the :class:`PackedRows` layout, for every context.
     """
@@ -455,7 +453,7 @@ class FieldCtx:
         if k == 1 or p == 2:
             self.lane_exp = exp
             self.lane_add = operator.xor if p == 2 else operator.add
-            self.reduce = operator.pos if p == 2 else p.__rmod__
+            self.reduce = None if p == 2 else p.__rmod__  # None: lifts are codes
             return
         w = (p - 1).bit_length() + _LANE_HEADROOM
         mask = (1 << w) - 1

@@ -165,7 +165,8 @@ def _convolve(a, b, table, ctx: FieldCtx) -> list[int]:
                 if bk:
                     g = row[k]
                     out[g] = add(out[g], lane_exp[la + log[bk]])
-    return list(map(ctx.reduce, out))
+    reduce = ctx.reduce
+    return out if reduce is None else list(map(reduce, out))
 
 
 # ---------------------------------------------------------------------------
