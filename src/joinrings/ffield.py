@@ -28,10 +28,10 @@ Sums of many products are computed on *lifted* values and reduced once:
   the reduction takes each lane mod p.  ``lane_exp[i]`` is the lift of
   g^i, so a product of two nonzero codes is ``lane_exp[log a + log b]``.
 - For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
-  packs a whole matrix row into one integer with the same per-digit lanes,
-  each just wide enough for a reduced row plus one multiple of a reduced
-  row.  A row update x - f*y is then one integer addition (XOR in
-  characteristic 2) followed by one reduction of the whole row.
+  packs a whole matrix row into one integer, with one lane per base-p digit
+  of each entry, each just wide enough for a reduced row plus one multiple
+  of a reduced row.  A row update x - f*y is then one integer addition (XOR
+  in characteristic 2) followed by one reduction of the whole row.
 
 The public element type :class:`FieldElement` wraps a code together with
 its context and supports the usual operators.  Elements from different
@@ -300,7 +300,8 @@ class PackedRows:
             table = tables.get(c)
             if table is None:
                 table = tables[c] = bytes([mul(c, y) for y in range(q)] + [0] * (256 - q))
-            return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table), "little")
+            data = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+            return int.from_bytes(data.translate(table), "little")
 
         return times
 
@@ -321,7 +322,9 @@ class PackedRows:
             nonlocal mask
             lift = lifts.get(c)
             if lift is None:
-                lift = lifts[c] = [int.from_bytes(encoded[mul(c, p**j)], "little") for j in range(k)]
+                lift = lifts[c] = [
+                    int.from_bytes(encoded[mul(c, p**j)], "little") for j in range(k)
+                ]
             if x.bit_length() > mask.bit_length():
                 mask = int.from_bytes(unit * (2 * x.bit_length() // (8 * size) + 1), "little")
             acc = 0
