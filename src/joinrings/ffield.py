@@ -28,10 +28,13 @@ Sums of many products are computed on *lifted* values and reduced once:
   the reduction takes each lane mod p.  ``lane_exp[i]`` is the lift of
   g^i, so a product of two nonzero codes is ``lane_exp[log a + log b]``.
 - For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
-  packs a whole matrix row into one integer, with one lane per base-p digit
-  of each entry, each just wide enough for a reduced row plus one multiple
-  of a reduced row.  A row update x - f*y is then one integer addition (XOR
-  in characteristic 2) followed by one reduction of the whole row.
+  packs a whole matrix row into one integer: one bit per entry in F_2, the
+  code in characteristic 2, and otherwise one lane per base-p digit of each
+  entry, each just wide enough for a reduced row plus one multiple of a
+  reduced row.  A row update x - f*y is then one integer addition (XOR in
+  characteristic 2) followed by one reduction of the whole row.  This
+  works for every field; only up to ``_TABLE_LIMIT`` are the packed forms
+  of all q codes built in advance.
 
 The public element type :class:`FieldElement` wraps a code together with
 its context and supports the usual operators.  Elements from different
@@ -244,20 +247,28 @@ class PackedRows:
     """Rows of codes packed into one integer each, for :mod:`joinrings.linalg`.
 
     Entry j of a row takes the ``entry_bits`` bits from ``j * entry_bits``
-    up.  In characteristic 2 an entry holds its code and rows add by XOR.
-    For odd p an entry holds one lane of whole bytes per base-p digit, wide
-    enough for a reduced row plus one multiple of a reduced row.  Every row
-    that :meth:`pack` and :meth:`combine` return is reduced, so an entry
+    up.  In characteristic 2 an entry holds its code, one bit wide in F_2
+    and whole bytes otherwise, and rows add by XOR.  For odd p an entry
+    holds one lane of whole bytes per base-p digit, wide enough for a
+    reduced row plus one multiple of a reduced row.  Every row that
+    :meth:`pack` and :meth:`combine` return is reduced, so an entry
     ``x & entry_mask`` is read back as ``code_of[x & entry_mask]``.
     ``times(x, c)`` is c times the reduced row x, lane by lane but not
     reduced: only :meth:`combine` reduces.
+
+    Up to ``_TABLE_LIMIT`` the entries of all q codes are built once; above
+    it each entry is encoded and decoded on its own, so that nothing here
+    grows with q.
     """
 
     def __init__(self, ctx: "FieldCtx"):
         p, k, q, mul = ctx.p, ctx.k, ctx.q, ctx.mul
         if p == 2:
             lane, size = 1, (k + 7) // 8
-            self._encoded = [c.to_bytes(size, "little") for c in range(q)]
+
+            def encode(c: int) -> bytes:
+                return c.to_bytes(size, "little")
+
             self.combine = operator.xor
         else:
             top = (p - 1) * (1 + k * (p - 1))  # largest lane value before a reduction
@@ -265,19 +276,28 @@ class PackedRows:
             while top >> 8 * width:
                 width *= 2
             lane, size = 8 * width, k * width
-            self._encoded = [
-                b"".join(d.to_bytes(width, "little") for d in _decode_poly(c, p, k))
-                for c in range(q)
-            ]
+
+            def encode(c: int) -> bytes:
+                return b"".join(d.to_bytes(width, "little") for d in _decode_poly(c, p, k))
+
             self.combine = _lane_adder(p, width)
         self._size = size
-        self.entry_bits = 8 * size
+        self.entry_bits = 1 if q == 2 else 8 * size
         self.entry_mask = (1 << self.entry_bits) - 1
+        if q <= _TABLE_LIMIT:
+            encoded = list(map(encode, range(q)))
+            self._encode = encoded.__getitem__
+        else:
+            self._encode = encode
         if k == 1 or p == 2:  # an entry is its code
             self.code_of = range(q)
+        elif q <= _TABLE_LIMIT:
+            self.code_of = {int.from_bytes(e, "little"): c for c, e in enumerate(encoded)}
         else:
-            self.code_of = {int.from_bytes(e, "little"): c for c, e in enumerate(self._encoded)}
-        if size == 1:  # the byte of an entry is its code
+            self.code_of = _DigitLanes(p, k, lane)
+        if q == 2:  # one bit per entry
+            self.pack, self.unpack = _pack_bits, _unpack_bits
+        elif size == 1:  # the byte of an entry is its code
             self.pack = lambda codes: int.from_bytes(bytes(codes), "little")
             self.unpack = lambda x, n: list(x.to_bytes(n, "little"))
         if k == 1:
@@ -312,7 +332,7 @@ class PackedRows:
         is below p, so its product with the k-lane lift of c x^j (the code
         c * p^j) stays inside its entry.
         """
-        encoded, size = self._encoded, self._size
+        encode, size = self._encode, self._size
         unit = ((1 << lane) - 1).to_bytes(size, "little")  # lane 0 of one entry
         shifts = [lane * j for j in range(k)]
         lifts: dict[int, list[int]] = {}  # c -> lifts of c x^j, at most q of them
@@ -323,7 +343,7 @@ class PackedRows:
             lift = lifts.get(c)
             if lift is None:
                 lift = lifts[c] = [
-                    int.from_bytes(encoded[mul(c, p**j)], "little") for j in range(k)
+                    int.from_bytes(encode(mul(c, p**j)), "little") for j in range(k)
                 ]
             if x.bit_length() > mask.bit_length():
                 mask = int.from_bytes(unit * (2 * x.bit_length() // (8 * size) + 1), "little")
@@ -335,12 +355,43 @@ class PackedRows:
         return times
 
     def pack(self, codes) -> int:
-        return int.from_bytes(b"".join(map(self._encoded.__getitem__, codes)), "little")
+        return int.from_bytes(b"".join(map(self._encode, codes)), "little")
 
     def unpack(self, x: int, n: int) -> list[int]:
         """The n codes of the reduced row x."""
         code_of, mask, width = self.code_of, self.entry_mask, self.entry_bits
         return [code_of[x >> s & mask] for s in range(0, n * width, width)]
+
+
+class _DigitLanes:
+    """The code_of of :class:`PackedRows` above the table limit, odd p, k > 1.
+
+    Looking up a reduced entry reads its k digit lanes into its code.
+    """
+
+    def __init__(self, p: int, k: int, lane: int):
+        self._p, self._mask = p, (1 << lane) - 1
+        self._shifts = range((k - 1) * lane, -1, -lane)
+
+    def __getitem__(self, entry: int) -> int:
+        code = 0
+        for s in self._shifts:
+            code = code * self._p + (entry >> s & self._mask)
+        return code
+
+
+# F_2 rows, one bit per entry: bits are written and read as the characters
+# "0" and "1" of a binary numeral, most significant (last) entry first.
+_BIT_CHARS = b"01" + bytes(254)
+_BIT_VALUES = bytes(48) + b"\x00\x01" + bytes(206)
+
+
+def _pack_bits(codes) -> int:
+    return int(b"0" + bytes(reversed(codes)).translate(_BIT_CHARS), 2)
+
+
+def _unpack_bits(x: int, n: int) -> list[int]:
+    return list(format(x, f"0{n}b")[: -n - 1 : -1].encode().translate(_BIT_VALUES))
 
 
 def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:

@@ -166,7 +166,7 @@ class FiniteGroup:
         Cosets are ordered by their least member, so the identity coset is
         index 0.
         """
-        if H.parent is not self:
+        if H.parent != self:
             raise NotSubgroupError("subgroup belongs to a different group")
         if not H.is_normal:
             raise NotNormalError("cannot form quotient by a non-normal subgroup")

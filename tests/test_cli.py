@@ -154,3 +154,24 @@ def test_huge_prime_field_spec_is_fast(capsys):
     data = run_json(capsys, "field", "F1000000000000000003")
     assert time.perf_counter() - start < 1.0
     assert data["p"] == 10**18 + 3 and data["k"] == 1
+
+
+def test_huge_prime_field_units_and_inverses_are_fast(capsys):
+    # the eliminations build nothing of size q above the table limit
+    import time
+
+    field, p = "F1000000000000000003", 10**18 + 3
+    inv3 = pow(3, p - 2, p)
+    start = time.perf_counter()
+    data = run_json(capsys, "gr", "--field", field, "--group", "C2", "--a", "2+g1",
+                    "--is-unit", "--inverse")
+    assert time.perf_counter() - start < 1.0
+    # (2 + g)(2 - g) = 3 in F_p[C2]
+    assert data["is_unit"] is True
+    assert data["inverse"] == f"{2 * inv3 % p}+{-inv3 % p}*g1"
+    start = time.perf_counter()
+    data = run_json(capsys, "join", "--shape", f"join(C2,C2;{field})",
+                    "--a", "2+g1;3;a[1][2]=5", "--is-unit", "--inverse")
+    assert time.perf_counter() - start < 1.0
+    assert data["is_unit"] is True
+    assert data["inverse"]["blocks"] == [[2 * inv3 % p, -inv3 % p], [inv3, 0]]

@@ -160,3 +160,5 @@ def test_hash_agrees_with_equality_across_equal_groups():
     assert key[0] is h1.parent
     x = GroupRingElem(F3, h2.parent, (1, 1, 2, 0))
     assert augmentation(x, h2).coeffs == (0, 1)
+    # an equal but separately built parent forms the same quotient
+    assert cyclic(4).quotient(cyclic(4).subgroup([0, 2])) == (quotient, proj)

@@ -4,10 +4,12 @@ Every reference below uses only the scalar FieldCtx.add/sub/mul/inv, which
 test_ffield checks against the polynomial routines; none of it touches the
 packed rows or the lifted lanes.  The fields are every canonical field with
 q <= 64, F169 (the first k > 1 field whose packed lanes need two bytes),
-and F1031 and F2048 for the fields above the table limit.
+and F1031, F2048, F2187, F2^20 and F(10^18 + 3) for the fields above the
+table limit.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +20,8 @@ from joinrings.groupring import _convolve
 from joinrings.groups import cyclic, parse_group_spec
 from joinrings.ntheory import prime_power
 
-FIELDS = [f"F{q}" for q in range(2, 65) if prime_power(q)] + ["F169", "F1031", "F2048"]
+LARGE = ["F1031", "F2048", "F2187", "F1048576", "F1000000000000000003"]
+FIELDS = [f"F{q}" for q in range(2, 65) if prime_power(q)] + ["F169"] + LARGE
 
 
 def _rand(rng, ctx, n, m):
@@ -127,10 +130,11 @@ def test_nullspace_and_mat_mul(spec):
         assert linalg.mat_mul(a, b, ctx) == _mul_ref(a, b, ctx)
 
 
-@pytest.mark.parametrize("spec", [s for s in FIELDS if s != "F2048"])
+@pytest.mark.parametrize("spec", [s for s in FIELDS if s not in ("F2048", "F2187", "F1048576")])
 def test_largest_entries_at_n48(spec):
-    # every entry q - 1, the code whose digits are all p - 1; F2048 is left
-    # out because its 48^3 polynomial products take seconds
+    # every entry q - 1, the code whose digits are all p - 1; the untabled
+    # k > 1 fields are left out because their 48^3 polynomial products take
+    # seconds
     ctx = parse_field(spec)
     n, top = 48, ctx.q - 1
     full = [[top] * n for _ in range(n)]
@@ -147,6 +151,22 @@ def test_largest_entries_at_n48(spec):
         inv = linalg.inverse(off, ctx)
         for i in (0, 17, n - 1):  # three rows of inv * off, to keep the test fast
             assert _mul_ref([inv[i]], off, ctx) == [[int(i == j) for j in range(n)]]
+
+
+@pytest.mark.parametrize("spec", LARGE + ["F78125"])
+def test_packing_above_the_table_limit_does_not_grow_with_q(spec):
+    # a table of q entries would take megabytes for F5^7 and F2^20 and
+    # never finish for F(10^18 + 3)
+    ctx = parse_field(spec)
+    tracemalloc.start()
+    try:
+        packing = ctx.packing
+        row = [ctx.q - 1, 1, 0, ctx.q // 2]
+        assert packing.unpack(packing.pack(row), 4) == row
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("spec", FIELDS)
