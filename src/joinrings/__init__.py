@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnsupportedCaseError,
 )
-from .ffield import FieldCtx, FieldElement, field_make, parse_field, parse_poly
+from .ffield import FieldCtx, field_make, parse_field, parse_poly
 from .groupring import (
     GroupRingElem,
     WedderburnData,
@@ -86,7 +86,6 @@ from .ntheory import (
 )
 from .zeta import (
     ZetaFunction,
-    pole_order_at_zero,
     zeta_abelian_group_ring,
     zeta_field,
     zeta_group_ring,

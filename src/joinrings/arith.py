@@ -9,7 +9,7 @@ unit u satisfies u^(p^r) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     AlgebraError,
@@ -29,22 +29,6 @@ from .ntheory import (
     prime_power,
 )
 from .zeta import zeta_join
-
-__all__ = [
-    "ord_mod",
-    "is_q_rooted",
-    "is_mersenne_prime",
-    "is_fermat_prime",
-    "RootedReport",
-    "rooted_equivalence_report",
-    "trivial_unit_count_of_order_p",
-    "units_of_order_p_expected",
-    "DeltaClassification",
-    "classify_field_delta",
-    "classify_group_algebra_delta",
-    "classify_join_delta",
-]
-
 
 # ---------------------------------------------------------------------------
 # rooted primes

@@ -35,11 +35,6 @@ Sums of many products are computed on *lifted* values and reduced once:
   characteristic 2) followed by one reduction of the whole row.  This
   works for every field; only up to ``_TABLE_LIMIT`` are the packed forms
   of all q codes built in advance.
-
-The public element type :class:`FieldElement` wraps a code together with
-its context and supports the usual operators.  Elements from different
-contexts never mix; cross-context arithmetic raises
-:class:`~joinrings.errors.ContextMismatchError`.
 """
 
 from __future__ import annotations
@@ -49,8 +44,8 @@ import re
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 
-from .errors import AlgebraError, ContextMismatchError, NotInvertibleError, ParseError
-from .ntheory import factorize, is_prime, order_dividing, prime_power
+from .errors import AlgebraError, NotInvertibleError, ParseError
+from .ntheory import factorize, is_prime, order_dividing, power, prime_power
 
 # Contexts with q at most this bound get the O(q) log/antilog (and Zech)
 # arrays; above it every operation is computed on demand and set-up is free.
@@ -131,14 +126,12 @@ def _poly_sub(a: Poly, b: Poly, p: int) -> list[int]:
 
 
 def _poly_pow_mod(a: Poly, n: int, m: Poly, p: int) -> Poly:
-    """a**n modulo m over F_p, by square and multiply (n >= 0)."""
-    result, base = (1,), _poly_divmod(a, m, p)[1]
-    while n:
-        if n & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), m, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), m, p)[1]
-        n >>= 1
-    return result
+    """a**n modulo m over F_p (n >= 0)."""
+
+    def mul(x: Poly, y: Poly) -> Poly:
+        return _poly_divmod(_poly_mul(x, y, p), m, p)[1]
+
+    return power(_poly_divmod(a, m, p)[1], n, mul, (1,))
 
 
 def _is_irreducible(m: Poly, p: int) -> bool:
@@ -606,13 +599,7 @@ class FieldCtx:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result, base = 1, a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return power(a, n, self.mul, 1)
 
     def check_code(self, value) -> int:
         """value itself if it is an element code, an int in [0, q).
@@ -627,31 +614,6 @@ class FieldCtx:
     def scalar(self, n: int) -> int:
         """Image of the integer n under Z -> F_q (lands in the prime field)."""
         return n % self.p
-
-    # -- element interface ---------------------------------------------------
-
-    def element(self, value: int | Poly) -> "FieldElement":
-        if isinstance(value, tuple):
-            if len(value) > self.k:
-                raise AlgebraError("coefficient vector longer than extension degree")
-            value = _encode_poly(tuple(c % self.p for c in value), self.p)
-        if not 0 <= value < self.q:
-            raise AlgebraError(f"code {value} out of range for F_{self.q}")
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
-
-    def coeffs(self, code: int) -> Poly:
-        return _decode_poly(code, self.p, self.k)
 
     def mult_order(self, a: int) -> int:
         """Least t >= 1 with a**t == 1.  Divides q - 1."""
@@ -692,70 +654,6 @@ class FieldCtx:
         if self.k == 1:
             return f"F{self.p}"
         return f"F{self.q} (mod {self.poly_str(self.modulus)})"
-
-
-class FieldElement:
-    """An element of F_{p^k}, stored as its canonical integer code."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx: FieldCtx, code: int):
-        self.ctx = ctx
-        self.code = code
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError(f"field mismatch: {self.ctx} vs {other.ctx}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.div(self.code, other.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.code, n))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.code))
-
-    def mult_order(self) -> int:
-        return self.ctx.mult_order(self.code)
-
-    @property
-    def coeffs(self) -> Poly:
-        return self.ctx.coeffs(self.code)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.ctx == other.ctx
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.q, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        if self.ctx.k == 1:
-            return str(self.code)
-        return f"[{self.ctx.poly_str(self.coeffs)}]"
 
 
 # ---------------------------------------------------------------------------

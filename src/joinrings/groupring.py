@@ -8,6 +8,7 @@ an invertible matrix, and inverses are pulled back through the first row.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -18,13 +19,19 @@ from .errors import (
     NotInvertibleError,
     ParseError,
 )
-from .ffield import FieldCtx, FieldElement
+from .ffield import FieldCtx
 from .groups import FiniteGroup, Subgroup
-from .ntheory import ord_mod
+from .ntheory import ord_mod, power
 
 
 class GroupRingElem:
-    """An element sum(a_g * g) of F_q[G]."""
+    """An element sum(a_g * g) of F_q[G].
+
+    The constructor checks the length of the coefficient family but takes
+    its codes unchecked, like the raw field operations; codes from outside
+    the program are range-checked where they enter, by
+    :func:`parse_element` and the JSON reader of the join elements.
+    """
 
     __slots__ = ("ctx", "group", "coeffs")
 
@@ -46,18 +53,7 @@ class GroupRingElem:
 
     @classmethod
     def one(cls, ctx: FieldCtx, group: FiniteGroup) -> "GroupRingElem":
-        return cls.delta(ctx, group, 0)
-
-    @classmethod
-    def delta(cls, ctx: FieldCtx, group: FiniteGroup, g: int, scale: int = 1) -> "GroupRingElem":
-        coeffs = [0] * group.order
-        coeffs[g] = scale % ctx.q if ctx.k == 1 else scale
-        return cls(ctx, group, coeffs)
-
-    @classmethod
-    def all_ones(cls, ctx: FieldCtx, group: FiniteGroup) -> "GroupRingElem":
-        """The element 1 + g_2 + ... + g_n (all coefficients one)."""
-        return cls(ctx, group, (1,) * group.order)
+        return cls(ctx, group, (1,) + (0,) * (group.order - 1))
 
     def _check(self, other: "GroupRingElem") -> None:
         if self.ctx != other.ctx or self.group != other.group:
@@ -91,22 +87,10 @@ class GroupRingElem:
             _convolve(self.coeffs, other.coeffs, self.group.table, self.ctx),
         )
 
-    def scale(self, c: int) -> "GroupRingElem":
-        """Multiply by a scalar, given as a raw field code."""
-        mul = self.ctx.mul
-        return GroupRingElem(self.ctx, self.group, (mul(c, a) for a in self.coeffs))
-
     def __pow__(self, n: int):
         if n < 0:
             return gr_inverse(self) ** (-n)
-        result = GroupRingElem.one(self.ctx, self.group)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, operator.mul, GroupRingElem.one(self.ctx, self.group))
 
     def __eq__(self, other):
         return (
@@ -131,9 +115,6 @@ class GroupRingElem:
         for c in self.coeffs:
             total = add(total, c)
         return total
-
-    def coefficient(self, g: int) -> FieldElement:
-        return FieldElement(self.ctx, self.coeffs[g])
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.ctx}[{self.group.name}]>"
@@ -189,23 +170,13 @@ def circulant_rows(a: GroupRingElem) -> list[list[int]]:
 
 def augmentation(a: GroupRingElem, H: Subgroup) -> GroupRingElem:
     """Classical augmentation F_q[G] -> F_q[G/H]: coset-wise coefficient sums."""
-    quotient, proj = _quotient_cached(H)
+    quotient, proj = H.quotient
     add = a.ctx.add
     out = [0] * quotient.order
     for g, c in enumerate(a.coeffs):
         if c:
             out[proj[g]] = add(out[proj[g]], c)
     return GroupRingElem(a.ctx, quotient, out)
-
-
-_QUOTIENT_CACHE: dict = {}
-
-
-def _quotient_cached(H: Subgroup):
-    key = (H.parent, H.elements)  # by value; the key keeps the parent alive
-    if key not in _QUOTIENT_CACHE:
-        _QUOTIENT_CACHE[key] = H.parent.quotient(H)
-    return _QUOTIENT_CACHE[key]
 
 
 def idempotent_eH(H: Subgroup, ctx: FieldCtx) -> GroupRingElem:

@@ -8,8 +8,8 @@ Groups are validated at construction and immutable afterwards.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from math import factorial, gcd, lcm
+from functools import cached_property, reduce
+from math import factorial, lcm
 
 from .errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError
 from .ntheory import factorize, is_prime
@@ -109,10 +109,7 @@ class FiniteGroup:
     def is_p_group(self, p: int) -> bool:
         if not is_prime(p):
             raise AlgebraError(f"{p} is not prime")
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return _is_p_power(self.order, p)
 
     # -- subgroups and quotients ----------------------------------------------
 
@@ -161,33 +158,10 @@ class FiniteGroup:
         return Subgroup(self, sorted(candidates))
 
     def quotient(self, H: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
-        """Quotient group G/H with the projection element -> coset index.
-
-        Cosets are ordered by their least member, so the identity coset is
-        index 0.
-        """
+        """Quotient group G/H with the projection element -> coset index."""
         if H.parent != self:
             raise NotSubgroupError("subgroup belongs to a different group")
-        if not H.is_normal:
-            raise NotNormalError("cannot form quotient by a non-normal subgroup")
-        seen: dict[int, int] = {}
-        cosets: list[tuple[int, ...]] = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            coset = sorted(self.table[g][h] for h in H.elements)
-            idx = len(cosets)
-            cosets.append(tuple(coset))
-            for x in coset:
-                seen[x] = idx
-        proj = tuple(seen[g] for g in range(self.order))
-        k = len(cosets)
-        table = [
-            [proj[self.table[cosets[i][0]][cosets[j][0]]] for j in range(k)]
-            for i in range(k)
-        ]
-        name = f"{self.name}/{H}"
-        return FiniteGroup(table, name=name), proj
+        return H.quotient
 
     def __eq__(self, other):
         return self is other or (
@@ -235,6 +209,35 @@ class Subgroup:
             for g in range(self.parent.order)
             for h in self.elements
         )
+
+    @cached_property
+    def quotient(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+        """parent/H with the projection element -> coset index, built once.
+
+        Cosets are ordered by their least member, so the identity coset is
+        index 0.
+        """
+        if not self.is_normal:
+            raise NotNormalError("cannot form quotient by a non-normal subgroup")
+        table = self.parent.table
+        seen: dict[int, int] = {}
+        cosets: list[tuple[int, ...]] = []
+        for g in range(self.parent.order):
+            if g in seen:
+                continue
+            coset = sorted(table[g][h] for h in self.elements)
+            idx = len(cosets)
+            cosets.append(tuple(coset))
+            for x in coset:
+                seen[x] = idx
+        proj = tuple(seen[g] for g in range(self.parent.order))
+        k = len(cosets)
+        qtable = [
+            [proj[table[cosets[i][0]][cosets[j][0]]] for j in range(k)]
+            for i in range(k)
+        ]
+        name = f"{self.parent.name}/{self}"
+        return FiniteGroup(qtable, name=name), proj
 
     def __contains__(self, a: int) -> bool:
         return a in self._eset

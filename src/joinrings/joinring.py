@@ -35,6 +35,7 @@ from .groupring import (
     wedderburn_abelian,
 )
 from .groups import FiniteGroup, Subgroup, parse_group_spec
+from .ntheory import power
 
 
 class JoinShape:
@@ -95,7 +96,13 @@ class JoinShape:
 
 
 class JoinElem:
-    """d diagonal group-ring blocks plus off-diagonal scalars a_ij."""
+    """d diagonal group-ring blocks plus off-diagonal scalars a_ij.
+
+    The constructor checks the block layout but takes the codes of the
+    blocks and scalars unchecked; codes from outside the program are
+    range-checked where they enter, by :func:`parse_join_element` and
+    :meth:`from_json`.
+    """
 
     __slots__ = ("shape", "blocks", "offdiag")
 
@@ -147,14 +154,7 @@ class JoinElem:
     def __pow__(self, n: int):
         if n < 0:
             return join_inverse(self) ** (-n)
-        result = self.shape.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, join_mul, self.shape.one())
 
     def __eq__(self, other):
         return (
@@ -169,10 +169,6 @@ class JoinElem:
 
     def __bool__(self):
         return any(self.blocks) or any(any(r) for r in self.offdiag)
-
-    def is_diagonal(self) -> bool:
-        """True when every off-diagonal scalar vanishes."""
-        return not any(any(r) for r in self.offdiag)
 
     def __repr__(self):
         return f"<join element of {self.shape}>"
@@ -245,7 +241,7 @@ def join_mul(a: JoinElem, b: JoinElem) -> JoinElem:
             if k != i:
                 s = add(s, mul(mul(a.offdiag[i][k], b.offdiag[k][i]), sizes[k]))
         if s:
-            blk = blk + GroupRingElem.all_ones(ctx, shape.groups[i]).scale(s)
+            blk = blk + GroupRingElem(ctx, shape.groups[i], (s,) * shape.sizes[i])
         blocks.append(blk)
 
     offdiag = [[0] * d for _ in range(d)]
@@ -340,9 +336,7 @@ def _check_subgroups(shape: JoinShape, subgroups) -> list[Subgroup]:
 
 def quotient_shape(shape: JoinShape, subgroups) -> JoinShape:
     subgroups = _check_subgroups(shape, subgroups)
-    from .groupring import _quotient_cached
-
-    return JoinShape([_quotient_cached(h)[0] for h in subgroups], shape.ctx)
+    return JoinShape([h.quotient[0] for h in subgroups], shape.ctx)
 
 
 def gen_augmentation(a: JoinElem, subgroups) -> JoinElem:

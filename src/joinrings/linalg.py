@@ -26,10 +26,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero(n: int, m: int | None = None) -> Matrix:
-    return [[0] * (m if m is not None else n) for _ in range(n)]
-
-
 def mat_add(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
     add = ctx.add
     return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

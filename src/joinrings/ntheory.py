@@ -105,6 +105,18 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def power(x, n: int, mul: Callable, one):
+    """x**n (n >= 0) by square and multiply, in any monoid given by mul and one."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
 def order_dividing(m: int, is_one: Callable[[int], bool]) -> int:
     """Least t dividing m with is_one(t), found by stripping the primes of m.
 

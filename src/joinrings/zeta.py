@@ -163,7 +163,3 @@ def zeta_join(shape) -> ZetaFunction:
     for g in shape.groups:
         z = z * zeta_group_ring(g, ctx)
     return z
-
-
-def pole_order_at_zero(z: ZetaFunction) -> int:
-    return z.pole_order_at_zero()

@@ -23,6 +23,7 @@ from joinrings.ntheory import (
     is_prime,
     is_q_rooted,
     ord_mod,
+    power,
     prime_power,
 )
 
@@ -34,6 +35,14 @@ def test_ord_mod():
     assert euler_phi(7) % ord_mod(7, 2) == 0
     with pytest.raises(AlgebraError):
         ord_mod(6, 2)
+
+
+def test_power_matches_builtin_pow():
+    for n in range(70):
+        assert power(3, n, lambda x, y: x * y % 1009, 1) == pow(3, n, 1009)
+        assert power("ab", n, str.__add__, "") == "ab" * n
+    one = object()
+    assert power("ab", 0, str.__add__, one) is one
 
 
 def test_ord_mod_matches_linear_scan():

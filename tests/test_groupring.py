@@ -75,6 +75,9 @@ def test_inverse_pullback():
     inv = gr_inverse(a)
     assert a * inv == GroupRingElem.one(F2, g)
     assert inv * a == GroupRingElem.one(F2, g)
+    assert a ** -1 == inv
+    assert a ** -3 == inv * inv * inv
+    assert a ** 0 == GroupRingElem.one(F2, g)
 
 
 def test_nonabelian_convolution():
@@ -140,25 +143,24 @@ def test_parse_rejects_out_of_range_generator():
 
 def test_hash_agrees_with_equality_across_equal_groups():
     # two separately built copies of C3 and C4 are equal groups, so equal
-    # elements, subgroups and quotients must hash and cache alike
+    # elements, subgroups and quotients must hash and compare alike
     g1, g2 = cyclic(3), cyclic(3)
     assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
     a = GroupRingElem(F3, g1, (1, 2, 0))
     b = GroupRingElem(F3, g2, (1, 2, 0))
     assert a == b and hash(a) == hash(b) and b in {a}
 
-    from joinrings.groupring import _QUOTIENT_CACHE, _quotient_cached
-
     h1, h2 = cyclic(4).subgroup([0, 2]), cyclic(4).subgroup([0, 2])
+    assert h1.parent is not h2.parent
     assert h1 == h2 and hash(h1) == hash(h2) and h2 in {h1}
-    _QUOTIENT_CACHE.clear()
-    quotient, proj = _quotient_cached(h1)
-    assert _quotient_cached(h2) == (quotient, proj)
-    assert len(_QUOTIENT_CACHE) == 1
-    # the key holds the parent, so its id cannot be reused by a new group
-    (key,) = _QUOTIENT_CACHE
-    assert key[0] is h1.parent
-    x = GroupRingElem(F3, h2.parent, (1, 1, 2, 0))
+    quotient, proj = h1.quotient
+    assert h2.quotient == (quotient, proj)
+    # each subgroup builds its quotient once and keeps it
+    assert h1.quotient is h1.quotient
+    assert h1.parent.quotient(h1) is h1.quotient
+    # elements over one parent augment along an equal subgroup of the other
+    x = GroupRingElem(F3, h1.parent, (1, 1, 2, 0))
     assert augmentation(x, h2).coeffs == (0, 1)
+    assert augmentation(x, h2) == augmentation(x, h1)
     # an equal but separately built parent forms the same quotient
     assert cyclic(4).quotient(cyclic(4).subgroup([0, 2])) == (quotient, proj)

@@ -168,6 +168,9 @@ def test_inverse_stays_in_subring():
             inv = join_inverse(a)
             assert a * inv == shape.one()
             assert inv * a == shape.one()
+            assert a ** -1 == inv
+            assert (a ** -2) * (a ** 2) == shape.one()
+            assert a ** 0 == shape.one()
 
 
 def test_non_unit_inverse_raises():

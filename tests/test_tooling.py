@@ -1,15 +1,19 @@
-"""The benchmark's traced functions still exist where it looks for them.
+"""Checks on the source tree itself rather than on its results.
 
 bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
-read here, never changed.
+read here, never changed.  The package's modules import nothing they do not
+use.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "bench" / "layers.py"
+SRC = ROOT / "src" / "joinrings"
 
 
 def test_every_traced_name_resolves():
@@ -24,3 +28,29 @@ def test_every_traced_name_resolves():
             else:
                 target = vars(module).get(name)
             assert callable(target), f"joinrings.{mod_name}.{name}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads.
+
+    With ``from __future__ import annotations`` no annotation needs quotes,
+    so a name used only inside a quoted one is reported too.
+    """
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import | ast.ImportFrom)
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        unused = _unused_imports(path.read_text())
+        assert not unused, f"{path.name}: unused imports {unused}"
