@@ -226,7 +226,7 @@ def classify_field_delta(q: int, p: int, r: int) -> DeltaClassification:
     """
     _check_delta_args(q, p, r)
     verdict, label, strict_n = _field_case(q, p, r)
-    raw = p**r % (q - 1) == 0 if q > 1 else True
+    raw = pow(p, r, q - 1) == 0
     if verdict != raw:
         raise InternalConsistencyError(
             f"field case analysis ({verdict}) disagrees with divisibility "
@@ -264,7 +264,6 @@ def classify_group_algebra_delta(
     _check_delta_args(q, p, r)
     char = prime_power(q)[0]
     subject = f"F{q}[{group.name}]"
-    target = p**r
 
     if not group.is_p_group(p):
         return DeltaClassification(
@@ -285,7 +284,7 @@ def classify_group_algebra_delta(
             )
         elif group.is_abelian:
             # every normalized unit's order divides exp(G), and G embeds
-            verdict = exp_g <= target and target % exp_g == 0
+            verdict = pow(p, r, exp_g) == 0
             label = "q = p = 2, abelian (exponent of G decides)"
             strict_n = exp_g
             evidence = {"exp_U1": exp_g}
@@ -300,7 +299,7 @@ def classify_group_algebra_delta(
                     "unknown (enumeration infeasible)",
                     evidence={"size": 2**group.order, "cap": cap},
                 )
-            verdict = target % e == 0 and e <= target
+            verdict = pow(p, r, e) == 0
             label = "q = p = 2 (normalized-unit exponent by enumeration)"
             strict_n = e
             evidence = {"exp_U1": e}
@@ -315,7 +314,7 @@ def classify_group_algebra_delta(
 
     ctx = parse_field(f"F{q}")
     unit_exp = _abelian_unit_exponent(group, ctx)
-    reference = target % unit_exp == 0
+    reference = pow(p, r, unit_exp) == 0
 
     verdict, label = _group_algebra_case(q, p, r, exp_g)
     if verdict != reference:
@@ -387,7 +386,8 @@ def classify_join_delta(
                         "unknown (block enumeration infeasible)",
                         evidence={"conditions": conditions},
                     )
-        conditions["exponent_bound"] = 2**r >= max(exponents)
+        # the exponents are powers of 2, so 2^r >= each iff each divides 2^r
+        conditions["exponent_bound"] = all(pow(2, r, e) == 0 for e in exponents)
     else:
         conditions["exponent_bound"] = False
 

@@ -16,7 +16,7 @@ import random
 import sys
 
 from . import arith, oracle
-from .errors import AlgebraError, InternalConsistencyError
+from .errors import AlgebraError, InternalConsistencyError, ParseError
 from .ffield import parse_field
 from .groupring import (
     circulant_rows,
@@ -235,8 +235,7 @@ def _cmd_zeta(args) -> dict:
 
 
 def _cmd_rooted(args) -> dict:
-    primes = [int(s) for s in args.primes.split(",") if s]
-    return arith.rooted_equivalence_report(primes, args.base).to_json()
+    return arith.rooted_equivalence_report(_int_list(args.primes, "--primes"), args.base).to_json()
 
 
 def _cmd_delta(args) -> dict:
@@ -313,9 +312,8 @@ def _cmd_sweep(args) -> dict:
 def _sweep_rooted(args) -> dict:
     from .ntheory import is_prime
 
-    bases = [int(s) for s in args.bases.split(",") if s]
     rows = []
-    for q in bases:
+    for q in _int_list(args.bases, "--bases"):
         for p in range(2, args.pmax):
             if not is_prime(p) or p == q:
                 continue
@@ -405,6 +403,14 @@ def _render_text(report: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list option; ParseError on anything else."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ParseError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _split_shape_list(text: str) -> list[str]:

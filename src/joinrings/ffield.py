@@ -11,11 +11,10 @@ walking the powers of a primitive element g: ``exp[i] = g^i`` and
 ``log[g^i] = i``, plus, for odd p with k > 1, the Zech logarithms
 ``zech[i] = log(1 + g^i)`` (K. Huber, "Some comments on Zech's logarithms",
 IEEE Trans. Inf. Theory 36(4), 1990).  Multiplication and inversion are
-index arithmetic; addition is XOR in characteristic 2, plain modular
-arithmetic in prime fields and one Zech lookup otherwise.  Larger fields
-compute each operation modulo p (k = 1) or on polynomials (k > 1).  The
-polynomial routines below are also the independent reference the tests
-compare the kernel with.
+index arithmetic; addition is XOR in characteristic 2 at every size, plain
+modular arithmetic in prime fields and one Zech lookup otherwise.  Larger
+fields multiply modulo p (k = 1) or on polynomials (k > 1), and odd p^k add
+digit by digit.  The polynomial routines are the reference the tests use.
 
 Sums of many products are computed on *lifted* values and reduced once:
 
@@ -28,13 +27,13 @@ Sums of many products are computed on *lifted* values and reduced once:
   the reduction takes each lane mod p.  ``lane_exp[i]`` is the lift of
   g^i, so a product of two nonzero codes is ``lane_exp[log a + log b]``.
 - For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
-  packs a whole matrix row into one integer: one bit per entry in F_2, the
-  code in characteristic 2, and otherwise one lane per base-p digit of each
-  entry, each just wide enough for a reduced row plus one multiple of a
-  reduced row.  A row update x - f*y is then one integer addition (XOR in
-  characteristic 2) followed by one reduction of the whole row.  This
-  works for every field; only up to ``_TABLE_LIMIT`` are the packed forms
-  of all q codes built in advance.
+  packs a whole matrix row into one integer: in characteristic 2 each entry
+  is its code in whole bytes (one byte up to F_256, F_2 included), and
+  otherwise one lane per base-p digit of each entry, each just wide enough
+  for a reduced row plus one multiple of a reduced row.  A row update
+  x - f*y is then one integer addition (XOR in characteristic 2) followed
+  by one reduction of the whole row.  This works for every field; only up
+  to ``_TABLE_LIMIT`` are the packed forms of all q codes built in advance.
 """
 
 from __future__ import annotations
@@ -240,8 +239,8 @@ class PackedRows:
     """Rows of codes packed into one integer each, for :mod:`joinrings.linalg`.
 
     Entry j of a row takes the ``entry_bits`` bits from ``j * entry_bits``
-    up.  In characteristic 2 an entry holds its code, one bit wide in F_2
-    and whole bytes otherwise, and rows add by XOR.  For odd p an entry
+    up.  In characteristic 2 an entry holds its code in whole bytes, one
+    byte up to F_256 (F_2 included), and rows add by XOR.  For odd p an entry
     holds one lane of whole bytes per base-p digit, wide enough for a
     reduced row plus one multiple of a reduced row.  Every row that
     :meth:`pack` and :meth:`combine` return is reduced, so an entry
@@ -274,8 +273,7 @@ class PackedRows:
                 return b"".join(d.to_bytes(width, "little") for d in _decode_poly(c, p, k))
 
             self.combine = _lane_adder(p, width)
-        self._size = size
-        self.entry_bits = 1 if q == 2 else 8 * size
+        self.entry_bits = 8 * size
         self.entry_mask = (1 << self.entry_bits) - 1
         if q <= _TABLE_LIMIT:
             encoded = list(map(encode, range(q)))
@@ -288,9 +286,7 @@ class PackedRows:
             self.code_of = {int.from_bytes(e, "little"): c for c, e in enumerate(encoded)}
         else:
             self.code_of = _DigitLanes(p, k, lane)
-        if q == 2:  # one bit per entry
-            self.pack, self.unpack = _pack_bits, _unpack_bits
-        elif size == 1:  # the byte of an entry is its code
+        if size == 1:  # the byte of an entry is its code
             self.pack = lambda codes: int.from_bytes(bytes(codes), "little")
             self.unpack = lambda x, n: list(x.to_bytes(n, "little"))
         if k == 1:
@@ -298,7 +294,7 @@ class PackedRows:
         elif p == 2 and size == 1:
             self.times = self._byte_times(mul, q)
         elif p > 2 and q <= _TABLE_LIMIT:
-            self.times = self._lane_times(mul, p, k, lane)
+            self.times = self._lane_times(mul, p, k, lane, size)
         else:
             # one product per entry, as many as a scalar loop makes
             self.times = lambda x, c: self.pack(
@@ -318,14 +314,14 @@ class PackedRows:
 
         return times
 
-    def _lane_times(self, mul, p: int, k: int, lane: int) -> Callable[[int, int], int]:
+    def _lane_times(self, mul, p: int, k: int, lane: int, size: int) -> Callable[[int, int], int]:
         """c * x as sum_j (digit j of every entry of x) * lift(c x^j).
 
         A shift and a mask move digit j of every entry to lane 0.  The digit
         is below p, so its product with the k-lane lift of c x^j (the code
         c * p^j) stays inside its entry.
         """
-        encode, size = self._encode, self._size
+        encode = self._encode
         unit = ((1 << lane) - 1).to_bytes(size, "little")  # lane 0 of one entry
         shifts = [lane * j for j in range(k)]
         lifts: dict[int, list[int]] = {}  # c -> lifts of c x^j, at most q of them
@@ -373,18 +369,17 @@ class _DigitLanes:
         return code
 
 
-# F_2 rows, one bit per entry: bits are written and read as the characters
-# "0" and "1" of a binary numeral, most significant (last) entry first.
-_BIT_CHARS = b"01" + bytes(254)
-_BIT_VALUES = bytes(48) + b"\x00\x01" + bytes(206)
+def _digitwise(p: int, k: int, op: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    """op mod p on each base-p digit pair of two codes (odd p above the table limit)."""
+    places = [p**i for i in range(k - 1, -1, -1)]
 
+    def digitwise(a: int, b: int) -> int:
+        code = 0
+        for place in places:  # a // p^i is digit i of a plus a multiple of p
+            code = code * p + op(a // place, b // place) % p
+        return code
 
-def _pack_bits(codes) -> int:
-    return int(b"0" + bytes(reversed(codes)).translate(_BIT_CHARS), 2)
-
-
-def _unpack_bits(x: int, n: int) -> list[int]:
-    return list(format(x, f"0{n}b")[: -n - 1 : -1].encode().translate(_BIT_VALUES))
+    return digitwise
 
 
 def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:
@@ -465,6 +460,9 @@ class FieldCtx:
             self._bind_tabled()
         else:
             self._bind_untabled()
+        if p == 2:  # characteristic 2 at every size: a + b = a - b = a XOR b
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
 
     def _bind_tabled(self) -> None:
         p, k, q1 = self.p, self.k, self.q - 1
@@ -487,11 +485,8 @@ class FieldCtx:
                 return 0
 
             self.mul = mul
-        if p == 2:
-            self.add = self.sub = operator.xor
-            self.neg = operator.pos
-        elif k > 1:
-            self._bind_zech(exp, log, _zech_table(p, exp, log))
+            if p > 2:
+                self._bind_zech(exp, log, _zech_table(p, exp, log))
         self._bind_lanes(exp)
 
     def _bind_lanes(self, exp: list[int]) -> None:
@@ -576,12 +571,6 @@ class FieldCtx:
         def dec(a: int) -> Poly:
             return _decode_poly(a, p, k)
 
-        def add(a: int, b: int) -> int:
-            return _encode_poly(tuple(_poly_sub(dec(a), tuple((-x) % p for x in dec(b)), p)), p)
-
-        def neg(a: int) -> int:
-            return _encode_poly(tuple((-x) % p for x in dec(a)), p)
-
         def mul(a: int, b: int) -> int:
             return _encode_poly(_poly_divmod(_poly_mul(dec(a), dec(b), p), m, p)[1], p)
 
@@ -590,8 +579,11 @@ class FieldCtx:
                 raise NotInvertibleError("division by zero in field")
             return _encode_poly(_poly_ext_gcd_inverse(dec(a), m, p), p)
 
-        self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
-        self.sub = lambda a, b: add(a, neg(b))
+        self.mul, self.inv = mul, inv
+        if p > 2:  # characteristic 2 adds by XOR (__init__)
+            self.add = _digitwise(p, k, operator.add)
+            self.sub = sub = _digitwise(p, k, operator.sub)
+            self.neg = lambda a: sub(0, a)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

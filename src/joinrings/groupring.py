@@ -75,10 +75,6 @@ class GroupRingElem:
             self.ctx, self.group, (sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self):
-        neg = self.ctx.neg
-        return GroupRingElem(self.ctx, self.group, (neg(a) for a in self.coeffs))
-
     def __mul__(self, other):
         self._check(other)
         return GroupRingElem(

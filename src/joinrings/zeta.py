@@ -9,8 +9,9 @@ positive exponents arise from the join prefactor.
 from __future__ import annotations
 
 import json
+import re
 
-from .errors import AlgebraError, UnsupportedCaseError
+from .errors import AlgebraError, ParseError, UnsupportedCaseError
 from .ffield import FieldCtx
 from .groupring import wedderburn_abelian
 from .groups import FiniteGroup, Subgroup
@@ -34,11 +35,6 @@ class ZetaFunction:
             if e:
                 cleaned[n] = e
         self.factors = dict(sorted(cleaned.items()))
-
-    @classmethod
-    def one(cls, q: int) -> "ZetaFunction":
-        """The empty product."""
-        return cls(q, {})
 
     def __mul__(self, other: "ZetaFunction") -> "ZetaFunction":
         if self.q != other.q:
@@ -83,8 +79,17 @@ class ZetaFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "ZetaFunction":
-        data = json.loads(text)
-        return cls(data["q"], {int(n): e for n, e in data["factors"].items()})
+        """Read :meth:`to_json` output; ParseError on any malformed document."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"bad zeta function JSON: {exc}") from None
+        q, factors = (data.get("q"), data.get("factors")) if isinstance(data, dict) else (None, None)
+        if type(q) is not int or prime_power(q) is None or not isinstance(factors, dict):
+            raise ParseError("zeta function JSON needs a prime power 'q' and a 'factors' object")
+        if not all(re.fullmatch(r"[1-9][0-9]*", n) and type(e) is int for n, e in factors.items()):
+            raise ParseError(f"zeta factors must map degrees >= 1 to integers, got {factors}")
+        return cls(q, {int(n): e for n, e in factors.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,22 @@ def test_classify_join_delta_d1_delegates():
     assert c.verdict is True and c.strict_n == 4
 
 
+def test_delta_classifiers_never_build_p_to_the_r():
+    # each divisibility test is pow(p, r, m) == 0, so a huge r costs nothing
+    import time
+
+    r = 10**9
+    start = time.perf_counter()
+    assert classify_field_delta(4, 3, r).verdict
+    assert not classify_field_delta(7, 3, r).verdict
+    assert classify_group_algebra_delta(3, parse_group_spec("C8"), 2, r).verdict
+    assert classify_group_algebra_delta(2, parse_group_spec("C4"), 2, r).verdict
+    assert classify_group_algebra_delta(2, parse_group_spec("Q8"), 2, r).verdict
+    assert classify_join_delta(2, parse_shape_spec("join(C2,C4;F2)"), 2, r).verdict
+    assert classify_join_delta(2, parse_shape_spec("join(Q8,C2;F2)"), 2, r).verdict
+    assert time.perf_counter() - start < 1.0
+
+
 def test_delta_args_validated():
     with pytest.raises(AlgebraError):
         classify_field_delta(6, 2, 1)

@@ -128,6 +128,18 @@ def test_field_codes_out_of_range_exit_1(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["rooted", "--primes", "3,a", "--base", "2"],
+    ["rooted", "--primes", "3,,1.5", "--base", "2"],
+    ["sweep", "rooted", "--bases", "2,x"],
+])
+def test_comma_lists_of_non_integers_exit_1(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_field_pow_exponent_may_exceed_q(capsys):
     data = run_json(capsys, "field", "F5", "--op", "pow", "--a", "2", "--b", "9")
     assert data["result"] == 2  # 2^9 = 2^(9 mod 4) in F_5

@@ -146,7 +146,7 @@ def test_kernel_matches_polynomials_every_pair(q):
     _check_kernel(ctx, [(a, b) for a in range(q) for b in range(q)])
 
 
-@pytest.mark.parametrize("q", [128, 243, 256, 343, 625, 729, 1024, 1031, 2048])
+@pytest.mark.parametrize("q", [128, 243, 256, 343, 625, 729, 1024, 1031, 2048, 2187, 3125])
 def test_kernel_matches_polynomials_sampled(q):
     ctx = parse_field(f"F{q}")
     rng = random.Random(q)

@@ -1,6 +1,6 @@
 import pytest
 
-from joinrings.errors import AlgebraError
+from joinrings.errors import AlgebraError, ParseError
 from joinrings.ffield import parse_field
 from joinrings.groups import cyclic, parse_group_spec
 from joinrings.joinring import parse_shape_spec
@@ -91,6 +91,28 @@ def test_zeta_product_and_pretty():
 def test_zeta_json_roundtrip():
     z = zeta_join(parse_shape_spec("join(C3,C5;F2)"))
     assert ZetaFunction.from_json(z.to_json()) == z
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "null",
+    "[2, {}]",
+    '{"q": 2}',
+    '{"q": 2, "factors": [1]}',
+    '{"q": 2, "factors": {"x": -1}}',
+    '{"q": 2, "factors": {"0": -1}}',
+    '{"q": 2, "factors": {"1": 1.5}}',
+    '{"q": 2, "factors": {"1": "-1"}}',
+    '{"q": 2, "factors": {"1": true}}',
+    '{"q": "2", "factors": {}}',
+    '{"q": 6, "factors": {"1": -1}}',
+    '{"q": true, "factors": {}}',
+], ids=["not-json", "null", "list", "no-factors", "factors-list", "bad-degree",
+        "degree-0", "float-exponent", "string-exponent", "bool-exponent",
+        "string-base", "base-not-prime-power", "bool-base"])
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ParseError):
+        ZetaFunction.from_json(text)
 
 
 def test_degree():
