@@ -315,7 +315,7 @@ def _sweep_rooted(args) -> dict:
     rows = []
     for q in _int_list(args.bases, "--bases"):
         for p in range(2, args.pmax):
-            if not is_prime(p) or p == q:
+            if not is_prime(p) or q % p == 0:  # p is the characteristic of F_q
                 continue
             rep = arith.rooted_equivalence_report([p], q)
             rows.append({"p": p, "q": q, "rooted": rep.agree,

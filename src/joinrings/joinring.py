@@ -6,8 +6,12 @@ off-diagonal block itself is a_ij times the all-ones matrix and is never
 materialized except by :func:`join_embed`.
 
 Multiplication uses the closed block formula derived from the two matrix
-identities J_{m,n} J_{n,p} = n J_{m,p} and A J_{m,n} = rowsum(A) J_{m,n};
-the full matrix embedding stays available as an independent oracle.
+identities J_{m,n} J_{n,p} = n J_{m,p} and A J_{m,n} = rowsum(A) J_{m,n}.
+Units and inverses come from the join decomposition: shifted blocks b_i in
+F_q[G_i] and one d x d matrix, by the matrix determinant lemma and
+Woodbury's identity (see :func:`_woodbury_split`).  The full matrix
+embedding (:func:`join_embed`, :func:`join_unembed`) stays available as an
+independent oracle; nothing in the unit routes builds it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .groupring import (
     GroupRingElem,
     augmentation,
     circulant_rows,
+    gr_inverse,
+    gr_is_unit,
     gr_unit_count,
     idempotent_eH,
     wedderburn_abelian,
@@ -412,23 +418,96 @@ def join_decompose(a: JoinElem, subgroups):
 # units
 # ---------------------------------------------------------------------------
 
+def _woodbury_split(a: JoinElem):
+    """The blocks b_i = a_i - t_i N_i, their augmentations and the d x d matrix A.
+
+    With N_i the sum of the elements of G_i, s_i = |G_i| in F_q and
+    epsilon the augmentation, t_i = (epsilon(a_i) - 1) / s_i when s_i != 0
+    and t_i = 0 otherwise.  A holds the off-diagonal scalars a_ij and t_i
+    on its diagonal.
+
+    Why the units follow from these (:func:`join_is_unit`,
+    :func:`join_inverse`): x -> a_i mod (N_i) and x -> a_i (1 - e_{G_i})
+    are ring maps, so a unit x makes every b_i a unit (when p divides |G_i|,
+    N_i^2 = 0 and a_i = b_i is a unit iff it is one mod (N_i); otherwise
+    epsilon(b_i) = 1 and b_i is a unit iff a_i (1 - e_{G_i}) is one).  The
+    embedding of x is D + P A P^T with D = diag(circulant(b_i)) and P the
+    block diagonal of all-ones columns 1_{|G_i|}.  The rows and columns of
+    circulant(b) sum to epsilon(b), so 1^T C_b^-1 = epsilon(b)^-1 1^T and
+    P^T D^-1 P = S = diag(s_i / epsilon(b_i)), which is diag(s_i): the shift
+    makes epsilon(b_i) = 1 whenever s_i != 0.  By the matrix determinant
+    lemma x is a unit iff every b_i is one and K = I_d + S A is invertible,
+    and by Woodbury's identity (M. A. Woodbury, "Inverting modified
+    matrices", 1950) its inverse is D^-1 - P E^-1 A K^-1 E^-1 P^T with
+    E = diag(epsilon(b_i)).
+    """
+    shape = a.shape
+    ctx = shape.ctx
+    sub = ctx.sub
+    blocks, augs = [], []
+    mat = [list(row) for row in a.offdiag]
+    for i, (blk, size) in enumerate(zip(a.blocks, shape.sizes)):
+        s = ctx.scalar(size)
+        # 1/s lies in the prime field, whose codes are its integers mod p
+        t = ctx.mul(sub(blk.aug_total(), 1), pow(s, -1, ctx.p)) if s else 0
+        mat[i][i] = t
+        b = GroupRingElem(ctx, blk.group, [sub(c, t) for c in blk.coeffs])
+        blocks.append(b)
+        augs.append(b.aug_total())
+    return blocks, augs, mat
+
+
+def _capacitance(shape: JoinShape, mat) -> list[list[int]]:
+    """K = I_d + S A with S = diag(s_i) (see :func:`_woodbury_split`)."""
+    ctx = shape.ctx
+    add, mul = ctx.add, ctx.mul
+    return [
+        [add(int(i == j), mul(ctx.scalar(size), x)) for j, x in enumerate(row)]
+        for i, (size, row) in enumerate(zip(shape.sizes, mat))
+    ]
+
+
 def join_is_unit(a: JoinElem) -> bool:
-    return linalg.is_invertible(join_embed(a), a.shape.ctx)
+    """Every b_i a unit of F_q[G_i] and K invertible (:func:`_woodbury_split`).
+
+    Block-sized work plus one d x d elimination; the n x n embedding is not
+    built.
+    """
+    blocks, _, mat = _woodbury_split(a)
+    return all(map(gr_is_unit, blocks)) and linalg.is_invertible(
+        _capacitance(a.shape, mat), a.shape.ctx
+    )
 
 
 def join_inverse(a: JoinElem) -> JoinElem:
+    """The inverse by Woodbury's identity (:func:`_woodbury_split`).
+
+    With W = A K^-1, block i is b_i^-1 - epsilon(b_i)^-2 W_ii N_i and the
+    off-diagonal entry (i, j) is -epsilon(b_i)^-1 epsilon(b_j)^-1 W_ij.
+    """
+    shape = a.shape
+    ctx = shape.ctx
+    mul, neg, sub = ctx.mul, ctx.neg, ctx.sub
+    blocks, augs, mat = _woodbury_split(a)
     try:
-        inv_rows = linalg.inverse(join_embed(a), a.shape.ctx)
+        inverses = [gr_inverse(b) for b in blocks]
+        k_inv = linalg.inverse(_capacitance(shape, mat), ctx)
     except NotInvertibleError:
         raise NotInvertibleError("join element is not a unit") from None
-    try:
-        result = join_unembed(a.shape, inv_rows)
-    except AlgebraError as exc:
-        # The inverse of a join-subring unit must itself be a join element;
-        # anything else means the arithmetic is broken.
-        raise InternalConsistencyError(
-            f"matrix inverse left the join subring: {exc}"
-        ) from exc
+    w = linalg.mat_mul(mat, k_inv, ctx)
+    e_inv = [ctx.inv(e) for e in augs]
+    out_blocks = []
+    for i, b_inv in enumerate(inverses):
+        c = mul(mul(e_inv[i], e_inv[i]), w[i][i])
+        out_blocks.append(GroupRingElem(ctx, b_inv.group, [sub(x, c) for x in b_inv.coeffs]))
+    offdiag = [
+        [neg(mul(mul(e_inv[i], e_inv[j]), w[i][j])) if i != j else 0 for j in range(shape.d)]
+        for i in range(shape.d)
+    ]
+    result = JoinElem(shape, out_blocks, offdiag)
+    if join_mul(a, result) != shape.one():
+        # the formula is exact, so a wrong product means the arithmetic is broken
+        raise InternalConsistencyError("Woodbury inverse times the element is not one")
     return result
 
 

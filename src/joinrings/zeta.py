@@ -85,7 +85,11 @@ class ZetaFunction:
         except ValueError as exc:
             raise ParseError(f"bad zeta function JSON: {exc}") from None
         q, factors = (data.get("q"), data.get("factors")) if isinstance(data, dict) else (None, None)
-        if type(q) is not int or prime_power(q) is None or not isinstance(factors, dict):
+        try:
+            q_ok = type(q) is int and prime_power(q) is not None
+        except AlgebraError:  # too long to decide
+            q_ok = False
+        if not q_ok or not isinstance(factors, dict):
             raise ParseError("zeta function JSON needs a prime power 'q' and a 'factors' object")
         if not all(re.fullmatch(r"[1-9][0-9]*", n) and type(e) is int for n, e in factors.items()):
             raise ParseError(f"zeta factors must map degrees >= 1 to integers, got {factors}")

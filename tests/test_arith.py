@@ -62,8 +62,11 @@ def test_is_q_rooted():
     assert is_q_rooted(5, 2)
     assert not is_q_rooted(7, 2)
     assert is_q_rooted(2, 3)
-    with pytest.raises(AlgebraError):
-        is_q_rooted(3, 3)
+    assert is_q_rooted(3, 8) and is_q_rooted(5, 27)  # prime-power bases
+    assert not is_q_rooted(3, 4)
+    for p, q in [(3, 3), (2, 4), (3, 6), (4, 5)]:
+        with pytest.raises(AlgebraError):
+            is_q_rooted(p, q)
 
 
 def test_mersenne_fermat_witnesses():
@@ -258,3 +261,27 @@ def test_iroot_and_prime_power():
     assert prime_power(3**40) == (3, 40)
     assert prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
     assert prime_power(1) is None
+
+
+@pytest.mark.parametrize("n, expected", [
+    (2**4000, (2, 4000)),
+    (3**200, (3, 200)),
+    ((2**61 - 1) ** 3, (2**61 - 1, 3)),
+    (1031**1000, (1031, 1000)),  # no prime factor below the trial bound
+    ((1031 * 1033) ** 3, None),
+    (2**4000 * 3, None),
+    ((2**61 - 1) ** 2 * (2**31 - 1), None),  # a witness shows the root composite
+])
+def test_prime_power_large(n, expected):
+    assert prime_power(n) == expected
+
+
+def test_prime_power_refuses_long_roots_quickly():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError):
+        prime_power(2**2203 - 1)  # a Mersenne prime; one test round takes seconds
+    with pytest.raises(AlgebraError):
+        prime_power((2**89 - 1) ** 5)  # a prime root beyond the deterministic test
+    assert time.perf_counter() - start < 1

@@ -187,3 +187,23 @@ def test_huge_prime_field_units_and_inverses_are_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert data["is_unit"] is True
     assert data["inverse"]["blocks"] == [[2 * inv3 % p, -inv3 % p], [inv3, 0]]
+
+
+def test_long_field_spec_fails_quickly(capsys):
+    import time
+
+    start = time.perf_counter()
+    code = run(["field", f"F{1033 * 1031**1326}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_rooted_over_a_prime_power_base(capsys):
+    # p = 2 is the characteristic of F_4 and is skipped, not refused
+    data = run_json(capsys, "sweep", "rooted", "--bases", "4", "--pmax", "8")
+    assert [row["p"] for row in data["rows"]] == [3, 5, 7]
+    for row in data["rows"]:
+        report = run_json(capsys, "rooted", "--primes", str(row["p"]), "--base", "4")
+        assert row["rooted"] == report["verdict"]
+        assert row["unit_count"] == report["conditions"]["unit_count"]["count"]

@@ -3,17 +3,23 @@
 bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import nothing they do not
-use.
+use, and every demo script runs cleanly.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "bench" / "layers.py"
 SRC = ROOT / "src" / "joinrings"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_traced_name_resolves():
@@ -54,3 +60,12 @@ def test_no_unused_imports():
             continue
         unused = _unused_imports(path.read_text())
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demos_run(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

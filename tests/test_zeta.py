@@ -115,6 +115,17 @@ def test_from_json_rejects_malformed_documents(text):
         ZetaFunction.from_json(text)
 
 
+@pytest.mark.parametrize("q", [10**4000 - 1, 1033 * 1031**1326], ids=["small-factor", "no-small-factor"])
+def test_from_json_rejects_a_4000_digit_base_quickly(q):
+    import time
+
+    assert len(str(q)) >= 3999
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        ZetaFunction.from_json(f'{{"q": {q}, "factors": {{"1": -1}}}}')
+    assert time.perf_counter() - start < 1.0
+
+
 def test_degree():
     # degree = dimension of the semisimple quotient
     assert zeta_abelian_group_ring(cyclic(7), F2).degree() == 7
