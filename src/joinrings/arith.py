@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
+from . import oracle
 from .errors import (
     AlgebraError,
     EnumerationCapError,
@@ -250,7 +251,7 @@ def _abelian_unit_exponent(group: FiniteGroup, ctx: FieldCtx) -> int:
 
 
 def classify_group_algebra_delta(
-    q: int, group: FiniteGroup, p: int, r: int, cap: int = 2**20
+    q: int, group: FiniteGroup, p: int, r: int, cap: int = oracle.DEFAULT_CAP
 ) -> DeltaClassification:
     """Decide whether F_q[G] is a Delta_{p^r} ring.
 
@@ -289,8 +290,6 @@ def classify_group_algebra_delta(
             strict_n = exp_g
             evidence = {"exp_U1": exp_g}
         else:
-            from . import oracle  # deferred: oracle imports this module's peers
-
             try:
                 e = oracle.exp_U1(group, parse_field("F2"), cap)
             except EnumerationCapError:
@@ -348,7 +347,7 @@ def _group_algebra_case(q: int, p: int, r: int, exp_g: int):
 
 
 def classify_join_delta(
-    q: int, shape: JoinShape, p: int, r: int, cap: int = 2**20
+    q: int, shape: JoinShape, p: int, r: int, cap: int = oracle.DEFAULT_CAP
 ) -> DeltaClassification:
     """Decide whether a join ring with d >= 2 blocks is a Delta_{p^r} ring.
 
@@ -376,8 +375,6 @@ def classify_join_delta(
             if g.is_abelian:
                 exponents.append(g.exponent())
             else:
-                from . import oracle
-
                 try:
                     exponents.append(oracle.exp_U1(g, shape.ctx, cap))
                 except EnumerationCapError:

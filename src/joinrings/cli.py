@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from . import arith, oracle
+from . import arith, linalg, ntheory, oracle
 from .errors import AlgebraError, InternalConsistencyError, ParseError
 from .ffield import parse_field
 from .groupring import (
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for sweeps")
     parser.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                        help="enumeration cap for oracle commands")
+                        help="enumeration cap for the oracle and delta commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="finite field info and arithmetic")
@@ -243,13 +243,13 @@ def _cmd_delta(args) -> dict:
         raise AlgebraError("delta --shape cannot be combined with --field/--group")
     if args.shape:
         shape = parse_shape_spec(args.shape)
-        c = arith.classify_join_delta(shape.ctx.q, shape, args.p, args.r)
+        c = arith.classify_join_delta(shape.ctx.q, shape, args.p, args.r, args.cap)
     elif args.group:
         if not args.field:
             raise AlgebraError("delta --group requires --field")
         ctx = parse_field(args.field)
         c = arith.classify_group_algebra_delta(
-            ctx.q, parse_group_spec(args.group), args.p, args.r
+            ctx.q, parse_group_spec(args.group), args.p, args.r, args.cap
         )
     elif args.field:
         c = arith.classify_field_delta(parse_field(args.field).q, args.p, args.r)
@@ -310,12 +310,10 @@ def _cmd_sweep(args) -> dict:
 
 
 def _sweep_rooted(args) -> dict:
-    from .ntheory import is_prime
-
     rows = []
     for q in _int_list(args.bases, "--bases"):
         for p in range(2, args.pmax):
-            if not is_prime(p) or q % p == 0:  # p is the characteristic of F_q
+            if not ntheory.is_prime(p) or q % p == 0:  # p is the characteristic of F_q
                 continue
             rep = arith.rooted_equivalence_report([p], q)
             rows.append({"p": p, "q": q, "rooted": rep.agree,
@@ -325,14 +323,12 @@ def _sweep_rooted(args) -> dict:
 
 
 def _sweep_delta_fields(args) -> dict:
-    from .ntheory import is_prime, prime_power
-
     checked = 0
     for q in range(2, args.qmax + 1):
-        if prime_power(q) is None:
+        if ntheory.prime_power(q) is None:
             continue
         for p in range(2, args.pmax + 1):
-            if not is_prime(p):
+            if not ntheory.is_prime(p):
                 continue
             for r in range(1, args.rmax + 1):
                 arith.classify_field_delta(q, p, r)  # raises on any mismatch
@@ -341,8 +337,6 @@ def _sweep_delta_fields(args) -> dict:
 
 
 def _sweep_block_formula(args) -> dict:
-    from . import linalg
-
     rng = random.Random(args.seed)
     shapes = [parse_shape_spec(s) for s in _split_shape_list(args.shapes)]
     if not shapes:

@@ -14,7 +14,11 @@ IEEE Trans. Inf. Theory 36(4), 1990).  Multiplication and inversion are
 index arithmetic; addition is XOR in characteristic 2 at every size, plain
 modular arithmetic in prime fields and one Zech lookup otherwise.  Larger
 fields multiply modulo p (k = 1) or on polynomials (k > 1), and odd p^k add
-digit by digit.  The polynomial routines are the reference the tests use.
+digit by digit.
+
+Prime fields use no polynomials.  For k > 1 the untabled mul and inv, the
+primitive element, the tables and the irreducibility test (Rabin's) run on
+:mod:`joinrings.poly` over the prime field F_p.
 
 Sums of many products are computed on *lifted* values and reduced once:
 
@@ -43,6 +47,7 @@ import re
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 
+from . import poly
 from .errors import AlgebraError, NotInvertibleError, ParseError
 from .ntheory import factorize, is_prime, order_dividing, power, prime_power
 
@@ -55,117 +60,64 @@ _TABLE_LIMIT = 1024
 # term per group element, far fewer than that.
 _LANE_HEADROOM = 32
 
-Poly = tuple[int, ...]  # dense coefficients, constant term first
+Poly = tuple[int, ...]  # a modulus: dense coefficients, constant term first
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p (dense tuples, constant term first)
+# the polynomial path for k > 1, on the core of joinrings.poly over F_p
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c: list[int]) -> Poly:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by b over F_p."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) > db:
-        top = a.pop()  # factor * b[db] cancels it, so only the lower terms change
-        if not top:
-            continue
-        factor = top * inv_lead % p
-        shift = len(a) - db
-        quot[shift] = factor
-        for i in range(db):
-            a[shift + i] = (a[shift + i] - factor * b[i]) % p
-    return _poly_trim(quot), _poly_trim(a)
-
-
-def _poly_ext_gcd_inverse(a: Poly, m: Poly, p: int) -> Poly:
-    """Inverse of a modulo m over F_p via extended Euclid."""
-    # invariant: r0 = s0*a (mod m), r1 = s1*a (mod m)
-    r0, r1 = m, _poly_trim(list(a))
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x % p for x in _poly_sub(s0, _poly_mul(q, s1, p), p)])
-    if len(r0) != 1:
-        raise NotInvertibleError("element is not invertible modulo the field modulus")
-    c = pow(r0[0], p - 2, p)
-    return _poly_trim([(x * c) % p for x in s0])
-
-
-def _poly_sub(a: Poly, b: Poly, p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
+def _decode_poly(code: int, p: int, length: int) -> list[int]:
+    """The first `length` base-p digits of code, least significant first."""
+    out = []
+    for _ in range(length):
+        code, d = divmod(code, p)
+        out.append(d)
     return out
 
 
-def _poly_pow_mod(a: Poly, n: int, m: Poly, p: int) -> Poly:
-    """a**n modulo m over F_p (n >= 0)."""
-
-    def mul(x: Poly, y: Poly) -> Poly:
-        return _poly_divmod(_poly_mul(x, y, p), m, p)[1]
-
-    return power(_poly_divmod(a, m, p)[1], n, mul, (1,))
-
-
-def _is_irreducible(m: Poly, p: int) -> bool:
-    """Trial-division irreducibility: no roots, no monic factor of degree <= deg/2."""
-    k = len(m) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    # root check (covers all degree-1 factors)
-    for a in range(p):
-        if sum(c * pow(a, i, p) for i, c in enumerate(m)) % p == 0:
-            return False
-    # monic factors of degree 2 .. k//2
-    for d in range(2, k // 2 + 1):
-        for code in range(p**d):
-            cand = _decode_poly(code, p, d) + (1,)
-            if not _poly_divmod(m, cand, p)[1]:
-                return False
-    return True
-
-
-def _decode_poly(code: int, p: int, length: int) -> Poly:
-    out = []
-    for _ in range(length):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
-def _encode_poly(coeffs: Poly, p: int) -> int:
+def _encode_poly(coeffs, p: int) -> int:
     code = 0
     for c in reversed(coeffs):
         code = code * p + c
     return code
+
+
+def _mulmod(p: int, m: Poly) -> Callable[[list[int], list[int]], list[int]]:
+    """(a, b) -> a * b modulo m, for polynomials over F_p."""
+    prime = _cached_field(p, 1)
+    return lambda a, b: poly.rem(poly.mul(a, b, prime), m, prime)
+
+
+def _code_mul(p: int, k: int, m: Poly) -> Callable[[int, int], int]:
+    """(a, b) -> the code of a * b modulo m, for codes of F_{p^k}."""
+    mul = _mulmod(p, m)
+    return lambda a, b: _encode_poly(mul(_decode_poly(a, p, k), _decode_poly(b, p, k)), p)
+
+
+def _irreducible(m: Poly, p: int) -> bool:
+    """Rabin's test for the monic m of degree k over F_p.
+
+    m is irreducible iff x^(p^k) = x modulo m and gcd(x^(p^(k/r)) - x, m) = 1
+    for each prime r dividing k (M. O. Rabin, "Probabilistic algorithms in
+    finite fields", SIAM J. Comput. 9(2), 1980).  x^(p^j) is raised one
+    Frobenius step at a time and the gcds are taken as j reaches k/r, so
+    most reducible candidates fail early.
+    """
+    k = len(m) - 1
+    if k == 1:
+        return True
+    prime, mul = _cached_field(p, 1), _mulmod(p, m)
+    checks = {k // r for r in factorize(k)}
+    y = [0, 1]  # x^(p^j) modulo m, from j = 0
+    for j in range(1, k + 1):
+        y = power(y, p - 1, mul, y)  # y^p, one product fewer than from 1
+        if j in checks:
+            d = y + [0] * (2 - len(y))
+            d[1] = prime.sub(d[1], 1)
+            if len(poly.euclid(m, d, prime)[0]) != 1:
+                return False
+    return y == [0, 1]
 
 
 def _canonical_modulus(p: int, k: int) -> Poly:
@@ -177,23 +129,24 @@ def _canonical_modulus(p: int, k: int) -> Poly:
     if k == 1:
         return (0, 1)  # the polynomial x
     for code in range(p**k):
-        cand = _decode_poly(code, p, k) + (1,)
-        if _is_irreducible(cand, p):
+        cand = tuple(_decode_poly(code, p, k)) + (1,)
+        if _irreducible(cand, p):
             return cand
     raise AlgebraError(f"no irreducible polynomial of degree {k} over F_{p}")  # pragma: no cover
 
 
-def _primitive_element(p: int, k: int, modulus: Poly) -> Poly:
+def _primitive_element(p: int, k: int, modulus: Poly) -> int:
     """The least code g with g^((q-1)/f) != 1 for every prime f | q - 1.
 
-    Tested with the polynomial routines: x need not be primitive (it has
-    order 4 modulo x^2 + 1 over F_3).
+    x need not be primitive (it has order 4 modulo x^2 + 1 over F_3).
     """
     q1 = p**k - 1
     exponents = [q1 // f for f in factorize(q1)]
-    for code in range(1, q1 + 1):
-        g = _decode_poly(code, p, k)
-        if all(_poly_pow_mod(g, e, modulus, p) != (1,) for e in exponents):
+    if k == 1:
+        return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exponents))
+    mul = _code_mul(p, k, modulus)
+    for g in range(1, q1 + 1):
+        if all(power(g, e, mul, 1) != 1 for e in exponents):
             return g
     raise AlgebraError(f"no primitive element modulo {modulus}")  # pragma: no cover
 
@@ -207,14 +160,14 @@ def _log_tables(p: int, k: int, modulus: Poly) -> tuple[list[int], list[int]]:
     """
     q1 = p**k - 1
     g = _primitive_element(p, k, modulus)
+    mul = (lambda a, b: a * b % p) if k == 1 else _code_mul(p, k, modulus)
     exp = [0] * (2 * q1 + 1)
     log: list = [None] * (q1 + 1)
-    power: Poly = (1,)
+    code = 1
     for i in range(q1):
-        code = _encode_poly(power, p)
         exp[i] = exp[i + q1] = code
         log[code] = i
-        power = _poly_divmod(_poly_mul(power, g, p), modulus, p)[1]
+        code = mul(code, g)
     exp[2 * q1] = 1
     return exp, log
 
@@ -453,7 +406,7 @@ class FieldCtx:
                 raise AlgebraError(
                     f"modulus must be monic of degree {k} over F_{p}, got {modulus}"
                 )
-            if not _is_irreducible(modulus, p):
+            if not _irreducible(modulus, p):
                 raise AlgebraError(f"modulus {self.poly_str(modulus)} is reducible over F_{p}")
         self.modulus: Poly = modulus
         if self.q <= _TABLE_LIMIT:
@@ -568,18 +521,16 @@ class FieldCtx:
             self.inv = inv
             return
 
-        def dec(a: int) -> Poly:
-            return _decode_poly(a, p, k)
-
-        def mul(a: int, b: int) -> int:
-            return _encode_poly(_poly_divmod(_poly_mul(dec(a), dec(b), p), m, p)[1], p)
+        prime = _cached_field(p, 1)
 
         def inv(a: int) -> int:
             if not a:
                 raise NotInvertibleError("division by zero in field")
-            return _encode_poly(_poly_ext_gcd_inverse(dec(a), m, p), p)
+            last, quotients = poly.euclid(m, _decode_poly(a, p, k), prime)
+            c = prime.inv(last[0])  # m is irreducible, so last is a nonzero constant
+            return _encode_poly([prime.mul(c, x) for x in poly.cofactor(quotients, prime)], p)
 
-        self.mul, self.inv = mul, inv
+        self.mul, self.inv = _code_mul(p, k, m), inv
         if p > 2:  # characteristic 2 adds by XOR (__init__)
             self.add = _digitwise(p, k, operator.add)
             self.sub = sub = _digitwise(p, k, operator.sub)
@@ -704,5 +655,7 @@ def parse_poly(text: str) -> Poly:
         else:
             exp = 0
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    deg = max(coeffs) if coeffs else 0
-    return _poly_trim([coeffs.get(i, 0) for i in range(deg + 1)])
+    out = [coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)

@@ -4,7 +4,8 @@ A :class:`GroupRingElem` stores its coefficient family as a tuple of raw
 field codes indexed by group-element index.  Over a cyclic group C_n built
 from its one invariant (element i is g^i) the ring is F_q[y]/(y^n - 1), so
 an element a is a unit iff gcd(a(y), y^n - 1) = 1, and the extended
-Euclidean algorithm gives its inverse.  Every other group decides units
+Euclidean algorithm of :mod:`joinrings.poly`, the one the extension fields
+use, gives its inverse.  Every other group decides units
 through the regular representation: the element is a unit iff its
 circulant image is an invertible matrix, and inverses are pulled back
 through the first row.  The circulant route stays the independent check
@@ -17,7 +18,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, poly
 from .errors import (
     AlgebraError,
     ContextMismatchError,
@@ -212,41 +213,14 @@ def _is_cyclic(group: FiniteGroup) -> bool:
     return group.invariants is not None and len(group.invariants) == 1
 
 
-def _cyclic_euclid(a: GroupRingElem) -> tuple[list[int], list[list[int]]]:
-    """Euclid's algorithm on y^n - 1 and a(y) in F_q[y], for a in F_q[C_n].
-
-    Returns the first remainder of degree below 1 (``[]`` for zero) and the
-    quotients of the divisions that led to it.  a is a unit iff that
-    remainder is a nonzero constant c: then
-    gcd(a(y), y^n - 1) = 1, and :func:`gr_inverse` builds the Bezout cofactor
-    from the quotients.  Each division takes one leading term at a time;
-    the top coefficient cancels by construction and is dropped unread.
-    """
-    ctx, n = a.ctx, a.group.order
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-    r0, r1 = [ctx.neg(1)] + [0] * (n - 1) + [1], list(a.coeffs)  # y^n - 1, a(y)
-    while r1 and not r1[-1]:
-        r1.pop()
-    quotients = []
-    while len(r1) > 1:
-        lead_inv, m = inv(r1[-1]), len(r1)
-        quot = [0] * (len(r0) - m + 1)
-        while len(r0) >= m:
-            k = len(r0) - m
-            quot[k] = c = mul(r0.pop(), lead_inv)
-            for j in range(m - 1):
-                if r1[j]:
-                    r0[k + j] = sub(r0[k + j], mul(c, r1[j]))
-            while r0 and not r0[-1]:
-                r0.pop()
-        quotients.append(quot)
-        r0, r1 = r1, r0
-    return r1, quotients
+def _cyclic_modulus(a: GroupRingElem) -> list[int]:
+    """y^n - 1, for a in F_q[C_n] = F_q[y]/(y^n - 1)."""
+    return [a.ctx.neg(1)] + [0] * (a.group.order - 1) + [1]
 
 
 def gr_is_unit(a: GroupRingElem) -> bool:
     if _is_cyclic(a.group):
-        return len(_cyclic_euclid(a)[0]) == 1
+        return len(poly.euclid(_cyclic_modulus(a), a.coeffs, a.ctx)[0]) == 1
     return linalg.is_invertible(circulant_rows(a), a.ctx)
 
 
@@ -258,23 +232,13 @@ def gr_inverse(a: GroupRingElem) -> GroupRingElem:
         except NotInvertibleError:
             raise NotInvertibleError("group ring element is not a unit") from None
         return GroupRingElem(ctx, a.group, coeffs)
-    last, quotients = _cyclic_euclid(a)
+    last, quotients = poly.euclid(_cyclic_modulus(a), a.coeffs, ctx)
     if len(last) != 1:
         raise NotInvertibleError("group ring element is not a unit")
-    # cofactors of a(y): s_{i+1} = s_{i-1} - quotient_i * s_i from s = 0, 1;
-    # the last has degree below n and times a(y) is c mod y^n - 1
-    sub, mul = ctx.sub, ctx.mul
-    s0, s1 = [], [1]
-    for quot in quotients:
-        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
-        for k, c in enumerate(quot):
-            if c:
-                for j, x in enumerate(s1):
-                    if x:
-                        s[k + j] = sub(s[k + j], mul(c, x))
-        s0, s1 = s1, s
-    c = ctx.inv(last[0])
-    return GroupRingElem(ctx, a.group, [mul(c, x) for x in s1] + [0] * (a.group.order - len(s1)))
+    # the cofactor has degree below n, and times a(y) it is c mod y^n - 1
+    c, mul = ctx.inv(last[0]), ctx.mul
+    s = poly.cofactor(quotients, ctx)
+    return GroupRingElem(ctx, a.group, [mul(c, x) for x in s] + [0] * (a.group.order - len(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .groupring import (
     gr_is_unit,
     gr_unit_count,
     idempotent_eH,
+    parse_element,
     wedderburn_abelian,
 )
 from .groups import FiniteGroup, Subgroup, parse_group_spec
@@ -579,8 +580,6 @@ def parse_join_element(text: str, shape: JoinShape) -> JoinElem:
     Block literals use the group-ring element syntax and must appear in
     order, one per block; a[i][j] assignments may follow in any order.
     """
-    from .groupring import parse_element
-
     parts = [p for p in text.split(";") if p.strip()]
     blocks = []
     offdiag = [[0] * shape.d for _ in range(shape.d)]

@@ -9,7 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
 from . import linalg
@@ -139,9 +139,11 @@ class JoinRingEnum(EnumerableRing):
 class SemimagicRing(EnumerableRing):
     """n x n matrices with all row and column sums equal.
 
-    The basis is computed as the nullspace of the row/column sum
-    constraints, so the dimension claim n^2 - 2n + 2 is verified rather
-    than assumed.
+    The dimension is the closed form n^2 - 2n + 2, so the enumeration cap
+    is checked before anything of size n^2 is built.  The basis, built on
+    the first :meth:`element`, is the nullspace of the row/column sum
+    constraints and must have that many vectors, so the closed form is
+    verified rather than assumed.
     """
 
     def __init__(self, n: int, ctx: FieldCtx):
@@ -149,16 +151,11 @@ class SemimagicRing(EnumerableRing):
             raise AlgebraError(f"semimagic size must be >= 1, got {n}")
         self.n = n
         self.ctx = ctx
-        self.basis = self._build_basis()
-        self.dim = len(self.basis)
-        expected = 1 if n == 1 else n * n - 2 * n + 2
-        if self.dim != expected:
-            raise InternalConsistencyError(
-                f"semimagic dimension {self.dim} != expected {expected}"
-            )
+        self.dim = 1 if n == 1 else n * n - 2 * n + 2
         self.one = self.element_from_matrix(linalg.identity(n))
 
-    def _build_basis(self) -> list[list[list[int]]]:
+    @cached_property
+    def basis(self) -> list[list[list[int]]]:
         n, ctx = self.n, self.ctx
         if n == 1:
             return [[[1]]]
@@ -178,6 +175,10 @@ class SemimagicRing(EnumerableRing):
                 vec[c] = ctx.sub(vec[c], 1)
             rows.append(vec)
         basis_vecs = linalg.nullspace(rows, ctx)
+        if len(basis_vecs) != self.dim:
+            raise InternalConsistencyError(
+                f"semimagic dimension {len(basis_vecs)} != expected {self.dim}"
+            )
         return [[vec[i * n : (i + 1) * n] for i in range(n)] for vec in basis_vecs]
 
     def element(self, index: int):

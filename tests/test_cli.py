@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -92,6 +93,29 @@ def test_oracle_cap_flag(capsys):
     assert run(["--cap", "100", "oracle", "--group", "C7", "--field", "F2",
                 "--units"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("ring", [["--field", "F2", "--group", "Q8"],
+                                  ["--shape", "join(Q8,C2;F2)"]])
+def test_delta_honours_the_cap(capsys, ring):
+    # F2[Q8] has 256 elements: beyond --cap 16, within the default cap
+    data = run_json(capsys, "--cap", "16", "delta", *ring, "--p", "2", "--r", "2")
+    assert data["verdict"] is None
+    assert data["case"].startswith("unknown") and data["case"].endswith("infeasible)")
+    assert run_json(capsys, "delta", *ring, "--p", "2", "--r", "2")["verdict"] is True
+
+
+def test_semimagic_oracle_refuses_before_allocating(capsys):
+    # SM30(F2) has 2^842 elements; its nullspace basis alone would take 14 MB
+    tracemalloc.start()
+    try:
+        code = run(["oracle", "--semimagic", "30", "--field", "F2", "--units"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "beyond the cap" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_sweep_block_formula_seeded(capsys):

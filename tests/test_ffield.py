@@ -3,17 +3,7 @@ import random
 import pytest
 
 from joinrings.errors import AlgebraError, NotInvertibleError, ParseError
-from joinrings.ffield import (
-    _decode_poly,
-    _encode_poly,
-    _poly_divmod,
-    _poly_ext_gcd_inverse,
-    _poly_mul,
-    _poly_sub,
-    field_make,
-    parse_field,
-    parse_poly,
-)
+from joinrings.ffield import field_make, parse_field, parse_poly
 from joinrings.ntheory import prime_power
 
 
@@ -99,25 +89,48 @@ def test_mult_order_matches_linear_scan():
 
 
 # ---------------------------------------------------------------------------
-# the log/antilog kernel against the polynomial routines
+# the kernel against a schoolbook reference written here
 # ---------------------------------------------------------------------------
 
 def _reference_ops(ctx):
-    """add, sub, neg, mul, inv computed on polynomials, apart from the kernel."""
+    """add, sub, neg and mul on base-p digit lists, apart from the package.
+
+    A code is the list of its k base-p digits, constant term first; the
+    product is reduced by the monic modulus with plain % p.  There is no
+    reference inverse: the kernel's inv(a) is checked by ref mul(a, inv(a)) == 1.
+    """
     p, k, m = ctx.p, ctx.k, ctx.modulus
 
     def dec(a):
-        return _decode_poly(a, p, k)
+        digits = []
+        for _ in range(k):
+            a, d = divmod(a, p)
+            digits.append(d)
+        return digits
 
-    def enc(c):
-        return _encode_poly(tuple(c), p)
+    def enc(digits):
+        code = 0
+        for d in reversed(digits):
+            code = code * p + d % p
+        return code
+
+    def mul(a, b):
+        x, y = dec(a), dec(b)
+        prod = [0] * (2 * k - 1)
+        for i in range(k):
+            for j in range(k):
+                prod[i + j] += x[i] * y[j]
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(m_0 + ... + m_{k-1} x^{k-1})
+            c = prod[top] % p
+            for i in range(k):
+                prod[top - k + i] -= c * m[i]
+        return enc(prod[:k])
 
     return {
-        "add": lambda a, b: enc(_poly_sub(dec(a), tuple((-x) % p for x in dec(b)), p)),
-        "sub": lambda a, b: enc(_poly_sub(dec(a), dec(b), p)),
-        "neg": lambda a: enc(_poly_sub((), dec(a), p)),
-        "mul": lambda a, b: enc(_poly_divmod(_poly_mul(dec(a), dec(b), p), m, p)[1]),
-        "inv": lambda a: enc(_poly_ext_gcd_inverse(dec(a), m, p)),
+        "add": lambda a, b: enc([x + y for x, y in zip(dec(a), dec(b))]),
+        "sub": lambda a, b: enc([x - y for x, y in zip(dec(a), dec(b))]),
+        "neg": lambda a: enc([-x for x in dec(a)]),
+        "mul": mul,
     }
 
 
@@ -131,8 +144,9 @@ def _check_kernel(ctx, pairs):
         assert ctx.neg(a) == ref["neg"](a), ("neg", a)
         assert ctx.pow(a, 0) == 1, ("pow 0", a)
         if a:
-            assert ctx.inv(a) == ref["inv"](a), ("inv", a)
-            assert ctx.pow(a, -5) == ctx.pow(ref["inv"](a), 5), ("pow -5", a)
+            inv = ctx.inv(a)
+            assert 0 <= inv < ctx.q and ref["mul"](a, inv) == 1, ("inv", a)
+            assert ctx.pow(a, -5) == ctx.pow(inv, 5), ("pow -5", a)
     with pytest.raises(NotInvertibleError):
         ctx.inv(0)
 
@@ -163,6 +177,17 @@ def test_kernel_matches_polynomials_custom_modulus(p, k, modulus, x_order):
     ctx = field_make(p, k, modulus)
     assert ctx.mult_order(p) == x_order  # the code of x is p
     _check_kernel(ctx, [(a, b) for a in range(ctx.q) for b in range(ctx.q)])
+
+
+def test_twenty_digit_extension_builds_and_inverts():
+    # F_{3^20}: its canonical modulus took seconds to find by trial division
+    ctx = parse_field("F3486784401")
+    assert (ctx.p, ctx.k) == (3, 20)
+    ref = _reference_ops(ctx)
+    rng = random.Random(20)
+    for a in [1, 2, 3, ctx.q - 1] + [rng.randrange(1, ctx.q) for _ in range(200)]:
+        inv = ctx.inv(a)
+        assert ctx.mul(a, inv) == 1 == ref["mul"](a, inv), a
 
 
 def test_context_pickles_by_definition():

@@ -2,8 +2,8 @@
 
 bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
-read here, never changed.  The package's modules import nothing they do not
-use, and every demo script runs cleanly.
+read here, never changed.  The package's modules import at module level
+and nothing they do not use, and every demo script runs cleanly.
 """
 
 import ast
@@ -52,6 +52,18 @@ def _unused_imports(source: str) -> list[str]:
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_imports_at_module_level():
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import | ast.ImportFrom) and node not in tree.body
+        ]
+    assert not nested, f"imports below module level: {nested}"
 
 
 def test_no_unused_imports():
