@@ -14,6 +14,8 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
+from math import prod
 
 from . import arith, linalg, ntheory, oracle
 from .errors import AlgebraError, InternalConsistencyError, ParseError
@@ -26,7 +28,7 @@ from .groupring import (
     gr_unit_count,
     parse_element,
 )
-from .groups import parse_group_spec
+from .groups import ORDER_CAP, parse_group_spec
 from .joinring import (
     join_embed,
     join_idempotents,
@@ -51,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for sweeps")
     parser.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                        help="enumeration cap for the oracle and delta commands")
+                        help="enumeration cap for the oracle, delta and sweep commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="finite field info and arithmetic")
@@ -310,6 +312,9 @@ def _cmd_sweep(args) -> dict:
 
 
 def _sweep_rooted(args) -> dict:
+    if args.pmax > ORDER_CAP + 1:  # a prime p asks for the group C_p
+        raise AlgebraError(f"sweep rooted: --pmax {args.pmax} reaches primes beyond "
+                           f"the group order cap {ORDER_CAP}")
     rows = []
     for q in _int_list(args.bases, "--bases"):
         for p in range(2, args.pmax):
@@ -323,6 +328,10 @@ def _sweep_rooted(args) -> dict:
 
 
 def _sweep_delta_fields(args) -> dict:
+    # each bound counts at least 1: the q and p loops run even when r has none
+    if prod(max(n, 1) for n in (args.qmax, args.pmax, args.rmax)) > args.cap:
+        raise AlgebraError(f"sweep delta-fields: --qmax * --pmax * --rmax exceeds "
+                           f"the cap {args.cap}")
     checked = 0
     for q in range(2, args.qmax + 1):
         if ntheory.prime_power(q) is None:
@@ -337,8 +346,12 @@ def _sweep_delta_fields(args) -> dict:
 
 
 def _sweep_block_formula(args) -> dict:
+    specs = _split_shape_list(args.shapes)
+    if args.count * len(specs) > args.cap:
+        raise AlgebraError(f"sweep block-formula: --count * {len(specs)} shapes exceeds "
+                           f"the cap {args.cap}")
     rng = random.Random(args.seed)
-    shapes = [parse_shape_spec(s) for s in _split_shape_list(args.shapes)]
+    shapes = [parse_shape_spec(s) for s in specs]
     if not shapes:
         raise AlgebraError("block-formula sweep needs join shape specs")
     rows = []
@@ -422,9 +435,14 @@ def _split_shape_list(text: str) -> list[str]:
     return [s.strip() for s in out if s.strip()]
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = _HANDLERS[args.command](args)
     except InternalConsistencyError as exc:

@@ -2,14 +2,17 @@
 
 Elements are indices 0..n-1 with the identity fixed at index 0 (the first
 row/column encoding of circulant matrices depends on this convention).
-Groups are validated at construction and immutable afterwards.
+Groups are validated at construction and immutable afterwards, so the
+named constructors keep what they build and return the same object for the
+same group (:func:`abelian` keeps its 64 most recent); :func:`from_table`
+and ``table:`` specs build a new group on every call.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, reduce
-from math import factorial, lcm
+from functools import cache, cached_property, lru_cache, reduce
+from math import factorial, lcm, prod
 
 from .errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError
 from .ntheory import factorize, is_prime
@@ -263,6 +266,7 @@ class Subgroup:
 # constructors
 # ---------------------------------------------------------------------------
 
+@cache
 def trivial() -> FiniteGroup:
     return FiniteGroup(((0,),), invariants=(1,), name="trivial", _validated=True)
 
@@ -270,43 +274,31 @@ def trivial() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise AlgebraError(f"cyclic group order must be >= 1, got {n}")
-    _check_order(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, invariants=(n,), name=f"C{n}", _validated=True)
+    return abelian((n,))
 
 
 def abelian(invariants) -> FiniteGroup:
     """Direct product of cyclic groups Z/n1 x ... x Z/nk.
 
-    Elements are mixed-radix tuples; (0,...,0) is index 0.
+    Elements are mixed-radix tuples, the first invariant the least
+    significant digit; (0,...,0) is index 0.  Invariants equal after
+    dropping the 1s give the same object while it is among the 64 most
+    recently built.
     """
     invariants = tuple(int(m) for m in invariants)
     if not invariants or any(m < 1 for m in invariants):
         raise AlgebraError(f"invariants must be positive integers, got {invariants}")
-    invariants = tuple(m for m in invariants if m > 1) or (1,)
-    n = 1
-    for m in invariants:
-        n *= m
-    _check_order(n)
+    return _abelian(tuple(m for m in invariants if m > 1) or (1,))
 
-    def decode(i: int) -> tuple[int, ...]:
-        out = []
-        for m in invariants:
-            out.append(i % m)
-            i //= m
-        return tuple(out)
 
-    def encode(t) -> int:
-        i = 0
-        for m, x in zip(reversed(invariants), reversed(t)):
-            i = i * m + x
-        return i
-
-    table = [
-        [encode(tuple((a + b) % m for a, b, m in zip(decode(i), decode(j), invariants)))
-         for j in range(n)]
-        for i in range(n)
-    ]
+@lru_cache(maxsize=64)
+def _abelian(invariants: tuple[int, ...]) -> FiniteGroup:
+    _check_order(prod(invariants))
+    table, stride = [[0]], 1
+    for m in invariants:  # each invariant adds a more significant digit
+        table = [[x + stride * ((c + d) % m) for d in range(m) for x in row]
+                 for c in range(m) for row in table]
+        stride *= m
     return FiniteGroup(table, invariants=invariants, _validated=True)
 
 
@@ -315,6 +307,7 @@ def from_table(table) -> FiniteGroup:
     return FiniteGroup(table)
 
 
+@cache
 def symmetric(n: int) -> FiniteGroup:
     """The symmetric group S_n (n <= 5 keeps the order under the cap)."""
     # n! >= n, so testing n first only spares computing a huge factorial
@@ -329,6 +322,7 @@ def symmetric(n: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"S{n}")
 
 
+@cache
 def quaternion() -> FiniteGroup:
     """The quaternion group Q_8 = {1, -1, i, -i, j, -j, k, -k}."""
     # element = (sign in {0,1}, basis in {1, i, j, k})

@@ -48,8 +48,10 @@ class EnumerableRing:
 
     def check_cap(self, cap: int = DEFAULT_CAP) -> None:
         if self.size > cap:
+            # q^dim, not its decimal value: that can pass Python's
+            # 4300-digit limit on int-to-str conversion
             raise EnumerationCapError(
-                f"{self!r} has {self.size} elements, beyond the cap {cap}"
+                f"{self!r} has {self.ctx.q}^{self.dim} elements, beyond the cap {cap}"
             )
 
     def element(self, index: int):

@@ -118,6 +118,40 @@ def test_semimagic_oracle_refuses_before_allocating(capsys):
     assert peak < 2**20
 
 
+def test_oracle_refusal_names_a_size_too_long_for_decimal(capsys):
+    # SM200(F2) has 2^39602 elements, past the 4300-digit int-to-str limit
+    assert run(["oracle", "--semimagic", "200", "--field", "F2", "--units"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: SM200(F2) has 2^39602 elements, beyond the cap 1048576\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "delta-fields", "--qmax", "100000000"],
+    ["sweep", "delta-fields", "--qmax", "100000000", "--pmax", "-1", "--rmax", "0"],
+    ["sweep", "block-formula", "--count", "100000000"],
+    ["sweep", "rooted", "--pmax", "260", "--bases", "2"],
+    ["--cap", "1000", "sweep", "delta-fields", "--qmax", "10", "--pmax", "20", "--rmax", "6"],
+], ids=["delta-fields", "delta-fields-no-p", "block-formula", "rooted", "delta-fields-cap"])
+def test_sweeps_refuse_past_their_bound_before_the_loop(capsys, argv):
+    import time
+
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sweep ")
+
+
+def test_sweep_within_the_cap_runs(capsys):
+    # 10 * 20 * 5 = 1000 (q, p, r) grid points fit a cap of 1000
+    data = run_json(capsys, "--cap", "1000", "sweep", "delta-fields",
+                    "--qmax", "10", "--pmax", "20", "--rmax", "5")
+    assert data["all_consistent"] is True and data["cases"] > 0
+    data = run_json(capsys, "sweep", "rooted", "--pmax", "257", "--bases", "2")
+    assert data["rows"][-1]["p"] == 251
+
+
 def test_sweep_block_formula_seeded(capsys):
     data = run_json(capsys, "--seed", "42", "sweep", "block-formula",
                     "--count", "20", "--shapes", "join(C3,C5;F2),join(C2;F3)")

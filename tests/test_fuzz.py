@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from joinrings import cli
 from joinrings.cli import run
 from joinrings.errors import AlgebraError
 from joinrings.joinring import JoinElem, parse_shape_spec, random_join_element
@@ -32,13 +33,16 @@ ARGV_TEMPLATES = [
     ["delta", "--field", "F4", "--p", "3", "--r", "2"],
     ["delta", "--group", "C4", "--field", "F3", "--p", "2", "--r", "3"],
     ["--cap", "64", "oracle", "--group", "C2", "--field", "F3", "--units"],
+    ["oracle", "--semimagic", "2", "--field", "F2", "--units"],
     ["sweep", "rooted", "--pmax", "8", "--bases", "2,3"],
     ["sweep", "delta-fields", "--qmax", "9", "--pmax", "5", "--rmax", "2"],
     ["--seed", "3", "sweep", "block-formula", "--count", "2", "--shapes", "join(C2;F2)"],
 ]
 
-# non-integers, empty strings, negative numbers and out-of-range codes
-BAD_TOKENS = ["", "x", "1.5", "3,a", ",", "-1", "-7", "0", "99", "F6", "C0", "a[9][9]=1"]
+# non-integers, empty strings, negative numbers, out-of-range codes, and a
+# prime bound past the group order cap that the sweeps refuse up front
+BAD_TOKENS = ["", "x", "1.5", "3,a", ",", "-1", "-7", "0", "99", "260", "F6", "C0",
+              "a[9][9]=1"]
 
 
 def _mutations(seed: int, count: int):
@@ -62,6 +66,50 @@ def test_cli_exits_with_a_code_on_malformed_argv(capsys, seed):
         else:
             assert code in (0, 1, 2, 3), argv
         capsys.readouterr()
+
+
+# argvs that fail at each stage: the top-level parser, a subparser, a handler
+FAILING_ARGVS = [
+    ["frobnicate"],
+    ["--cap", "x", "field", "F2"],
+    ["sweep", "rooted", "--pmax", "x"],
+    ["field", "F9", "--op", "root"],
+    ["gr", "--field", "F2"],
+    ["field", "F6"],
+    ["sweep", "rooted", "--pmax", "300"],
+]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process request."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, seed):
+    argvs = list(_mutations(seed, 80))
+    shared = []
+    for i, argv in enumerate(argvs):
+        assert _outcome(capsys, FAILING_ARGVS[i % len(FAILING_ARGVS)])[0] in (1, 2)
+        shared.append(_outcome(capsys, argv))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per request
+    for argv, outcome in zip(argvs, shared):
+        assert _outcome(capsys, argv) == outcome, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["oracle", "-h"]])
+def test_help_is_unchanged_by_earlier_requests(capsys, monkeypatch, argv):
+    for failing in FAILING_ARGVS:
+        _outcome(capsys, failing)
+    shared = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared[0] == 0 and shared[1].startswith("usage: joinrings")
+    assert _outcome(capsys, argv) == shared
 
 
 # values that replace one node of a valid document

@@ -15,7 +15,7 @@ from joinrings.groupring import (
     parse_element,
     wedderburn_abelian,
 )
-from joinrings.groups import cyclic, parse_group_spec, symmetric
+from joinrings.groups import cyclic, from_table, parse_group_spec, symmetric
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -142,15 +142,16 @@ def test_parse_rejects_out_of_range_generator():
 
 
 def test_hash_agrees_with_equality_across_equal_groups():
-    # two separately built copies of C3 and C4 are equal groups, so equal
-    # elements, subgroups and quotients must hash and compare alike
-    g1, g2 = cyclic(3), cyclic(3)
+    # two distinct copies of C3 and C4 are equal groups, so equal elements,
+    # subgroups and quotients must hash and compare alike (cyclic(n) is built
+    # once per process, so the second copy comes from its table)
+    g1, g2 = cyclic(3), from_table(cyclic(3).table)
     assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
     a = GroupRingElem(F3, g1, (1, 2, 0))
     b = GroupRingElem(F3, g2, (1, 2, 0))
     assert a == b and hash(a) == hash(b) and b in {a}
 
-    h1, h2 = cyclic(4).subgroup([0, 2]), cyclic(4).subgroup([0, 2])
+    h1, h2 = cyclic(4).subgroup([0, 2]), from_table(cyclic(4).table).subgroup([0, 2])
     assert h1.parent is not h2.parent
     assert h1 == h2 and hash(h1) == hash(h2) and h2 in {h1}
     quotient, proj = h1.quotient

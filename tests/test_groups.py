@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from joinrings.errors import AlgebraError, NotNormalError
@@ -132,3 +134,70 @@ def test_trivial_group():
     assert t.order == 1
     assert t.exponent() == 1
     assert t.is_p_group(2) and t.is_p_group(3)
+
+
+def _reference_abelian_table(invariants):
+    """Z/n1 x ... x Z/nk entry by entry: decode both indices, add, encode."""
+    def decode(i):
+        out = []
+        for m in invariants:
+            out.append(i % m)
+            i //= m
+        return tuple(out)
+
+    def encode(t):
+        i = 0
+        for m, x in zip(reversed(invariants), reversed(t)):
+            i = i * m + x
+        return i
+
+    digits = [decode(i) for i in range(prod(invariants))]
+    return tuple(
+        tuple(encode([(a + b) % m for a, b, m in zip(x, y, invariants)]) for y in digits)
+        for x in digits
+    )
+
+
+def _normalized_invariants(limit):
+    """Every ordered tuple of integers >= 2 whose product is at most limit."""
+    out, frontier = [], [((), 1)]
+    while frontier:
+        grown = []
+        for inv, n in frontier:
+            for m in range(2, limit // n + 1):
+                out.append(inv + (m,))
+                grown.append((inv + (m,), n * m))
+        frontier = grown
+    return out
+
+
+def test_abelian_table_matches_the_entrywise_reference():
+    expected = {inv: _reference_abelian_table(inv)
+                for inv in [(1,)] + _normalized_invariants(64)}
+    assert len(expected) > 64  # more than the cache keeps, so some are rebuilt
+    for _ in range(2):  # the second pass finds the earliest groups evicted
+        for inv, table in expected.items():
+            g = abelian(inv)
+            assert g.table == table, inv
+            assert g.invariants == inv and g.name == "x".join(f"C{m}" for m in inv)
+
+
+def test_constructors_return_one_object_per_group():
+    c3 = cyclic(3)
+    for again in (parse_group_spec("C3"), parse_group_spec("C1xC3"), cyclic(3),
+                  abelian([3]), abelian((1, 3, 1))):
+        assert again is c3
+    assert abelian([2, 3]) is not abelian([3, 2])  # other digit order, other table
+    assert cyclic(1) is abelian([1, 1]) and cyclic(1) == trivial()
+    for build in (trivial, quaternion, lambda: symmetric(3)):
+        assert build() is build()
+    assert parse_group_spec("S3") is symmetric(3) and parse_group_spec("Q8") is quaternion()
+
+
+def test_table_specs_are_read_afresh(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("0 1\n1 0\n")
+    first = parse_group_spec(f"table:{path}")
+    assert first is not parse_group_spec(f"table:{path}")
+    path.write_text("0 1 2\n1 2 0\n2 0 1\n")
+    assert parse_group_spec(f"table:{path}").order == 3 and first.order == 2
