@@ -10,12 +10,13 @@ reproducible.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from itertools import product
 from math import lcm
 
 from . import linalg
 from .errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from .ffield import FieldCtx
-from .groupring import GroupRingElem, circulant_rows, format_element
+from .groupring import GroupRingElem, _convolve, circulant_rows, format_element
 from .groups import FiniteGroup
 from .joinring import JoinElem, JoinShape, join_embed
 from .ntheory import factorize
@@ -284,27 +285,35 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
 
     Over F_p with G a p-group the group ring is local, so the normalized
     units are exactly the elements of coefficient sum 1, and every order is
-    a power of p.
+    a power of p.  Each unit is raised to the p-th power once, on raw
+    coefficient tuples: a unit x != 1 has order p * order(x^p), so the
+    orders met along one chain of p-th powers are kept for the next.
     """
     p = ctx.p
     if not group.is_p_group(p):
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx)
     ring.check_cap(cap)
-    one = ring.one
-    exponent = 1
-    for a in ring.elements():
-        if a.aug_total() != 1:
-            continue
-        order = 1
-        x = a
-        while x != one:
-            x = x**p
-            order *= p
-            if order > ring.size:  # pragma: no cover - safety net
+    add, sub, table = ctx.add, ctx.sub, group.table
+    orders = {ring.one.coeffs: 1}
+    # the last coefficient makes the coefficient sum 1
+    for head in product(range(ctx.q), repeat=group.order - 1):
+        a = (*head, sub(1, reduce(add, head, 0)))
+        chain = []
+        while a not in orders:
+            chain.append(a)
+            if p ** len(chain) > ring.size:  # pragma: no cover - safety net
                 raise InternalConsistencyError("normalized unit order did not stabilize")
-        exponent = lcm(exponent, order)
-    return exponent
+            x = a
+            for _ in range(p - 1):
+                x = _convolve(x, a, table, ctx)
+            a = tuple(x)
+        order = orders[a]
+        for x in reversed(chain):
+            order *= p
+            orders[x] = order
+    # every order is a power of p, so their lcm is the largest
+    return max(orders.values())
 
 
 def units_of_order(ring: EnumerableRing, m: int, cap: int = DEFAULT_CAP) -> int:

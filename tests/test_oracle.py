@@ -77,6 +77,31 @@ def test_exp_u1():
         exp_U1(cyclic(3), F2)
 
 
+def _exp_u1_elementwise(group, ctx):
+    """exp(U1) the long way: every element of coefficient sum 1 is raised to
+    p-th powers until it reaches 1, with nothing kept between elements."""
+    ring = GroupRingEnum(group, ctx)
+    exponent = 1
+    for a in ring.elements():
+        if a.aug_total() != 1:
+            continue
+        order, x = 1, a
+        while x != ring.one:
+            x, order = x**ctx.p, order * ctx.p
+        exponent = lcm(exponent, order)
+    return exponent
+
+
+@pytest.mark.parametrize("spec,field", [
+    ("trivial", "F2"), ("C2", "F2"), ("C4", "F2"), ("C8", "F2"), ("C2xC2", "F2"),
+    ("C2xC4", "F2"), ("Q8", "F2"), ("C2", "F4"), ("C4", "F4"), ("C2xC2", "F4"),
+    ("C3", "F3"), ("C3", "F9"), ("C9", "F3"),
+])
+def test_exp_u1_matches_elementwise_orders(spec, field):
+    group, ctx = parse_group_spec(spec), parse_field(field)
+    assert exp_U1(group, ctx) == _exp_u1_elementwise(group, ctx)
+
+
 def test_units_of_order():
     ring = GroupRingEnum(cyclic(3), F2)
     assert units_of_order(ring, 1) == 1
