@@ -276,6 +276,7 @@ def _oracle_ring(args) -> oracle.EnumerableRing:
 
 def _cmd_oracle(args) -> dict:
     ring = _oracle_ring(args)
+    ring.check_cap(args.cap)  # before the size goes into the report: it may not render
     report = {"ring": repr(ring), "size": ring.size}
     if args.units:
         report["unit_count"] = oracle.enumerate_units(ring, args.cap)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import AlgebraError, EnumerationCapError, InternalConsistencyError
@@ -19,7 +19,6 @@ from .ffield import FieldCtx
 from .groupring import GroupRingElem, _convolve, circulant_rows, format_element
 from .groups import FiniteGroup
 from .joinring import JoinElem, JoinShape, join_embed
-from .ntheory import factorize
 
 DEFAULT_CAP = 2**20
 
@@ -143,10 +142,10 @@ class SemimagicRing(EnumerableRing):
     """n x n matrices with all row and column sums equal.
 
     The dimension is the closed form n^2 - 2n + 2, so the enumeration cap
-    is checked before anything of size n^2 is built.  The basis, built on
-    the first :meth:`element`, is the nullspace of the row/column sum
-    constraints and must have that many vectors, so the closed form is
-    verified rather than assumed.
+    is checked before anything of size n^2 is built: the identity `one` is
+    built on first use.  The basis, built on the first :meth:`element`, is
+    the nullspace of the row/column sum constraints and must have that many
+    vectors, so the closed form is verified rather than assumed.
     """
 
     def __init__(self, n: int, ctx: FieldCtx):
@@ -155,7 +154,10 @@ class SemimagicRing(EnumerableRing):
         self.n = n
         self.ctx = ctx
         self.dim = 1 if n == 1 else n * n - 2 * n + 2
-        self.one = self.element_from_matrix(linalg.identity(n))
+
+    @cached_property
+    def one(self):
+        return self.element_from_matrix(linalg.identity(self.n))
 
     @cached_property
     def basis(self) -> list[list[list[int]]]:
@@ -248,31 +250,36 @@ def list_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
     return [a for a in ring.elements() if ring.is_unit(a)]
 
 
+def _orders(units, mul, one) -> dict:
+    """Multiplicative order of every unit, from ring products alone.
+
+    Each unit u not yet seen is multiplied by u until its power u^t is
+    one; every power u^j met on the way then has order t / gcd(j, t).  A
+    walk that meets one of its own powers again before one has left the
+    unit group, so it raises instead of running on.  `units` may be a
+    generator: only the orders are kept.
+    """
+    orders = {one: 1}
+    for u in units:
+        if u in orders:
+            continue
+        powers = {}
+        x, t = u, 1
+        while x != one:
+            if x in powers:
+                raise InternalConsistencyError(f"{u!r} is not a unit: its powers never reach one")
+            powers[x] = t
+            x, t = mul(x, u), t + 1
+        for x, j in powers.items():
+            orders[x] = t // gcd(j, t)
+    return orders
+
+
 def unit_orders(ring: EnumerableRing, cap: int = DEFAULT_CAP):
     """List of (unit, multiplicative order) over all units."""
     units = list_units(ring, cap)
-    n_units = len(units)
-
-    def power(u, t):
-        result, base = ring.one, u
-        while t:
-            if t & 1:
-                result = ring.mul(result, base)
-            base = ring.mul(base, base)
-            t >>= 1
-        return result
-
-    # Deliberately not ntheory.order_dividing: this loop is the brute-force
-    # route that the closed forms built on ord_mod are checked against.
-    primes = list(factorize(n_units)) if n_units > 1 else []
-    out = []
-    for u in units:
-        t = n_units
-        for p in primes:
-            while t % p == 0 and power(u, t // p) == ring.one:
-                t //= p
-        out.append((u, t))
-    return out
+    orders = _orders(units, ring.mul, ring.one)
+    return [(u, orders[u]) for u in units]
 
 
 def unit_group_exponent(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> int:
@@ -285,9 +292,8 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
 
     Over F_p with G a p-group the group ring is local, so the normalized
     units are exactly the elements of coefficient sum 1, and every order is
-    a power of p.  Each unit is raised to the p-th power once, on raw
-    coefficient tuples: a unit x != 1 has order p * order(x^p), so the
-    orders met along one chain of p-th powers are kept for the next.
+    a power of p.  Their orders come from the same power sweep as
+    :func:`unit_orders`, on raw coefficient tuples.
     """
     p = ctx.p
     if not group.is_p_group(p):
@@ -295,23 +301,10 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     ring = GroupRingEnum(group, ctx)
     ring.check_cap(cap)
     add, sub, table = ctx.add, ctx.sub, group.table
-    orders = {ring.one.coeffs: 1}
     # the last coefficient makes the coefficient sum 1
-    for head in product(range(ctx.q), repeat=group.order - 1):
-        a = (*head, sub(1, reduce(add, head, 0)))
-        chain = []
-        while a not in orders:
-            chain.append(a)
-            if p ** len(chain) > ring.size:  # pragma: no cover - safety net
-                raise InternalConsistencyError("normalized unit order did not stabilize")
-            x = a
-            for _ in range(p - 1):
-                x = _convolve(x, a, table, ctx)
-            a = tuple(x)
-        order = orders[a]
-        for x in reversed(chain):
-            order *= p
-            orders[x] = order
+    units = ((*head, sub(1, reduce(add, head, 0)))
+             for head in product(range(ctx.q), repeat=group.order - 1))
+    orders = _orders(units, lambda a, b: tuple(_convolve(a, b, table, ctx)), ring.one.coeffs)
     # every order is a power of p, so their lcm is the largest
     return max(orders.values())
 

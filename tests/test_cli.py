@@ -106,23 +106,29 @@ def test_delta_honours_the_cap(capsys, ring):
 
 
 def test_semimagic_oracle_refuses_before_allocating(capsys):
-    # SM30(F2) has 2^842 elements; its nullspace basis alone would take 14 MB
-    tracemalloc.start()
-    try:
-        code = run(["oracle", "--semimagic", "30", "--field", "F2", "--units"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1
-    assert "beyond the cap" in capsys.readouterr().err
-    assert peak < 2**20
+    # SM30(F2) has 2^842 elements and a nullspace basis of 14 MB; building
+    # the 1000 x 1000 identity of SM1000(F2) alone peaks at 17 MB
+    for n in ("30", "1000"):
+        tracemalloc.start()
+        try:
+            code = run(["oracle", "--semimagic", n, "--field", "F2", "--units"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "beyond the cap" in capsys.readouterr().err
+        assert peak < 2**20, n
 
 
 def test_oracle_refusal_names_a_size_too_long_for_decimal(capsys):
-    # SM200(F2) has 2^39602 elements, past the 4300-digit int-to-str limit
-    assert run(["oracle", "--semimagic", "200", "--field", "F2", "--units"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: SM200(F2) has 2^39602 elements, beyond the cap 1048576\n"
+    # SM200(F2) has 2^39602 elements, past the 4300-digit int-to-str limit;
+    # with no enumeration flag the report would hold that size, so the cap
+    # is checked before the report is built
+    for flags in (["--units"], []):
+        assert run(["oracle", "--semimagic", "200", "--field", "F2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SM200(F2) has 2^39602 elements, beyond the cap 1048576\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ from math import lcm, prod
 
 import pytest
 
-from joinrings.errors import AlgebraError, EnumerationCapError
+from joinrings.errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from joinrings.ffield import parse_field
 from joinrings.groupring import gr_unit_count
 from joinrings.groups import cyclic, parse_group_spec
@@ -11,6 +11,7 @@ from joinrings.ntheory import factorize
 from joinrings.oracle import (
     GroupRingEnum,
     JoinRingEnum,
+    _orders,
     enumerate_units,
     exp_U1,
     is_delta_n,
@@ -255,3 +256,40 @@ def test_radical_on_every_adapter(label):
     ring, count, _ = ADAPTERS[label]
     assert jacobson_radical(ring) == [ring.element(0)]
     assert semisimple_unit_factorization(ring) == (count, 1, count)
+
+
+def _unit_orders_by_prime_stripping(ring):
+    """(unit, order) the long way: start each order at |U| and strip every
+    prime f of |U| while u^(t/f) = 1, powers by square-and-multiply."""
+    units = list_units(ring)
+    primes = list(factorize(len(units))) if len(units) > 1 else []
+    out = []
+    for u in units:
+        t = len(units)
+        for f in primes:
+            while t % f == 0 and _power(ring, u, t // f) == ring.one:
+                t //= f
+        out.append((u, t))
+    return out
+
+
+ORDER_RINGS = {
+    **{label: ring for label, (ring, _, _) in ADAPTERS.items()},
+    # 24, 27 and 12 units: the reference strips a prime more than once
+    "F2[C6]": GroupRingEnum(cyclic(6), F2),
+    "F4[C3]": GroupRingEnum(cyclic(3), parse_field("F4")),
+    "F2[S3]": GroupRingEnum(parse_group_spec("S3"), F2),
+}
+
+
+@pytest.mark.parametrize("label", ORDER_RINGS)
+def test_unit_orders_match_prime_stripping(label):
+    ring = ORDER_RINGS[label]
+    assert unit_orders(ring) == _unit_orders_by_prime_stripping(ring)
+
+
+def test_orders_refuses_a_non_unit():
+    ring = GroupRingEnum(cyclic(2), F2)
+    nilpotent = ring.element(3)  # 1 + g, whose square is 0
+    with pytest.raises(InternalConsistencyError):
+        _orders([nilpotent], ring.mul, ring.one)

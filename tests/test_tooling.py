@@ -3,7 +3,8 @@
 bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import at module level
-and nothing they do not use, and every demo script runs cleanly.
+and nothing they do not use, the brute-force oracle imports none of the
+closed-form modules, and every demo script runs cleanly.
 """
 
 import ast
@@ -72,6 +73,27 @@ def test_no_unused_imports():
             continue
         unused = _unused_imports(path.read_text())
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Last dotted part of every module a source imports, and of every name
+    it imports from a package (``from . import ntheory`` gives ntheory)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.rsplit(".", 1)[-1])
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_oracle_shares_no_code_with_the_closed_forms():
+    # the brute-force route checks ntheory, arith and zeta; importing any of
+    # them would let both routes agree while sharing the same fault
+    shared = _imported_modules((SRC / "oracle.py").read_text()) & {"ntheory", "arith", "zeta"}
+    assert not shared, f"oracle.py imports {sorted(shared)}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
