@@ -283,9 +283,8 @@ def _cmd_oracle(args) -> dict:
     if args.exponent:
         report["unit_group_exponent"] = oracle.unit_group_exponent(ring, args.cap)
     if args.radical:
-        rad = oracle.jacobson_radical(ring, args.cap)
         units, rsize, image = oracle.semisimple_unit_factorization(ring, args.cap)
-        report["radical_size"] = len(rad)
+        report["radical_size"] = rsize
         report["unit_factorization"] = {
             "units": units, "radical": rsize, "image": image,
             "holds": units == rsize * image,

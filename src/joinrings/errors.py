@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the reader of integers in text specs."""
 
 
 class AlgebraError(Exception):
@@ -35,3 +35,15 @@ class ParseError(AlgebraError):
 
 class InternalConsistencyError(Exception):
     """Two code paths that must agree disagreed.  Never expected to fire."""
+
+
+def parse_int(digits: str, what: str) -> int:
+    """The integer that a digit string in a text spec spells.
+
+    Past Python's limit on the digits int() reads (4300 by default) this
+    raises a ParseError naming `what`, not a ValueError.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} has {len(digits)} digits, too many to read") from None

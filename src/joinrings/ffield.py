@@ -3,37 +3,33 @@
 Elements are canonically encoded as integers in [0, q): the element with
 polynomial representative c_0 + c_1 x + ... + c_{k-1} x^{k-1} is encoded as
 sum(c_i * p**i).  A :class:`FieldCtx` owns the modulus and binds the raw
-operations on codes once, so that inner loops elsewhere in the package work
-on plain integers.
+operations on codes once, and the group-ring product kernel next to the
+tables it reads, so that inner loops elsewhere work on plain integers.
 
-For q up to ``_TABLE_LIMIT`` the kernel is a set of O(q) arrays built by
-walking the powers of a primitive element g: ``exp[i] = g^i`` and
-``log[g^i] = i``, plus, for odd p with k > 1, the Zech logarithms
-``zech[i] = log(1 + g^i)`` (K. Huber, "Some comments on Zech's logarithms",
-IEEE Trans. Inf. Theory 36(4), 1990).  Multiplication and inversion are
-index arithmetic; addition is XOR in characteristic 2 at every size, plain
-modular arithmetic in prime fields and one Zech lookup otherwise.  Larger
-fields multiply modulo p (k = 1) or on polynomials (k > 1), and odd p^k add
-digit by digit.
+Each kind of field has one path.  A prime field computes modulo p at every
+size (XOR in characteristic 2) and inverts by ``pow(a, -1, p)``.  An
+extension field with q up to ``_TABLE_LIMIT`` walks the powers of a
+primitive element g into O(q) arrays ``exp[i] = g^i`` and ``log[g^i] = i``,
+plus, for odd p, the Zech logarithms ``zech[i] = log(1 + g^i)`` (K. Huber,
+"Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4), 1990):
+mul and inv are index arithmetic, add is XOR in characteristic 2 and one
+Zech lookup otherwise.  A larger extension field multiplies and inverts on
+polynomials, and odd p^k add digit by digit.  That polynomial work and
+Rabin's irreducibility test run on :mod:`joinrings.poly` over F_p.
 
-Prime fields use no polynomials.  For k > 1 the untabled mul and inv, the
-primitive element, the tables and the irreducibility test (Rabin's) run on
-:mod:`joinrings.poly` over the prime field F_p.
+Sums of many products run on plain integers and are reduced once:
 
-Sums of many products are computed on *lifted* values and reduced once:
-
-- For the group-ring convolution, a tabled field lifts each code to a plain
-  integer.  In a prime field the lift is the code and the sum is reduced
-  mod p at the end; in characteristic 2 it is the code and lifted values
-  add by XOR, which needs no reduction; for odd p with k > 1 digit i of the
-  code sits in a lane starting at bit ``i * w``, wide enough that sums of
-  up to 2**``_LANE_HEADROOM`` lifted codes never carry between lanes, and
-  the reduction takes each lane mod p.  ``lane_exp[i]`` is the lift of
-  g^i, so a product of two nonzero codes is ``lane_exp[log a + log b]``.
+- The ``convolve`` of a prime field sums integer products and reduces them
+  mod p at the end (in characteristic 2 it sums by XOR).  A tabled
+  extension field sums the *lifts* of ``exp[log a + log b]``:
+  :class:`_Lanes` puts digit i of a code in a lane from bit ``i * w`` up,
+  wide enough that 2**``_LANE_HEADROOM`` lifted codes never carry between
+  lanes, and reads each lane back mod p (in characteristic 2 a lift is its
+  code).  A larger extension field sums its scalar products.
 - For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
   packs a whole matrix row into one integer: in characteristic 2 each entry
   is its code in whole bytes (one byte up to F_256, F_2 included), and
-  otherwise one lane per base-p digit of each entry, each just wide enough
+  otherwise the :class:`_Lanes` of the entry, each lane just wide enough
   for a reduced row plus one multiple of a reduced row.  A row update
   x - f*y is then one integer addition (XOR in characteristic 2) followed
   by one reduction of the whole row.  This works for every field; only up
@@ -48,11 +44,11 @@ from collections.abc import Callable
 from functools import cached_property, lru_cache
 
 from . import poly
-from .errors import AlgebraError, NotInvertibleError, ParseError
+from .errors import AlgebraError, NotInvertibleError, ParseError, parse_int
 from .ntheory import factorize, is_prime, order_dividing, power, prime_power
 
-# Contexts with q at most this bound get the O(q) log/antilog (and Zech)
-# arrays; above it every operation is computed on demand and set-up is free.
+# Extension fields with q at most this bound get the O(q) log/antilog (and
+# Zech) arrays; above it every operation is computed on demand.
 _TABLE_LIMIT = 1024
 
 # Each lane of a lifted code (odd p, k > 1) holds the sum of 2**_LANE_HEADROOM
@@ -142,8 +138,6 @@ def _primitive_element(p: int, k: int, modulus: Poly) -> int:
     """
     q1 = p**k - 1
     exponents = [q1 // f for f in factorize(q1)]
-    if k == 1:
-        return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exponents))
     mul = _code_mul(p, k, modulus)
     for g in range(1, q1 + 1):
         if all(power(g, e, mul, 1) != 1 for e in exponents):
@@ -160,7 +154,7 @@ def _log_tables(p: int, k: int, modulus: Poly) -> tuple[list[int], list[int]]:
     """
     q1 = p**k - 1
     g = _primitive_element(p, k, modulus)
-    mul = (lambda a, b: a * b % p) if k == 1 else _code_mul(p, k, modulus)
+    mul = _code_mul(p, k, modulus)
     exp = [0] * (2 * q1 + 1)
     log: list = [None] * (q1 + 1)
     code = 1
@@ -221,9 +215,10 @@ class PackedRows:
             while top >> 8 * width:
                 width *= 2
             lane, size = 8 * width, k * width
+            lanes = _Lanes(p, k, lane)
 
             def encode(c: int) -> bytes:
-                return b"".join(d.to_bytes(width, "little") for d in _decode_poly(c, p, k))
+                return lanes.lift(c).to_bytes(size, "little")
 
             self.combine = _lane_adder(p, width)
         self.entry_bits = 8 * size
@@ -238,7 +233,7 @@ class PackedRows:
         elif q <= _TABLE_LIMIT:
             self.code_of = {int.from_bytes(e, "little"): c for c, e in enumerate(encoded)}
         else:
-            self.code_of = _DigitLanes(p, k, lane)
+            self.code_of = lanes
         if size == 1:  # the byte of an entry is its code
             self.pack = lambda codes: int.from_bytes(bytes(codes), "little")
             self.unpack = lambda x, n: list(x.to_bytes(n, "little"))
@@ -305,20 +300,25 @@ class PackedRows:
         return [code_of[x >> s & mask] for s in range(0, n * width, width)]
 
 
-class _DigitLanes:
-    """The code_of of :class:`PackedRows` above the table limit, odd p, k > 1.
+class _Lanes:
+    """Codes of F_{p^k} with digit i in the `bits` bits from ``i * bits`` up.
 
-    Looking up a reduced entry reads its k digit lanes into its code.
+    ``lift(code)`` spreads a code over its lanes, and ``lanes[x]`` reads a
+    code back from the lanes x, each taken mod p.
     """
 
-    def __init__(self, p: int, k: int, lane: int):
-        self._p, self._mask = p, (1 << lane) - 1
-        self._shifts = range((k - 1) * lane, -1, -lane)
+    def __init__(self, p: int, k: int, bits: int):
+        self._p, self._k, self._mask = p, k, (1 << bits) - 1
+        self._shifts = range(0, k * bits, bits)
+        self._high_first = self._shifts[::-1]
 
-    def __getitem__(self, entry: int) -> int:
-        code = 0
-        for s in self._shifts:
-            code = code * self._p + (entry >> s & self._mask)
+    def lift(self, code: int) -> int:
+        return sum(d << s for d, s in zip(_decode_poly(code, self._p, self._k), self._shifts))
+
+    def __getitem__(self, x: int) -> int:
+        p, mask, code = self._p, self._mask, 0
+        for s in self._high_first:
+            code = code * p + (x >> s & mask) % p
         return code
 
 
@@ -365,6 +365,40 @@ def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:
 # field context
 # ---------------------------------------------------------------------------
 
+def _convolver(add, mul, reduce=None):
+    """convolve(a, b, table): out[table[h][k]] sums mul(a_h, b_k) by add, then reduce."""
+
+    def convolve(a, b, table) -> list[int]:
+        out = [0] * len(a)
+        for h, ah in enumerate(a):
+            if ah:
+                row = table[h]
+                for k, bk in enumerate(b):
+                    if bk:
+                        g = row[k]
+                        out[g] = add(out[g], mul(ah, bk))
+        return out if reduce is None else list(map(reduce, out))
+
+    return convolve
+
+
+def _lifted_convolver(lane_exp, log, add, reduce=None):
+    """convolve(a, b, table) on lifted products: lane_exp[i] is the lift of g^i."""
+
+    def convolve(a, b, table) -> list[int]:
+        out = [0] * len(a)
+        for h, ah in enumerate(a):
+            if ah:
+                la, row = log[ah], table[h]
+                for k, bk in enumerate(b):
+                    if bk:
+                        g = row[k]
+                        out[g] = add(out[g], lane_exp[la + log[bk]])
+        return out if reduce is None else list(map(reduce, out))
+
+    return convolve
+
+
 class FieldCtx:
     """The field F_{p^k} with a fixed monic irreducible modulus.
 
@@ -373,22 +407,18 @@ class FieldCtx:
     integer codes in [0, q).  They are plain functions bound per context and
     do not check their arguments: codes from outside the program are checked
     where they enter (the parsers, the JSON readers and the CLI).
-
-    A tabled context (q <= ``_TABLE_LIMIT``) also binds the lifted kernel of
-    the module docstring: :attr:`log` (``log[0]`` is None), :attr:`lane_exp`,
-    :attr:`lane_add` on lifted values and :attr:`reduce` back to a code
-    (None in characteristic 2, where a lifted value is its code).
-    Above the limit :attr:`lane_exp` is None.  :attr:`packing`, built on
-    first use, is the :class:`PackedRows` layout, for every context.
+    :attr:`convolve` is the group-ring product kernel of the module
+    docstring: ``convolve(a, b, table)`` lists the coefficients of the
+    product of the families a and b, ``out[table[h][k]]`` summing a_h b_k.
+    :attr:`packing`, built on first use, is the :class:`PackedRows` layout.
     """
-
-    lane_exp: list[int] | None = None
 
     add: Callable[[int, int], int]
     sub: Callable[[int, int], int]
     neg: Callable[[int], int]
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]  # raises NotInvertibleError on zero
+    convolve: Callable[..., list[int]]  # (a, b, table), the module docstring's kernel
 
     def __init__(self, p: int, k: int = 1, modulus: Poly | None = None):
         if not is_prime(p):
@@ -409,75 +439,63 @@ class FieldCtx:
             if not _irreducible(modulus, p):
                 raise AlgebraError(f"modulus {self.poly_str(modulus)} is reducible over F_{p}")
         self.modulus: Poly = modulus
-        if self.q <= _TABLE_LIMIT:
-            self._bind_tabled()
-        else:
-            self._bind_untabled()
         if p == 2:  # characteristic 2 at every size: a + b = a - b = a XOR b
             self.add = self.sub = operator.xor
             self.neg = operator.pos
+        if k == 1:
+            self._bind_prime()
+        elif self.q <= _TABLE_LIMIT:
+            self._bind_tabled()
+        else:
+            self._bind_untabled()
+
+    def _bind_prime(self) -> None:
+        """Arithmetic modulo p, which measures faster than any lookup."""
+        p = self.p
+        if p > 2:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            # product sums stay plain integers until one final mod p
+            self.convolve = _convolver(operator.add, operator.mul, p.__rmod__)
+        else:
+            self.convolve = _convolver(operator.xor, operator.mul)
+        self.mul = lambda a, b: a * b % p
+
+        def inv(a: int) -> int:
+            if not a:
+                raise NotInvertibleError("division by zero in field")
+            return pow(a, -1, p)
+
+        self.inv = inv
 
     def _bind_tabled(self) -> None:
         p, k, q1 = self.p, self.k, self.q - 1
         exp, log = _log_tables(p, k, self.modulus)
+
+        def mul(a: int, b: int) -> int:
+            if a and b:
+                return exp[log[a] + log[b]]
+            return 0
 
         def inv(a: int) -> int:
             if not a:
                 raise NotInvertibleError("division by zero in field")
             return exp[q1 - log[a]]
 
-        self.inv = inv
-        self.log = log
-        if k == 1:
-            self._bind_prime()
-        else:
-
-            def mul(a: int, b: int) -> int:
-                if a and b:
-                    return exp[log[a] + log[b]]
-                return 0
-
-            self.mul = mul
-            if p > 2:
-                self._bind_zech(exp, log, _zech_table(p, exp, log))
-        self._bind_lanes(exp)
-
-    def _bind_lanes(self, exp: list[int]) -> None:
-        """lane_exp, lane_add and reduce: the lifted kernel (module docstring)."""
-        p, k = self.p, self.k
-        if k == 1 or p == 2:
-            self.lane_exp = exp
-            self.lane_add = operator.xor if p == 2 else operator.add
-            self.reduce = None if p == 2 else p.__rmod__  # None: lifts are codes
+        self.mul, self.inv = mul, inv
+        if p == 2:  # a code is its own lift, and lifts add by XOR
+            self.convolve = _lifted_convolver(exp, log, operator.xor)
             return
-        w = (p - 1).bit_length() + _LANE_HEADROOM
-        mask = (1 << w) - 1
-        shifts = range((k - 1) * w, -1, -w)
-        lift = [
-            sum(d << (i * w) for i, d in enumerate(_decode_poly(c, p, k))) for c in range(self.q)
-        ]
-
-        def reduce(x: int) -> int:
-            code = 0
-            for s in shifts:
-                code = code * p + (x >> s & mask) % p
-            return code
-
-        self.lane_exp = [lift[c] for c in exp]
-        self.lane_add = operator.add
-        self.reduce = reduce
+        self._bind_zech(exp, log, _zech_table(p, exp, log))
+        lanes = _Lanes(p, k, (p - 1).bit_length() + _LANE_HEADROOM)
+        lift = list(map(lanes.lift, range(self.q)))  # q lifts, not one per entry of exp
+        lane_exp = [lift[c] for c in exp]
+        self.convolve = _lifted_convolver(lane_exp, log, operator.add, lanes.__getitem__)
 
     @cached_property
     def packing(self) -> PackedRows:
         return PackedRows(self)
-
-    def _bind_prime(self) -> None:
-        """add, sub, neg and mul modulo p, which measure faster than any lookup."""
-        p = self.p
-        self.add = lambda a, b: (a + b) % p
-        self.sub = lambda a, b: (a - b) % p
-        self.neg = lambda a: -a % p
-        self.mul = lambda a, b: a * b % p
 
     def _bind_zech(self, exp: list[int], log: list[int], zech: list[int]) -> None:
         # With a = g^i and b = g^j, a + b = g^i (1 + g^(j-i)) = g^(i + zech[j-i]),
@@ -510,17 +528,6 @@ class FieldCtx:
 
     def _bind_untabled(self) -> None:
         p, k, m = self.p, self.k, self.modulus
-        if k == 1:
-            self._bind_prime()
-
-            def inv(a: int) -> int:
-                if not a:
-                    raise NotInvertibleError("division by zero in field")
-                return pow(a, p - 2, p)
-
-            self.inv = inv
-            return
-
         prime = _cached_field(p, 1)
 
         def inv(a: int) -> int:
@@ -535,6 +542,7 @@ class FieldCtx:
             self.add = _digitwise(p, k, operator.add)
             self.sub = sub = _digitwise(p, k, operator.sub)
             self.neg = lambda a: sub(0, a)
+        self.convolve = _convolver(self.add, self.mul)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -606,7 +614,12 @@ class FieldCtx:
 def field_make(p: int, k: int = 1, modulus: Poly | str | None = None) -> FieldCtx:
     """Build F_{p^k}.  Omitting the modulus selects the canonical one."""
     if isinstance(modulus, str):
-        modulus = parse_poly(modulus)
+        terms = _poly_terms(modulus)
+        degree = max(terms, default=0)
+        if degree != k:  # before building a coefficient list as long as the degree
+            raise AlgebraError(f"modulus must be monic of degree {k} over F_{p}, "
+                               f"got degree {degree}")
+        modulus = tuple(terms.get(i, 0) for i in range(k + 1))
     return FieldCtx(p, k, modulus)
 
 
@@ -620,7 +633,7 @@ def parse_field(spec: str) -> FieldCtx:
     m = re.fullmatch(r"F(\d+)", spec.strip())
     if not m:
         raise ParseError(f"bad field spec {spec!r}; expected e.g. 'F9'")
-    q = int(m.group(1))
+    q = parse_int(m.group(1), "field order")
     pk = prime_power(q)
     if pk is None:
         raise ParseError(f"{q} is not a prime power")
@@ -636,6 +649,12 @@ def parse_poly(text: str) -> Poly:
     Coefficients are read as plain integers; reduction mod p happens in
     :class:`FieldCtx`.
     """
+    terms = _poly_terms(text)
+    return tuple(terms.get(i, 0) for i in range(max(terms, default=-1) + 1))
+
+
+def _poly_terms(text: str) -> dict[int, int]:
+    """exponent -> nonzero integer coefficient, for a polynomial literal."""
     text = text.replace(" ", "").replace("-", "+-")
     if not text:
         raise ParseError("empty polynomial literal")
@@ -649,13 +668,10 @@ def parse_poly(text: str) -> Poly:
         m = _TERM_RE.match(term)
         if not m or (m.group(1) is None and "x" not in term):
             raise ParseError(f"bad polynomial term {term!r}")
-        coef = int(m.group(1)) if m.group(1) is not None else 1
+        coef = parse_int(m.group(1), "coefficient") if m.group(1) is not None else 1
         if "x" in term:
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            exp = parse_int(m.group(2), "exponent") if m.group(2) is not None else 1
         else:
             exp = 0
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    out = [coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return {e: c for e, c in coeffs.items() if c}

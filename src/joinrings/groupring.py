@@ -1,11 +1,12 @@
 """The group ring F_q[G]: convolution arithmetic and structure maps.
 
 A :class:`GroupRingElem` stores its coefficient family as a tuple of raw
-field codes indexed by group-element index.  Over a cyclic group C_n built
-from its one invariant (element i is g^i) the ring is F_q[y]/(y^n - 1), so
-an element a is a unit iff gcd(a(y), y^n - 1) = 1, and the extended
-Euclidean algorithm of :mod:`joinrings.poly`, the one the extension fields
-use, gives its inverse.  Every other group decides units
+field codes indexed by group-element index, and multiplies by the field's
+product kernel ``ctx.convolve`` on the group's Cayley table.  Over a cyclic
+group C_n built from its one invariant (element i is g^i) the ring is
+F_q[y]/(y^n - 1), so an element a is a unit iff gcd(a(y), y^n - 1) = 1,
+and the extended Euclidean algorithm of :mod:`joinrings.poly`, the one the
+extension fields use, gives its inverse.  Every other group decides units
 through the regular representation: the element is a unit iff its
 circulant image is an invertible matrix, and inverses are pulled back
 through the first row.  The circulant route stays the independent check
@@ -24,6 +25,7 @@ from .errors import (
     ContextMismatchError,
     NotInvertibleError,
     ParseError,
+    parse_int,
 )
 from .ffield import FieldCtx
 from .groups import FiniteGroup, Subgroup
@@ -84,9 +86,7 @@ class GroupRingElem:
     def __mul__(self, other):
         self._check(other)
         return GroupRingElem(
-            self.ctx,
-            self.group,
-            _convolve(self.coeffs, other.coeffs, self.group.table, self.ctx),
+            self.ctx, self.group, self.ctx.convolve(self.coeffs, other.coeffs, self.group.table)
         )
 
     def __pow__(self, n: int):
@@ -120,36 +120,6 @@ class GroupRingElem:
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.ctx}[{self.group.name}]>"
-
-
-def _convolve(a, b, table, ctx: FieldCtx) -> list[int]:
-    """Coefficients of a * b: out[table[h][k]] sums a_h b_k.
-
-    A tabled field adds the lifted products lane_exp[log a_h + log b_k] and
-    reduces each output once; a larger field uses its scalar operations.
-    """
-    out = [0] * len(a)
-    lane_exp = ctx.lane_exp
-    if lane_exp is None:
-        add, mul = ctx.add, ctx.mul
-        for h, ah in enumerate(a):
-            if ah:
-                row = table[h]
-                for k, bk in enumerate(b):
-                    if bk:
-                        g = row[k]
-                        out[g] = add(out[g], mul(ah, bk))
-        return out
-    add, log = ctx.lane_add, ctx.log
-    for h, ah in enumerate(a):
-        if ah:
-            la, row = log[ah], table[h]
-            for k, bk in enumerate(b):
-                if bk:
-                    g = row[k]
-                    out[g] = add(out[g], lane_exp[la + log[bk]])
-    reduce = ctx.reduce
-    return out if reduce is None else list(map(reduce, out))
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +281,8 @@ def parse_element(text: str, group: FiniteGroup, ctx: FieldCtx) -> GroupRingElem
         m = _ELEM_TERM.match(term)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ParseError(f"bad element term {term!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
-        g = int(m.group(2)) if m.group(2) is not None else 0
+        c = parse_int(m.group(1), "coefficient") if m.group(1) is not None else 1
+        g = parse_int(m.group(2), "element index") if m.group(2) is not None else 0
         ctx.check_code(c)
         if not 0 <= g < group.order:
             raise ParseError(f"element index g{g} out of range for {group.name}")

@@ -14,7 +14,7 @@ import itertools
 from functools import cache, cached_property, lru_cache, reduce
 from math import factorial, lcm, prod
 
-from .errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError
+from .errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError, parse_int
 from .ntheory import factorize, is_prime
 
 ORDER_CAP = 256
@@ -357,7 +357,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if spec == "Q8":
         return quaternion()
     if spec.startswith("S") and spec[1:].isdigit():
-        return symmetric(int(spec[1:]))
+        return symmetric(parse_int(spec[1:], "symmetric group degree"))
     if spec.startswith("table:"):
         path = spec[len("table:"):]
         try:
@@ -371,7 +371,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     for part in parts:
         if not part.startswith("C") or not part[1:].isdigit():
             raise ParseError(f"bad group spec {spec!r}")
-        invariants.append(int(part[1:]))
+        invariants.append(parse_int(part[1:], "cyclic group order"))
     return abelian(invariants)
 
 

@@ -28,6 +28,7 @@ from .errors import (
     InternalConsistencyError,
     NotInvertibleError,
     ParseError,
+    parse_int,
 )
 from .ffield import FieldCtx, parse_field
 from .groupring import (
@@ -587,10 +588,10 @@ def parse_join_element(text: str, shape: JoinShape) -> JoinElem:
         part = part.strip().replace(" ", "")
         m = _ASSIGN_RE.match(part)
         if m:
-            i, j, v = int(m.group(1)) - 1, int(m.group(2)) - 1, int(m.group(3))
-            if not (0 <= i < shape.d and 0 <= j < shape.d) or i == j:
+            i, j, v = (parse_int(x, "a number in a[i][j]=v") for x in m.groups())
+            if not (1 <= i <= shape.d and 1 <= j <= shape.d) or i == j:
                 raise ParseError(f"bad off-diagonal position in {part!r}")
-            offdiag[i][j] = shape.ctx.check_code(v)
+            offdiag[i - 1][j - 1] = shape.ctx.check_code(v)
         else:
             if len(blocks) >= shape.d:
                 raise ParseError("too many block literals")

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from .ffield import FieldCtx
-from .groupring import GroupRingElem, _convolve, circulant_rows, format_element
+from .groupring import GroupRingElem, circulant_rows, format_element
 from .groups import FiniteGroup
 from .joinring import JoinElem, JoinShape, join_embed
 
@@ -300,11 +300,11 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx)
     ring.check_cap(cap)
-    add, sub, table = ctx.add, ctx.sub, group.table
+    add, sub, convolve, table = ctx.add, ctx.sub, ctx.convolve, group.table
     # the last coefficient makes the coefficient sum 1
     units = ((*head, sub(1, reduce(add, head, 0)))
              for head in product(range(ctx.q), repeat=group.order - 1))
-    orders = _orders(units, lambda a, b: tuple(_convolve(a, b, table, ctx)), ring.one.coeffs)
+    orders = _orders(units, lambda a, b: tuple(convolve(a, b, table)), ring.one.coeffs)
     # every order is a power of p, so their lcm is the largest
     return max(orders.values())
 

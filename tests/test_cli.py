@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from joinrings import oracle
 from joinrings.cli import run
 
 
@@ -271,3 +272,20 @@ def test_sweep_rooted_over_a_prime_power_base(capsys):
         report = run_json(capsys, "rooted", "--primes", str(row["p"]), "--base", "4")
         assert row["rooted"] == report["verdict"]
         assert row["unit_count"] == report["conditions"]["unit_count"]["count"]
+
+
+def test_oracle_radical_enumerates_the_radical_once(capsys, monkeypatch):
+    calls = []
+    jacobson_radical = oracle.jacobson_radical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return jacobson_radical(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "jacobson_radical", counted)
+    assert run(["oracle", "--group", "S3", "--field", "F2", "--radical"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "ring: F2[S3]\nsize: 64\nradical_size: 2\nunit_factorization:\n"
+        "  units: 12\n  radical: 2\n  image: 6\n  holds: True\n"
+    )

@@ -1,9 +1,11 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from joinrings.errors import AlgebraError, NotInvertibleError, ParseError
-from joinrings.ffield import field_make, parse_field, parse_poly
+from joinrings.ffield import FieldCtx, field_make, parse_field, parse_poly
 from joinrings.ntheory import prime_power
 
 
@@ -52,6 +54,32 @@ def test_custom_modulus():
 def test_reducible_modulus_rejected():
     with pytest.raises(AlgebraError):
         field_make(2, 2, "x^2+1")  # (x+1)^2 over F_2
+
+
+def test_modulus_of_another_degree_is_refused_before_allocating():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(AlgebraError, match="got degree 1000000000$"):
+            field_make(2, 3, "x^1000000000+x+1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p", [2, 1021])
+def test_prime_field_builds_no_table(p):
+    # every prime field computes modulo p at every size, with no log tables
+    tracemalloc.start()
+    try:
+        ctx = FieldCtx(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024
+    assert all(ctx.mul(a, ctx.inv(a)) == 1 for a in range(1, min(p, 200)))
 
 
 def test_parse_poly():

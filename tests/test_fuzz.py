@@ -68,6 +68,17 @@ def test_cli_exits_with_a_code_on_malformed_argv(capsys, seed):
         capsys.readouterr()
 
 
+# an integer past Python's 4300-digit limit, in each text spec that reads one
+BIG = "9" * 5000
+OVERSIZED_ARGVS = [
+    ["field", f"F{BIG}"],
+    ["join", "--shape", f"join(C3;F{BIG})"],
+    ["group", f"C{BIG}"],
+    ["gr", "--field", "F2", "--group", "C3", "--a", f"1+g{BIG}"],
+    ["gr", "--field", "F2", "--group", "C3", "--a", f"1{BIG}*g1"],
+    ["join", "--shape", "join(C3,C3;F2)", "--a", f"1;1;a[1][2]={BIG}"],
+]
+
 # argvs that fail at each stage: the top-level parser, a subparser, a handler
 FAILING_ARGVS = [
     ["frobnicate"],
@@ -77,6 +88,7 @@ FAILING_ARGVS = [
     ["gr", "--field", "F2"],
     ["field", "F6"],
     ["sweep", "rooted", "--pmax", "300"],
+    *OVERSIZED_ARGVS,
 ]
 
 
@@ -88,6 +100,13 @@ def _outcome(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGVS)
+def test_oversized_integer_is_a_parse_error(capsys, argv):
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too many to read" in err
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -2,9 +2,10 @@
 
 bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
-read here, never changed.  The package's modules import at module level
-and nothing they do not use, the brute-force oracle imports none of the
-closed-form modules, and every demo script runs cleanly.
+read here, never changed.  The package's modules import at module level,
+nothing they do not use and no private name of a sibling, the brute-force
+oracle imports none of the closed-form modules, and every demo script runs
+cleanly.
 """
 
 import ast
@@ -73,6 +74,20 @@ def test_no_unused_imports():
             continue
         unused = _unused_imports(path.read_text())
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a kernel another module needs is bound on the object that owns it
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("joinrings"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported from a sibling: {private}"
 
 
 def _imported_modules(source: str) -> set[str]:
