@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnsupportedCaseError,
 )
-from .ffield import FieldCtx, field_make, parse_field, parse_poly
+from .ffield import FieldCtx, field_make, parse_field
 from .groupring import (
     GroupRingElem,
     WedderburnData,

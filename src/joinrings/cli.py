@@ -278,10 +278,16 @@ def _cmd_oracle(args) -> dict:
     ring = _oracle_ring(args)
     ring.check_cap(args.cap)  # before the size goes into the report: it may not render
     report = {"ring": repr(ring), "size": ring.size}
+    if args.delta_n is not None:
+        oracle.check_positive(args.delta_n, "exponent")
+    if args.order is not None:
+        oracle.check_positive(args.order, "order")
     if args.units:
         report["unit_count"] = oracle.enumerate_units(ring, args.cap)
+    if args.exponent or args.delta_n is not None or args.order is not None:
+        orders = oracle.unit_orders(ring, args.cap)  # one enumeration for all three
     if args.exponent:
-        report["unit_group_exponent"] = oracle.unit_group_exponent(ring, args.cap)
+        report["unit_group_exponent"] = oracle.exponent_from_orders(orders)
     if args.radical:
         units, rsize, image = oracle.semisimple_unit_factorization(ring, args.cap)
         report["radical_size"] = rsize
@@ -290,7 +296,7 @@ def _cmd_oracle(args) -> dict:
             "holds": units == rsize * image,
         }
     if args.delta_n is not None:
-        ok, witness, order = oracle.is_delta_n(ring, args.delta_n, args.cap)
+        ok, witness, order = oracle.delta_n_from_orders(orders, args.delta_n)
         report["is_delta"] = {"n": args.delta_n, "verdict": ok}
         if not ok:
             report["is_delta"]["witness"] = ring.label(witness)
@@ -298,7 +304,7 @@ def _cmd_oracle(args) -> dict:
     if args.order is not None:
         report["units_of_order"] = {
             "m": args.order,
-            "count": oracle.units_of_order(ring, args.order, args.cap),
+            "count": oracle.count_of_order_from_orders(orders, args.order),
         }
     return report
 

@@ -612,7 +612,8 @@ class FieldCtx:
 # ---------------------------------------------------------------------------
 
 def field_make(p: int, k: int = 1, modulus: Poly | str | None = None) -> FieldCtx:
-    """Build F_{p^k}.  Omitting the modulus selects the canonical one."""
+    """Build F_{p^k}.  Omitting the modulus selects the canonical one; a
+    string modulus is a literal such as "x^2+x+1"."""
     if isinstance(modulus, str):
         terms = _poly_terms(modulus)
         degree = max(terms, default=0)
@@ -641,16 +642,6 @@ def parse_field(spec: str) -> FieldCtx:
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:x(?:\^(\d+))?)?$")
-
-
-def parse_poly(text: str) -> Poly:
-    """Parse a polynomial literal such as "x^2+x+1" over the integers.
-
-    Coefficients are read as plain integers; reduction mod p happens in
-    :class:`FieldCtx`.
-    """
-    terms = _poly_terms(text)
-    return tuple(terms.get(i, 0) for i in range(max(terms, default=-1) + 1))
 
 
 def _poly_terms(text: str) -> dict[int, int]:

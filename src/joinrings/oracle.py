@@ -5,6 +5,10 @@ exhaustive enumeration: unit counts, unit orders, Jacobson radicals via
 quasi-regularity, and the u^n = 1 property.  Enumeration order is
 lexicographic over coefficient vectors, so failing witnesses are
 reproducible.
+
+The unit count tests one element per scalar class {c a : c in F_q^x}, since
+c a is a unit iff a is, and multiplies by q - 1: (q^dim - 1)/(q - 1) unit
+tests.  `list_units` and everything built on it still walk every element.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ class EnumerableRing:
     Index 0 is zero; `one` is the identity.  `element(i)` decodes the i-th
     coefficient vector (lexicographic, least significant first).  Every
     oracle below works through these methods alone: `add`, `sub` and `mul`
-    default to the element operators, and `count_units` to counting the
-    elements that pass `is_unit`.  Elements are hashable and compare by
-    value.  Subclasses provide `element(i)`, `is_unit(a)` and `label(a)`,
-    and override the arithmetic when their elements have no operators.
+    default to the element operators, and `count_units` counts the elements
+    that pass `is_unit`, one per scalar class.  Elements are hashable and
+    compare by value.  Subclasses provide `element(i)`, `is_unit(a)` and
+    `label(a)`, and override the arithmetic when their elements have no
+    operators.  `element` must be linear in the coefficient vector and
+    `is_unit(a)` must hold iff `is_unit(c a)` does for every nonzero scalar c.
     """
 
     ctx: FieldCtx
@@ -78,7 +84,16 @@ class EnumerableRing:
         return a * b
 
     def count_units(self) -> int:
-        return sum(1 for a in self.elements() if self.is_unit(a))
+        """Count the units, testing one element per scalar class {c a : c != 0}.
+
+        A class is all units or none: `is_unit` asks whether a matrix linear
+        in a is invertible, and c M is invertible iff M is.  Its tested
+        element v has lowest nonzero coordinate 1; with that coordinate at
+        position t, v has index q^t (1 + q j).
+        """
+        q, dim = self.ctx.q, self.dim
+        classes = (q**t * (1 + q * j) for t in range(dim) for j in range(q ** (dim - t - 1)))
+        return (q - 1) * sum(1 for i in classes if self.is_unit(self.element(i)))
 
 
 class GroupRingEnum(EnumerableRing):
@@ -284,7 +299,12 @@ def unit_orders(ring: EnumerableRing, cap: int = DEFAULT_CAP):
 
 def unit_group_exponent(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> int:
     """lcm of the orders of all units."""
-    return reduce(lcm, (t for _, t in unit_orders(ring, cap)), 1)
+    return exponent_from_orders(unit_orders(ring, cap))
+
+
+def exponent_from_orders(orders) -> int:
+    """lcm of the orders in a :func:`unit_orders` list."""
+    return reduce(lcm, (t for _, t in orders), 1)
 
 
 def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
@@ -311,19 +331,36 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
 
 def units_of_order(ring: EnumerableRing, m: int, cap: int = DEFAULT_CAP) -> int:
     """Count units of multiplicative order exactly m."""
-    if m < 1:
-        raise AlgebraError(f"order must be positive, got {m}")
-    return sum(1 for _, t in unit_orders(ring, cap) if t == m)
+    check_positive(m, "order")
+    return count_of_order_from_orders(unit_orders(ring, cap), m)
+
+
+def count_of_order_from_orders(orders, m: int) -> int:
+    """Count the units of order exactly m in a :func:`unit_orders` list."""
+    check_positive(m, "order")
+    return sum(1 for _, t in orders if t == m)
 
 
 def is_delta_n(ring: EnumerableRing, n: int, cap: int = DEFAULT_CAP):
     """True iff u^n = 1 for every unit; else (False, witness, order)."""
-    if n < 1:
-        raise AlgebraError(f"exponent must be positive, got {n}")
-    for u, t in unit_orders(ring, cap):
+    check_positive(n, "exponent")
+    return delta_n_from_orders(unit_orders(ring, cap), n)
+
+
+def delta_n_from_orders(orders, n: int):
+    """:func:`is_delta_n` on a :func:`unit_orders` list: the first unit in
+    enumeration order whose order does not divide n is the witness."""
+    check_positive(n, "exponent")
+    for u, t in orders:
         if n % t != 0:
             return False, u, t
     return True, None, None
+
+
+def check_positive(n: int, what: str) -> None:
+    """Refuse an order or exponent below 1, before anything is enumerated."""
+    if n < 1:
+        raise AlgebraError(f"{what} must be positive, got {n}")
 
 
 # ---------------------------------------------------------------------------

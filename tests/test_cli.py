@@ -289,3 +289,30 @@ def test_oracle_radical_enumerates_the_radical_once(capsys, monkeypatch):
         "ring: F2[S3]\nsize: 64\nradical_size: 2\nunit_factorization:\n"
         "  units: 12\n  radical: 2\n  image: 6\n  holds: True\n"
     )
+
+
+def test_oracle_enumerates_the_unit_orders_once(capsys, monkeypatch):
+    calls = []
+    unit_orders = oracle.unit_orders
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unit_orders(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "unit_orders", counted)
+    argv = ["oracle", "--group", "S3", "--field", "F2", "--exponent", "--delta-n", "2",
+            "--order", "2"]
+    assert run(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "ring: F2[S3]\nsize: 64\nunit_group_exponent: 6\nis_delta:\n  n: 2\n"
+        "  verdict: False\n  witness: g3\n  witness_order: 3\nunits_of_order:\n"
+        "  m: 2\n  count: 7\n"
+    )
+    assert run(["--json", *argv]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (
+        '{"ring": "F2[S3]", "size": 64, "unit_group_exponent": 6, "is_delta": '
+        '{"n": 2, "verdict": false, "witness": "g3", "witness_order": 3}, '
+        '"units_of_order": {"m": 2, "count": 7}}\n'
+    )

@@ -258,6 +258,44 @@ def test_radical_on_every_adapter(label):
     assert semisimple_unit_factorization(ring) == (count, 1, count)
 
 
+def _unit_count_elementwise(ring):
+    """The unit count the long way: is_unit on every element."""
+    return sum(ring.is_unit(a) for a in ring.elements())
+
+
+COUNT_RINGS = {
+    **{label: ring for label, (ring, _, _) in ADAPTERS.items()},
+    "F5[S3]": GroupRingEnum(parse_group_spec("S3"), F5),
+    "F7[C4]": GroupRingEnum(cyclic(4), parse_field("F7")),
+    "F4[C5]": GroupRingEnum(cyclic(5), parse_field("F4")),
+    "join(C2,C3;F3)": JoinRingEnum(parse_shape_spec("join(C2,C3;F3)")),
+    "SM3(F3)": semimagic_ring(3, F3),
+}
+
+
+@pytest.mark.parametrize("label", COUNT_RINGS)
+def test_unit_count_matches_elementwise(label):
+    ring = COUNT_RINGS[label]
+    assert enumerate_units(ring) == _unit_count_elementwise(ring)
+
+
+@pytest.mark.parametrize("label", COUNT_RINGS)
+def test_unit_count_tests_one_element_per_scalar_class(label, monkeypatch):
+    ring = COUNT_RINGS[label]
+    tested = []
+    is_unit = type(ring).is_unit
+
+    def counted(self, a):
+        tested.append(a)
+        return is_unit(self, a)
+
+    monkeypatch.setattr(type(ring), "is_unit", counted)
+    enumerate_units(ring)
+    q = ring.ctx.q
+    assert len(tested) == (q**ring.dim - 1) // (q - 1)
+    assert ring.element(0) not in tested
+
+
 def _unit_orders_by_prime_stripping(ring):
     """(unit, order) the long way: start each order at |U| and strip every
     prime f of |U| while u^(t/f) = 1, powers by square-and-multiply."""

@@ -4,8 +4,8 @@ bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
-oracle imports none of the closed-form modules, and every demo script runs
-cleanly.
+oracle imports none of the closed-form modules or routes, and every demo
+script runs cleanly.
 """
 
 import ast
@@ -104,10 +104,18 @@ def _imported_modules(source: str) -> set[str]:
     return out
 
 
+CLOSED_FORM_ROUTES = {
+    "gr_unit_count", "join_unit_count", "wedderburn_abelian",
+    "gr_is_unit", "gr_inverse", "join_is_unit", "join_inverse",
+}
+
+
 def test_oracle_shares_no_code_with_the_closed_forms():
-    # the brute-force route checks ntheory, arith and zeta; importing any of
-    # them would let both routes agree while sharing the same fault
-    shared = _imported_modules((SRC / "oracle.py").read_text()) & {"ntheory", "arith", "zeta"}
+    # the brute-force route checks ntheory, arith and zeta, and the unit
+    # counts and unit tests of groupring and joinring; importing any of them
+    # would let both routes agree while sharing the same fault
+    imported = _imported_modules((SRC / "oracle.py").read_text())
+    shared = imported & ({"ntheory", "arith", "zeta"} | CLOSED_FORM_ROUTES)
     assert not shared, f"oracle.py imports {sorted(shared)}"
 
 
