@@ -1,7 +1,8 @@
 """Dense matrices over a FieldCtx, stored as lists of rows of raw codes.
 
-Only what the rest of the package needs: multiplication, invertibility,
-inversion, and nullspaces, all by Gaussian elimination.
+Only what the rest of the package needs: multiplication, invertibility
+(also of rows already packed), inversion, and nullspaces, all by Gaussian
+elimination.
 
 The loops work on rows packed into one integer each
 (:class:`~joinrings.ffield.PackedRows`: the code in whole bytes in
@@ -9,7 +10,7 @@ characteristic 2, F_2 included, otherwise one lane per base-p digit).  The
 update x - f*y of a whole row is one integer addition of a multiple of the
 pivot row (XOR in characteristic 2), reduced lane by lane in one step, and
 that multiple is built once per distinct factor f within a column (over
-F_2, is_invertible ranks the byte rows by their leading set bits instead).
+F_2, rows_invertible ranks the byte rows by their leading set bits instead).
 Single entries are decoded only where they are read: the pivot column (to
 find the pivot and the factors) and the output.
 """
@@ -47,14 +48,22 @@ def mat_mul(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
 
 
 def is_invertible(a: Matrix, ctx: FieldCtx) -> bool:
-    n = len(a)
-    packing = ctx.packing
+    return rows_invertible(list(map(ctx.packing.pack, a)), ctx)
+
+
+def rows_invertible(rows: list[int], ctx: FieldCtx) -> bool:
+    """Whether the square matrix of reduced packed rows is invertible.
+
+    The rows are those of ``ctx.packing``; the list passed in is left as it is.
+    """
+    n = len(rows)
     if ctx.q == 2:
-        return _rank_gf2(list(map(packing.pack, a))) == n
+        return _rank_gf2(rows) == n
+    packing = ctx.packing
     code_of, mask, width = packing.code_of, packing.entry_mask, packing.entry_bits
     combine, times = packing.combine, packing.times
     mul, neg, inv = ctx.mul, ctx.neg, ctx.inv
-    rows = list(map(packing.pack, a))
+    rows = list(rows)  # eliminated in place
     for col in range(n):
         # rows[col:] hold their entries from column col on
         for r in range(col, n):
@@ -84,7 +93,7 @@ def is_invertible(a: Matrix, ctx: FieldCtx) -> bool:
 def _rank_gf2(rows: list[int]) -> int:
     """Rank of byte-packed F_2 rows, each reduced by the pivots of its leading bits.
 
-    2-3x faster than the column loop of is_invertible: F2[C12] circulants take
+    2-3x faster than the column loop of rows_invertible: F2[C12] circulants take
     14 us against 48 us, join(C3,C5;F2) embeddings 10 us against 22 us.
     """
     pivots: dict[int, int] = {}  # leading-bit position -> pivot row

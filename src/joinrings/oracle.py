@@ -6,15 +6,24 @@ quasi-regularity, and the u^n = 1 property.  Enumeration order is
 lexicographic over coefficient vectors, so failing witnesses are
 reproducible.
 
-The unit count tests one element per scalar class {c a : c in F_q^x}, since
-c a is a unit iff a is, and multiplies by q - 1: (q^dim - 1)/(q - 1) unit
-tests.  `list_units` and everything built on it still walk every element.
+Every ring kind gives `unit_matrix(a)`, a matrix linear in a's coefficient
+vector that is invertible iff a is a unit.  The unit count and `list_units`
+build no element to test it.  They walk the indices in increasing order
+(lexicographic n-tuples, as in Knuth, TAOCP 4A, 7.2.1.1) and keep, for each
+coordinate level, the sum of c_i B_i over the coordinates i from that level
+up, where B_i is the unit matrix of the i-th basis vector, packed once per
+call as one integer.  A step that changes coordinate i to c builds that
+level as its parent plus c B_i, so a step costs about q/(q - 1) packed
+additions, a split into rows, and one elimination.  The unit count walks
+one element per scalar class {c a : c in F_q^x}, since c a is a unit iff a
+is, and multiplies by q - 1: (q^dim - 1)/(q - 1) eliminations.
+`list_units` walks every index and builds an element only for a unit.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 
 from . import linalg
@@ -37,12 +46,13 @@ class EnumerableRing:
     Index 0 is zero; `one` is the identity.  `element(i)` decodes the i-th
     coefficient vector (lexicographic, least significant first).  Every
     oracle below works through these methods alone: `add`, `sub` and `mul`
-    default to the element operators, and `count_units` counts the elements
-    that pass `is_unit`, one per scalar class.  Elements are hashable and
-    compare by value.  Subclasses provide `element(i)`, `is_unit(a)` and
+    default to the element operators, `is_unit` asks whether `unit_matrix`
+    is invertible, and `count_units` and `units` walk the packed unit
+    matrices without building elements.  Elements are hashable and compare
+    by value.  Subclasses provide `element(i)`, `unit_matrix(a)` and
     `label(a)`, and override the arithmetic when their elements have no
-    operators.  `element` must be linear in the coefficient vector and
-    `is_unit(a)` must hold iff `is_unit(c a)` does for every nonzero scalar c.
+    operators.  `element` and `unit_matrix` must be linear in the
+    coefficient vector, and `unit_matrix(a)` invertible iff a is a unit.
     """
 
     ctx: FieldCtx
@@ -61,6 +71,9 @@ class EnumerableRing:
             )
 
     def element(self, index: int):
+        raise NotImplementedError
+
+    def unit_matrix(self, a):
         raise NotImplementedError
 
     def elements(self):
@@ -83,17 +96,63 @@ class EnumerableRing:
     def mul(self, a, b):
         return a * b
 
+    def is_unit(self, a) -> bool:
+        return linalg.is_invertible(self.unit_matrix(a), self.ctx)
+
     def count_units(self) -> int:
         """Count the units, testing one element per scalar class {c a : c != 0}.
 
-        A class is all units or none: `is_unit` asks whether a matrix linear
-        in a is invertible, and c M is invertible iff M is.  Its tested
+        A class is all units or none: c M is invertible iff M is.  Its tested
         element v has lowest nonzero coordinate 1; with that coordinate at
-        position t, v has index q^t (1 + q j).
+        position t, v has index q^t (1 + q j), and its matrix is B_t plus the
+        walk over the coordinates above t.
         """
-        q, dim = self.ctx.q, self.dim
-        classes = (q**t * (1 + q * j) for t in range(dim) for j in range(q ** (dim - t - 1)))
-        return (q - 1) * sum(1 for i in classes if self.is_unit(self.element(i)))
+        basis, ctx = self._basis(), self.ctx
+        tested = (rows for t in range(self.dim) for rows in self._walk(basis, basis[t], t + 1))
+        return (ctx.q - 1) * sum(1 for rows in tested if linalg.rows_invertible(rows, ctx))
+
+    def units(self) -> list:
+        """Every unit, in enumeration order; only units are built as elements."""
+        ctx = self.ctx
+        walk = enumerate(self._walk(self._basis(), 0, 0))
+        return [self.element(i) for i, rows in walk if linalg.rows_invertible(rows, ctx)]
+
+    def _basis(self) -> list[int]:
+        """B_i: the unit matrix of each basis vector, packed as one row."""
+        q, pack = self.ctx.q, self.ctx.packing.pack
+        return [pack(chain.from_iterable(self.unit_matrix(self.element(q**i))))
+                for i in range(self.dim)]
+
+    def _walk(self, basis: list[int], base: int, low: int):
+        """Packed rows of base + sum_{i >= low} c_i B_i for every choice of
+        the codes c_low..c_{dim-1}, in increasing index order.
+
+        levels[j] is base plus the terms of coordinates low + j and up.  A
+        step raises the lowest coordinate below q - 1 and zeroes those under
+        it, whose levels then equal their parent.  Each multiple c B_i is
+        built when its coordinate changes, so nothing here grows with q.
+        """
+        packing = self.ctx.packing
+        combine, times = packing.combine, packing.times
+        n = len(self.unit_matrix(self.element(0)))
+        stride = n * packing.entry_bits
+        row_mask = (1 << stride) - 1
+        shifts = range(0, n * stride, stride)
+        top = self.ctx.q - 1
+        codes = [0] * (self.dim - low)
+        width = len(codes)
+        levels = [base] * (width + 1)
+        while True:
+            matrix = levels[0]
+            yield [matrix >> s & row_mask for s in shifts]
+            j = 0  # the coordinate that steps up: the lowest one below q - 1
+            while j < width and codes[j] == top:
+                j += 1
+            if j == width:
+                return
+            c = codes[j] = codes[j] + 1
+            codes[:j] = [0] * j
+            levels[: j + 1] = [combine(levels[j + 1], times(basis[low + j], c))] * (j + 1)
 
 
 class GroupRingEnum(EnumerableRing):
@@ -108,8 +167,8 @@ class GroupRingEnum(EnumerableRing):
     def element(self, index: int) -> GroupRingElem:
         return GroupRingElem(self.ctx, self.group, self._vector(index))
 
-    def is_unit(self, a) -> bool:
-        return linalg.is_invertible(circulant_rows(a), self.ctx)
+    def unit_matrix(self, a) -> list[list[int]]:
+        return circulant_rows(a)
 
     def label(self, a) -> str:
         return format_element(a)
@@ -143,8 +202,8 @@ class JoinRingEnum(EnumerableRing):
                     pos += 1
         return JoinElem(self.shape, blocks, offdiag)
 
-    def is_unit(self, a) -> bool:
-        return linalg.is_invertible(join_embed(a), self.ctx)
+    def unit_matrix(self, a) -> list[list[int]]:
+        return join_embed(a)
 
     def label(self, a) -> str:
         return a.to_json()
@@ -235,8 +294,8 @@ class SemimagicRing(EnumerableRing):
     def mul(self, a, b):
         return tuple(tuple(r) for r in linalg.mat_mul([list(r) for r in a], [list(r) for r in b], self.ctx))
 
-    def is_unit(self, a) -> bool:
-        return linalg.is_invertible([list(r) for r in a], self.ctx)
+    def unit_matrix(self, a):
+        return a
 
     def label(self, a) -> str:
         return repr([list(r) for r in a])
@@ -262,7 +321,7 @@ def enumerate_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> int:
 def list_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
     """Every unit, in enumeration order."""
     ring.check_cap(cap)
-    return [a for a in ring.elements() if ring.is_unit(a)]
+    return ring.units()
 
 
 def _orders(units, mul, one) -> dict:

@@ -112,6 +112,18 @@ def test_invertibility_and_inverse(spec):
 
 
 @pytest.mark.parametrize("spec", FIELDS)
+def test_packed_rows_invertibility_leaves_its_rows(spec):
+    ctx = parse_field(spec)
+    rng = random.Random(f"linalg/rows/{spec}")
+    for n in (1, 3, 5):
+        for a in [_rand(rng, ctx, n, n) for _ in range(4)] + _singular(rng, ctx, n):
+            rows = list(map(ctx.packing.pack, a))
+            kept = list(rows)
+            assert linalg.rows_invertible(rows, ctx) == (_det_ref(a, ctx) != 0)
+            assert rows == kept
+
+
+@pytest.mark.parametrize("spec", FIELDS)
 def test_nullspace_and_mat_mul(spec):
     ctx = parse_field(spec)
     rng = random.Random(f"nullspace/{spec}")

@@ -1,7 +1,9 @@
+import time
 from math import lcm, prod
 
 import pytest
 
+from joinrings import linalg
 from joinrings.errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from joinrings.ffield import parse_field
 from joinrings.groupring import gr_unit_count
@@ -283,17 +285,18 @@ def test_unit_count_matches_elementwise(label):
 def test_unit_count_tests_one_element_per_scalar_class(label, monkeypatch):
     ring = COUNT_RINGS[label]
     tested = []
-    is_unit = type(ring).is_unit
+    rows_invertible = linalg.rows_invertible
 
-    def counted(self, a):
-        tested.append(a)
-        return is_unit(self, a)
+    def counted(rows, ctx):
+        tested.append(list(rows))
+        return rows_invertible(rows, ctx)
 
-    monkeypatch.setattr(type(ring), "is_unit", counted)
+    monkeypatch.setattr(linalg, "rows_invertible", counted)
     enumerate_units(ring)
     q = ring.ctx.q
     assert len(tested) == (q**ring.dim - 1) // (q - 1)
-    assert ring.element(0) not in tested
+    zero = list(map(ring.ctx.packing.pack, ring.unit_matrix(ring.element(0))))
+    assert zero not in tested
 
 
 def _unit_orders_by_prime_stripping(ring):
@@ -318,6 +321,45 @@ ORDER_RINGS = {
     "F4[C3]": GroupRingEnum(cyclic(3), parse_field("F4")),
     "F2[S3]": GroupRingEnum(parse_group_spec("S3"), F2),
 }
+
+
+LIST_RINGS = {
+    **COUNT_RINGS,
+    **ORDER_RINGS,
+    # extension-field codes, which do not add as integers
+    "F9[C4]": GroupRingEnum(cyclic(4), parse_field("F9")),
+}
+
+
+@pytest.mark.parametrize("label", LIST_RINGS)
+def test_list_units_keeps_enumeration_order(label):
+    # join(C2,C2;F3), among the adapters, has off-diagonal coordinates
+    ring = LIST_RINGS[label]
+    assert list_units(ring) == [a for a in ring.elements() if ring.is_unit(a)]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [GroupRingEnum(cyclic(1), parse_field("F1048576")), semimagic_ring(1, parse_field("F1048576"))],
+    ids=["F1048576[C1]", "SM1(F1048576)"],
+)
+def test_unit_count_builds_nothing_that_grows_with_q(ring):
+    # one elimination, and no table of the q multiples of a basis matrix
+    start = time.perf_counter()
+    assert enumerate_units(ring) == 2**20 - 1
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec", ["F1031", "F2048", "F2187"])
+def test_unit_count_on_untabled_fields(spec):
+    # the walk multiplies a packed basis matrix by every code above the
+    # table limit, in q + 1 eliminations; the q^2 elements pass the default
+    # cap.  F_q[C2] is F_q x F_q for odd q, and local with radical F_q (1 + g)
+    # in characteristic 2.
+    ring = GroupRingEnum(cyclic(2), parse_field(spec))
+    q = ring.ctx.q
+    units = q * (q - 1) if q % 2 == 0 else (q - 1) ** 2
+    assert enumerate_units(ring, cap=ring.size) == units
 
 
 @pytest.mark.parametrize("label", ORDER_RINGS)

@@ -4,7 +4,8 @@ bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
-oracle imports none of the closed-form modules or routes, and every demo
+oracle imports none of the closed-form modules or routes, its ring adapters
+leave the unit test and the unit walks to the base class, and every demo
 script runs cleanly.
 """
 
@@ -117,6 +118,21 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     imported = _imported_modules((SRC / "oracle.py").read_text())
     shared = imported & ({"ntheory", "arith", "zeta"} | CLOSED_FORM_ROUTES)
     assert not shared, f"oracle.py imports {sorted(shared)}"
+
+
+def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
+    # every adapter gives unit_matrix; a copy of is_unit or of the walks
+    # could test a different matrix from the one the walks sum
+    own = [
+        f"{path.name}:{item.lineno} {node.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("EnumerableRing") for base in node.bases)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in {"is_unit", "count_units", "units"}
+    ]
+    assert not own, f"EnumerableRing subclasses define {own}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
