@@ -1,13 +1,14 @@
 """Zeta functions of group rings and join rings.
 
-The zeta function of a finite semisimple algebra is a finite product of
-factors (1 - q^{-ns})^{-1}, one for each simple component with residue
-field F_{q^n}.  Its pole order at s = 0 counts the simple components.
+The zeta function of a finite algebra R is a finite product of factors
+(1 - q^{-ns})^{-1}, one for each simple component of R/J with centre
+F_{q^n}.  Its pole order at s = 0 counts the simple components.
 """
 
 from joinrings import (
     cyclic,
     parse_field,
+    parse_group_spec,
     parse_shape_spec,
     zeta_group_ring,
     zeta_join,
@@ -20,6 +21,11 @@ print("group rings over F_2:")
 for n in (3, 5, 6, 7, 15):
     z = zeta_group_ring(cyclic(n), F2)
     print(f"  F_2[Z/{n:>2}]: {z.pretty():45}  pole order {z.pole_order_at_zero()}")
+
+print("\nS3 (p-regular classes under C -> C^q, the Witt-Berman theorem):")
+for field in ("F5", "F2"):
+    z = zeta_group_ring(parse_group_spec("S3"), parse_field(field))
+    print(f"  {field}[S3]: {z.pretty():20}  pole order {z.pole_order_at_zero()}")
 
 print("\njoin rings (blocks of 2-rooted primes give pole order d+1):")
 for spec in ("join(C3;F2)", "join(C3,C5;F2)", "join(C3,C5,C11;F2)",

@@ -25,7 +25,6 @@ from .errors import (
     NotNormalError,
     NotSubgroupError,
     ParseError,
-    UnsupportedCaseError,
 )
 from .ffield import FieldCtx, field_make, parse_field
 from .groupring import (
@@ -86,13 +85,11 @@ from .ntheory import (
 )
 from .zeta import (
     ZetaFunction,
-    zeta_abelian_group_ring,
     zeta_field,
     zeta_group_ring,
     zeta_join,
     zeta_matrix_ring,
     zeta_semimagic,
-    zeta_with_normal_sylow,
 )
 
 __version__ = "0.1.0"

@@ -21,10 +21,6 @@ class NotSubgroupError(AlgebraError):
     """A claimed subgroup fails closure, inverse, or identity checks."""
 
 
-class UnsupportedCaseError(AlgebraError):
-    """The requested computation falls outside the supported cases."""
-
-
 class EnumerationCapError(AlgebraError):
     """A brute-force enumeration would exceed the configured cap."""
 

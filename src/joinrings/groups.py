@@ -109,6 +109,20 @@ class FiniteGroup:
             counts[t] = counts.get(t, 0) + 1
         return counts
 
+    @cached_property
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugacy classes, each sorted, in the order of their least
+        member (so the identity's class comes first).  Built once."""
+        t, inv = self.table, self.inverse
+        seen: set[int] = set()
+        classes = []
+        for g in range(self.order):
+            if g not in seen:
+                c = {t[t[x][g]][inv[x]] for x in range(self.order)}
+                seen |= c
+                classes.append(tuple(sorted(c)))
+        return tuple(classes)
+
     def is_p_group(self, p: int) -> bool:
         if not is_prime(p):
             raise AlgebraError(f"{p} is not prime")
@@ -139,26 +153,6 @@ class FiniteGroup:
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(self.order))
-
-    def normal_sylow(self, p: int) -> "Subgroup | None":
-        """The normal Sylow p-subgroup if one exists, else None.
-
-        A Sylow p-subgroup is normal iff it is unique iff the set of
-        p-power-order elements has exactly the p-part of |G| elements and
-        is closed under the group operation.
-        """
-        pm = 1
-        n = self.order
-        while n % p == 0:
-            pm *= p
-            n //= p
-        candidates = [a for a in range(self.order) if _is_p_power(self.element_orders[a], p)]
-        if len(candidates) != pm:
-            return None
-        cand = set(candidates)
-        if any(self.table[a][b] not in cand for a in candidates for b in candidates):
-            return None
-        return Subgroup(self, sorted(candidates))
 
     def quotient(self, H: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
         """Quotient group G/H with the projection element -> coset index."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import AlgebraError, ParseError, UnsupportedCaseError
+from .errors import AlgebraError, ParseError
 from .ffield import FieldCtx
-from .groupring import wedderburn_abelian
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 from .ntheory import prime_power
 
 
@@ -49,7 +48,7 @@ class ZetaFunction:
         return -sum(self.factors.values())
 
     def degree(self) -> int:
-        """sum n * (-e_n); for semisimple algebras this is the dimension."""
+        """sum n * (-e_n): the dimension of the centre of R/J."""
         return -sum(n * e for n, e in self.factors.items())
 
     def __eq__(self, other):
@@ -111,46 +110,33 @@ def zeta_matrix_ring(n: int, q: int) -> ZetaFunction:
     return ZetaFunction(q, {1: -1})
 
 
-def zeta_abelian_group_ring(group: FiniteGroup, ctx: FieldCtx) -> ZetaFunction:
-    """prod_{d | n} (1 - q^{-ord_d(q) s})^{-a_d} for abelian G coprime to q."""
-    factors: dict[int, int] = {}
-    for _, a_d, deg in wedderburn_abelian(group, ctx).triples:
-        factors[deg] = factors.get(deg, 0) - a_d
-    return ZetaFunction(ctx.q, factors)
-
-
-def zeta_with_normal_sylow(group: FiniteGroup, H: Subgroup, ctx: FieldCtx) -> ZetaFunction:
-    """Modular case via the radical: zeta of F_q[G] equals zeta of F_q[G/H].
-
-    H must be a normal Sylow p-subgroup for p = char(F_q), and the quotient
-    must be abelian of order coprime to p.
-    """
-    p = ctx.p
-    if H.parent != group:
-        raise AlgebraError("subgroup belongs to a different group")
-    sylow = group.normal_sylow(p)
-    if sylow is None or sylow.elements != H.elements:
-        raise UnsupportedCaseError(f"{H} is not the normal {p}-Sylow subgroup")
-    quotient, _ = group.quotient(H)
-    if not quotient.is_abelian:
-        raise UnsupportedCaseError("quotient by the Sylow subgroup is not abelian")
-    return zeta_abelian_group_ring(quotient, ctx)
-
-
 def zeta_group_ring(group: FiniteGroup, ctx: FieldCtx) -> ZetaFunction:
-    """Dispatch: semisimple abelian case directly, else normal-Sylow reduction."""
-    if group.order % ctx.p != 0:
-        if not group.is_abelian:
-            raise UnsupportedCaseError(
-                f"{group.name}: non-abelian coprime case is not supported"
-            )
-        return zeta_abelian_group_ring(group, ctx)
-    sylow = group.normal_sylow(ctx.p)
-    if sylow is None:
-        raise UnsupportedCaseError(
-            f"{group.name} has no normal {ctx.p}-Sylow subgroup; zeta not supported"
-        )
-    return zeta_with_normal_sylow(group, sylow, ctx)
+    """prod over orbits (1 - q^{-ts})^{-1}: the Witt-Berman theorem.
+
+    The simple components of F_q[G]/J match the orbits of C -> C^q on the
+    conjugacy classes of p-regular elements, p = char(F_q), and an orbit of
+    t classes gives a component with centre F_{q^t}.  F_5[S3] gives
+    {1: -3}, F_2[S3] {1: -2} and F_3[Q8] {1: -5}.
+    """
+    q, p = ctx.q, ctx.p
+    table, orders = group.table, group.element_orders
+    classes = group.conjugacy_classes
+    label = {g: i for i, c in enumerate(classes) for g in c}
+    factors: dict[int, int] = {}
+    seen: set[int] = set()
+    for i, c in enumerate(classes):
+        g, m = c[0], orders[c[0]]
+        if m % p == 0 or i in seen:
+            continue
+        # follow g^(q^t); powers[j] = g^j, built only as far as the orbit reaches
+        powers, k, t = [0, g], 1, 0
+        while t == 0 or label[powers[k]] != i:
+            k, t = k * q % m, t + 1
+            while len(powers) <= k:
+                powers.append(table[powers[-1]][g])
+            seen.add(label[powers[k]])
+        factors[t] = factors.get(t, 0) - 1
+    return ZetaFunction(q, factors)
 
 
 def zeta_semimagic(n: int, q: int) -> ZetaFunction:
@@ -166,9 +152,14 @@ def zeta_semimagic(n: int, q: int) -> ZetaFunction:
 
 
 def zeta_join(shape) -> ZetaFunction:
-    """(1 - q^{-s})^{r-1} times the product of the per-block zetas."""
+    """(1 - q^{-s})^{max(r-1, 0)} times the product of the per-block zetas.
+
+    r counts the semisimple blocks.  Only their trivial components merge
+    into one M_r(F_q), which removes r - 1 factors (1 - q^{-s})^{-1}; with
+    r = 0 nothing merges and nothing is removed.
+    """
     ctx = shape.ctx
-    z = ZetaFunction(ctx.q, {1: shape.r - 1})
+    z = ZetaFunction(ctx.q, {1: max(shape.r - 1, 0)})
     for g in shape.groups:
         z = z * zeta_group_ring(g, ctx)
     return z

@@ -50,6 +50,17 @@ def test_zeta_command(capsys):
     assert data["pole_order_at_zero"] == 3
 
 
+@pytest.mark.parametrize("argv, factors", [
+    (["--group", "S3", "--field", "F5"], {"1": -3}),
+    (["--group", "Q8", "--field", "F3"], {"1": -5}),
+    (["--group", "S3", "--field", "F2"], {"1": -2}),
+    (["--shape", "join(S3,C2;F5)"], {"1": -4}),
+    (["--shape", "join(S3,Q8;F5)"], {"1": -7}),
+])
+def test_zeta_of_non_abelian_and_modular_blocks(capsys, argv, factors):
+    assert run_json(capsys, "zeta", *argv)["factors"] == factors
+
+
 def test_rooted_command(capsys):
     data = run_json(capsys, "rooted", "--primes", "3,5", "--base", "2")
     assert data["verdict"] is True

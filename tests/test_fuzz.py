@@ -29,6 +29,7 @@ ARGV_TEMPLATES = [
     ["join", "--shape", "join(C2,C3;F2)", "--a", "1;1+g1;a[1][2]=1", "--is-unit"],
     ["zeta", "--semimagic", "2", "--field", "F3"],
     ["zeta", "--group", "C3", "--field", "F2"],
+    ["zeta", "--group", "S3", "--field", "F5"],
     ["rooted", "--primes", "3,5", "--base", "2"],
     ["delta", "--field", "F4", "--p", "3", "--r", "2"],
     ["delta", "--group", "C4", "--field", "F3", "--p", "2", "--r", "3"],

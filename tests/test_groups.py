@@ -83,11 +83,10 @@ def test_non_normal_quotient_rejected():
         s3.quotient(h)
 
 
-def test_normal_sylow():
-    g = cyclic(12)
-    h = g.normal_sylow(2)
-    assert h is not None and len(h.elements) == 4
-    assert g.normal_sylow(5) is None or len(g.normal_sylow(5).elements) == 1
+def test_conjugacy_classes():
+    assert symmetric(3).conjugacy_classes == ((0,), (1, 2, 5), (3, 4))
+    assert quaternion().conjugacy_classes == ((0,), (1,), (2, 3), (4, 5), (6, 7))
+    assert cyclic(4).conjugacy_classes == ((0,), (1,), (2,), (3,))
 
 
 def test_subgroup_generated():

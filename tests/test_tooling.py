@@ -120,6 +120,15 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     assert not shared, f"oracle.py imports {sorted(shared)}"
 
 
+def test_zeta_shares_no_code_with_the_unit_counts():
+    # rooted_equivalence_report compares the zeta pole order with
+    # join_unit_count, which reaches ord_mod through wedderburn_abelian;
+    # zeta must find its orbits from the group table alone
+    imported = _imported_modules((SRC / "zeta.py").read_text())
+    shared = imported & {"ord_mod", "wedderburn_abelian", "groupring"}
+    assert not shared, f"zeta.py imports {sorted(shared)}"
+
+
 def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
     # every adapter gives unit_matrix; a copy of is_unit or of the walks
     # could test a different matrix from the one the walks sum
