@@ -109,10 +109,9 @@ def rooted_equivalence_report(primes, q: int) -> RootedReport:
         if p % char == 0:
             raise AlgebraError(f"prime {p} equals the characteristic of F_{q}")
 
+    # cyclic(p) refuses a prime above the group order cap before any flag
+    shape = JoinShape([cyclic(p) for p in primes], parse_field(f"F{q}"))
     rooted_flags = tuple(is_q_rooted(p, q) for p in primes)
-
-    ctx = parse_field(f"F{q}")
-    shape = JoinShape([cyclic(p) for p in primes], ctx)
     d = len(primes)
 
     pole = zeta_join(shape).pole_order_at_zero()
@@ -277,18 +276,11 @@ def classify_group_algebra_delta(
     if p == char:
         # modular case: only q = 2 can work
         if q != 2:
-            verdict, label, strict_n, evidence = (
-                False,
-                "no case (characteristic p with q > 2)",
-                None,
-                {"q_minus_1": q - 1},
-            )
-        elif group.is_abelian:
+            return DeltaClassification(subject, p, r, False, "no case (characteristic p with q > 2)",
+                                       evidence={"q_minus_1": q - 1})
+        if group.is_abelian:
             # every normalized unit's order divides exp(G), and G embeds
-            verdict = pow(p, r, exp_g) == 0
-            label = "q = p = 2, abelian (exponent of G decides)"
-            strict_n = exp_g
-            evidence = {"exp_U1": exp_g}
+            e, label = exp_g, "q = p = 2, abelian (exponent of G decides)"
         else:
             try:
                 e = oracle.exp_U1(group, parse_field("F2"), cap)
@@ -298,11 +290,9 @@ def classify_group_algebra_delta(
                     "unknown (enumeration infeasible)",
                     evidence={"size": 2**group.order, "cap": cap},
                 )
-            verdict = pow(p, r, e) == 0
             label = "q = p = 2 (normalized-unit exponent by enumeration)"
-            strict_n = e
-            evidence = {"exp_U1": e}
-        return DeltaClassification(subject, p, r, verdict, label, strict_n if verdict else None, evidence)
+        verdict = pow(p, r, e) == 0
+        return DeltaClassification(subject, p, r, verdict, label, e if verdict else None, {"exp_U1": e})
 
     # coprime case: semisimple
     if not group.is_abelian:
@@ -370,21 +360,15 @@ def classify_join_delta(
 
     exponents = None
     if conditions["p_q_both_2"] and conditions["blocks_2_groups"]:
-        exponents = []
-        for g in shape.groups:
-            if g.is_abelian:
-                exponents.append(g.exponent())
-            else:
-                try:
-                    exponents.append(oracle.exp_U1(g, shape.ctx, cap))
-                except EnumerationCapError:
-                    return DeltaClassification(
-                        subject, p, r, None,
-                        "unknown (block enumeration infeasible)",
-                        evidence={"conditions": conditions},
-                    )
-        # the exponents are powers of 2, so 2^r >= each iff each divides 2^r
-        conditions["exponent_bound"] = all(pow(2, r, e) == 0 for e in exponents)
+        blocks = [classify_group_algebra_delta(2, g, 2, r, cap) for g in shape.groups]
+        if any(block.verdict is None for block in blocks):
+            return DeltaClassification(
+                subject, p, r, None,
+                "unknown (block enumeration infeasible)",
+                evidence={"conditions": conditions},
+            )
+        exponents = [block.evidence["exp_U1"] for block in blocks]
+        conditions["exponent_bound"] = all(block.verdict for block in blocks)
     else:
         conditions["exponent_bound"] = False
 

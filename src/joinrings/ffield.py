@@ -51,6 +51,9 @@ from .ntheory import factorize, is_prime, order_dividing, power, prime_power
 # Zech) arrays; above it every operation is computed on demand.
 _TABLE_LIMIT = 1024
 
+# parse_field refuses larger extension fields; F_{5^25} takes 0.6 s to build
+_EXTENSION_LIMIT = 2**60
+
 # Each lane of a lifted code (odd p, k > 1) holds the sum of 2**_LANE_HEADROOM
 # lifted codes without carrying into the next lane.  A convolution sums one
 # term per group element, far fewer than that.
@@ -638,6 +641,8 @@ def parse_field(spec: str) -> FieldCtx:
     pk = prime_power(q)
     if pk is None:
         raise ParseError(f"{q} is not a prime power")
+    if pk[1] > 1 and q > _EXTENSION_LIMIT:
+        raise ParseError(f"F{q} is an extension field above 2^60, too large to build")
     return _cached_field(*pk)
 
 

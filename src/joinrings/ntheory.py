@@ -2,8 +2,7 @@
 
 Everything here is deterministic.  Primality is Miller-Rabin with a fixed
 set of bases that is proven exact below ``MR_LIMIT``; factoring is trial
-division up to sqrt(n), so it is meant for desk-scale n.  No probabilistic
-tests.
+division up to ``TRIAL_BOUND``, for desk-scale n.  No probabilistic tests.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .errors import AlgebraError
 # twelve prime bases", Math. Comp. 86, 2017).
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
+TRIAL_BOUND = 1 << 20  # factorize divides by trial up to here: about 0.05 s
 
 
 def is_prime(n: int) -> bool:
@@ -51,7 +51,7 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: multiplicity}."""
+    """{prime: multiplicity}; a cofactor left past ``TRIAL_BOUND`` must pass is_prime."""
     if n < 1:
         raise AlgebraError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -60,12 +60,14 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f * f <= n and f <= TRIAL_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
+    if f * f <= n and not is_prime(n):
+        raise AlgebraError(f"cannot factor {n}: it has no prime factor up to {TRIAL_BOUND}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

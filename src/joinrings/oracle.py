@@ -18,10 +18,14 @@ additions, a split into rows, and one elimination.  The unit count walks
 one element per scalar class {c a : c in F_q^x}, since c a is a unit iff a
 is, and multiplies by q - 1: (q^dim - 1)/(q - 1) eliminations.
 `list_units` walks every index and builds an element only for a unit.
+The radical is {x : 1 + r x is a unit for all r}, the quasi-regular 1 - r x
+with r replaced by -r: U(1 + r x) = U(1) + sum r_i U(b_i x) is linear in r,
+so the same walk, from U(1) over the U(b_i x), tests x against every r.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property, reduce
 from itertools import chain, product
 from math import gcd, lcm
@@ -45,11 +49,11 @@ class EnumerableRing:
 
     Index 0 is zero; `one` is the identity.  `element(i)` decodes the i-th
     coefficient vector (lexicographic, least significant first).  Every
-    oracle below works through these methods alone: `add`, `sub` and `mul`
+    oracle below works through these methods alone: `add` and `mul`
     default to the element operators, `is_unit` asks whether `unit_matrix`
-    is invertible, and `count_units` and `units` walk the packed unit
-    matrices without building elements.  Elements are hashable and compare
-    by value.  Subclasses provide `element(i)`, `unit_matrix(a)` and
+    is invertible, and `count_units`, `units` and the radical walk the packed
+    unit matrices without building elements.  Elements are hashable and
+    compare by value.  Subclasses provide `element(i)`, `unit_matrix(a)` and
     `label(a)`, and override the arithmetic when their elements have no
     operators.  `element` and `unit_matrix` must be linear in the
     coefficient vector, and `unit_matrix(a)` invertible iff a is a unit.
@@ -90,9 +94,6 @@ class EnumerableRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -108,39 +109,46 @@ class EnumerableRing:
         walk over the coordinates above t.
         """
         basis, ctx = self._basis(), self.ctx
-        tested = (rows for t in range(self.dim) for rows in self._walk(basis, basis[t], t + 1))
+        tested = (rows for t in range(self.dim)
+                  for rows in self._walk(basis[t], basis[t + 1:], self.dim - t - 1))
         return (ctx.q - 1) * sum(1 for rows in tested if linalg.rows_invertible(rows, ctx))
 
     def units(self) -> list:
         """Every unit, in enumeration order; only units are built as elements."""
         ctx = self.ctx
-        walk = enumerate(self._walk(self._basis(), 0, 0))
+        walk = enumerate(self._walk(0, self._basis(), self.dim))
         return [self.element(i) for i, rows in walk if linalg.rows_invertible(rows, ctx)]
 
     def _basis(self) -> list[int]:
-        """B_i: the unit matrix of each basis vector, packed as one row."""
-        q, pack = self.ctx.q, self.ctx.packing.pack
-        return [pack(chain.from_iterable(self.unit_matrix(self.element(q**i))))
-                for i in range(self.dim)]
+        """B_i: the packed unit matrix of each basis vector."""
+        q = self.ctx.q
+        return [self._pack(self.element(q**i)) for i in range(self.dim)]
 
-    def _walk(self, basis: list[int], base: int, low: int):
-        """Packed rows of base + sum_{i >= low} c_i B_i for every choice of
-        the codes c_low..c_{dim-1}, in increasing index order.
+    def _pack(self, a) -> int:
+        """The unit matrix of a, packed as one integer."""
+        return self.ctx.packing.pack(chain.from_iterable(self.unit_matrix(a)))
 
-        levels[j] is base plus the terms of coordinates low + j and up.  A
-        step raises the lowest coordinate below q - 1 and zeroes those under
-        it, whose levels then equal their parent.  Each multiple c B_i is
-        built when its coordinate changes, so nothing here grows with q.
-        """
-        packing = self.ctx.packing
-        combine, times = packing.combine, packing.times
+    @cached_property
+    def _row_split(self) -> tuple[int, range]:
+        """(mask, shifts) that split a packed unit matrix into its rows."""
         n = len(self.unit_matrix(self.element(0)))
-        stride = n * packing.entry_bits
-        row_mask = (1 << stride) - 1
-        shifts = range(0, n * stride, stride)
+        stride = n * self.ctx.packing.entry_bits
+        return (1 << stride) - 1, range(0, n * stride, stride)
+
+    def _walk(self, base: int, terms: Iterable[int], width: int):
+        """Packed rows of base + sum_{j < width} c_j T_j, T_j the j-th of
+        `terms`, for every choice of the codes c_j, in increasing index order.
+
+        levels[j] is base plus the terms of coordinates j and up.  A step
+        raises the lowest coordinate below q - 1 and zeroes those under it,
+        whose levels then equal their parent.  Each multiple c T_j is built
+        when its coordinate changes, so nothing here grows with q.  T_j is
+        drawn when coordinate j first steps up, at index q^j.
+        """
+        combine, times = self.ctx.packing.combine, self.ctx.packing.times
+        row_mask, shifts = self._row_split
         top = self.ctx.q - 1
-        codes = [0] * (self.dim - low)
-        width = len(codes)
+        terms, codes, drawn = iter(terms), [0] * width, []
         levels = [base] * (width + 1)
         while True:
             matrix = levels[0]
@@ -150,9 +158,11 @@ class EnumerableRing:
                 j += 1
             if j == width:
                 return
+            if j == len(drawn):
+                drawn.append(next(terms))
             c = codes[j] = codes[j] + 1
             codes[:j] = [0] * j
-            levels[: j + 1] = [combine(levels[j + 1], times(basis[low + j], c))] * (j + 1)
+            levels[: j + 1] = [combine(levels[j + 1], times(drawn[j], c))] * (j + 1)
 
 
 class GroupRingEnum(EnumerableRing):
@@ -286,10 +296,6 @@ class SemimagicRing(EnumerableRing):
     def add(self, a, b):
         add = self.ctx.add
         return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-    def sub(self, a, b):
-        sub = self.ctx.sub
-        return tuple(tuple(sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
     def mul(self, a, b):
         return tuple(tuple(r) for r in linalg.mat_mul([list(r) for r in a], [list(r) for r in b], self.ctx))
@@ -427,18 +433,21 @@ def check_positive(n: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def jacobson_radical(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
-    """{x : 1 - r x is a unit for all r}, verified two-sided and nilpotent."""
+    """{x : 1 + r x is a unit for all r}, verified two-sided and nilpotent.
+
+    r -> -r makes this the quasi-regular {x : 1 - r x is a unit for all r}.
+    The walk from U(1) over the U(b_i x), b_i the basis vectors, tests every
+    r and stops at the first singular matrix, building b_i x only once it
+    reaches coordinate i.
+    """
     ring.check_cap(cap)
     elements = list(ring.elements())
-    one = ring.one
+    ctx, one = ring.ctx, ring._pack(ring.one)
+    basis = [ring.element(ctx.q**i) for i in range(ring.dim)]
     rad = []
     for x in elements:
-        ok = True
-        for r in elements:
-            if not ring.is_unit(ring.sub(one, ring.mul(r, x))):
-                ok = False
-                break
-        if ok:
+        walk = ring._walk(one, (ring._pack(ring.mul(b, x)) for b in basis), len(basis))
+        if all(linalg.rows_invertible(rows, ctx) for rows in walk):
             rad.append(x)
 
     rad_set = set(rad)

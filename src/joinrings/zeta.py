@@ -84,15 +84,15 @@ class ZetaFunction:
         except ValueError as exc:
             raise ParseError(f"bad zeta function JSON: {exc}") from None
         q, factors = (data.get("q"), data.get("factors")) if isinstance(data, dict) else (None, None)
-        try:
-            q_ok = type(q) is int and prime_power(q) is not None
-        except AlgebraError:  # too long to decide
-            q_ok = False
-        if not q_ok or not isinstance(factors, dict):
-            raise ParseError("zeta function JSON needs a prime power 'q' and a 'factors' object")
+        needs = "zeta function JSON needs a prime power 'q' and a 'factors' object"
+        if type(q) is not int or not isinstance(factors, dict):
+            raise ParseError(needs)
         if not all(re.fullmatch(r"[1-9][0-9]*", n) and type(e) is int for n, e in factors.items()):
             raise ParseError(f"zeta factors must map degrees >= 1 to integers, got {factors}")
-        return cls(q, {int(n): e for n, e in factors.items()})
+        try:
+            return cls(q, {int(n): e for n, e in factors.items()})
+        except AlgebraError:  # q is no prime power, or too long to decide
+            raise ParseError(needs) from None
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +118,15 @@ def zeta_group_ring(group: FiniteGroup, ctx: FieldCtx) -> ZetaFunction:
     t classes gives a component with centre F_{q^t}.  F_5[S3] gives
     {1: -3}, F_2[S3] {1: -2} and F_3[Q8] {1: -5}.
     """
+    return ZetaFunction(ctx.q, _add_orbits(group, ctx, {}))
+
+
+def _add_orbits(group: FiniteGroup, ctx: FieldCtx, factors: dict[int, int]) -> dict[int, int]:
+    """Add -1 to factors[t] for each orbit of t classes; return factors."""
     q, p = ctx.q, ctx.p
     table, orders = group.table, group.element_orders
     classes = group.conjugacy_classes
     label = {g: i for i, c in enumerate(classes) for g in c}
-    factors: dict[int, int] = {}
     seen: set[int] = set()
     for i, c in enumerate(classes):
         g, m = c[0], orders[c[0]]
@@ -136,19 +140,15 @@ def zeta_group_ring(group: FiniteGroup, ctx: FieldCtx) -> ZetaFunction:
                 powers.append(table[powers[-1]][g])
             seen.add(label[powers[k]])
         factors[t] = factors.get(t, 0) - 1
-    return ZetaFunction(q, factors)
+    return factors
 
 
 def zeta_semimagic(n: int, q: int) -> ZetaFunction:
     """zeta of the semimagic-square ring SM_n(F_q); char-sensitive at n = 2."""
     if n < 1:
         raise AlgebraError(f"semimagic size must be >= 1, got {n}")
-    p, _ = prime_power(q)
-    if n == 1:
-        return ZetaFunction(q, {1: -1})
-    if n == 2:
-        return ZetaFunction(q, {1: -1 if p == 2 else -2})
-    return ZetaFunction(q, {1: -2})
+    # the constructor refuses a q that is no prime power; one that is, is even iff p = 2
+    return ZetaFunction(q, {1: -1 if n == 1 or (n == 2 and q % 2 == 0) else -2})
 
 
 def zeta_join(shape) -> ZetaFunction:
@@ -158,8 +158,7 @@ def zeta_join(shape) -> ZetaFunction:
     into one M_r(F_q), which removes r - 1 factors (1 - q^{-s})^{-1}; with
     r = 0 nothing merges and nothing is removed.
     """
-    ctx = shape.ctx
-    z = ZetaFunction(ctx.q, {1: max(shape.r - 1, 0)})
+    factors = {1: max(shape.r - 1, 0)}
     for g in shape.groups:
-        z = z * zeta_group_ring(g, ctx)
-    return z
+        _add_orbits(g, shape.ctx, factors)
+    return ZetaFunction(shape.ctx.q, factors)

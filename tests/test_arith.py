@@ -250,6 +250,26 @@ def test_is_prime_large_cases():
         is_prime(2**89 - 1)  # a Mersenne prime beyond the proven range
 
 
+def test_factorize_stops_trial_division_at_its_bound(monkeypatch):
+    from joinrings import ntheory
+
+    bound = ntheory.TRIAL_BOUND
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}  # prime: accepted past the bound
+    assert factorize(6 * 1000003 * 1000033) == {2: 1, 3: 1, 1000003: 1, 1000033: 1}
+    with pytest.raises(AlgebraError, match="no prime factor up to"):
+        factorize((2**31 - 1) ** 2)  # both factors above the bound
+    with pytest.raises(AlgebraError):
+        factorize(2**89 - 1)  # prime, but past the proven range of is_prime
+
+    # below the bound squared trial division ends the search, as it always did
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) below the bound squared")
+
+    monkeypatch.setattr(ntheory, "is_prime", refuse)
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert 1000003 * 1000033 < bound * bound
+
+
 def test_iroot_and_prime_power():
     for n in range(3000):
         for k in range(1, 13):

@@ -275,6 +275,26 @@ def test_long_field_spec_fails_quickly(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", f"F{2**61}", "--order", "3"],  # 2^61 - 1 is prime
+    ["field", f"F{2**101}", "--order", "3"],  # 2^101 - 1 = 7432339208719 * 341117531003194129
+    ["rooted", "--primes", "1000000000000000003", "--base", "2"],
+    ["field", f"F{3**100}"],
+    ["field", f"F{5**50}"],
+    ["field", f"F{2**128}"],
+    ["field", f"F{2**400}"],
+], ids=["F2^61-order", "F2^101-order", "rooted-huge-prime", "F3^100", "F5^50", "F2^128", "F2^400"])
+def test_unbounded_inputs_are_refused_quickly(capsys, argv):
+    import time
+
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sweep_rooted_over_a_prime_power_base(capsys):
     # p = 2 is the characteristic of F_4 and is skipped, not refused
     data = run_json(capsys, "sweep", "rooted", "--bases", "4", "--pmax", "8")

@@ -218,6 +218,14 @@ def test_twenty_digit_extension_builds_and_inverts():
         assert ctx.mul(a, inv) == 1 == ref["mul"](a, inv), a
 
 
+def test_extension_fields_stop_at_the_size_limit():
+    assert (parse_field(f"F{2**40}").k, parse_field(f"F{2**60}").k) == (40, 60)
+    for q in (2**61, 3**38, 5**26):
+        with pytest.raises(ParseError, match="above 2\\^60"):
+            parse_field(f"F{q}")
+    assert parse_field(f"F{2**61 - 1}").k == 1  # a prime field has no modulus to find
+
+
 def test_context_pickles_by_definition():
     import pickle
 

@@ -11,6 +11,7 @@ from joinrings.groups import cyclic, parse_group_spec
 from joinrings.joinring import join_unit_count, parse_shape_spec
 from joinrings.ntheory import factorize
 from joinrings.oracle import (
+    EnumerableRing,
     GroupRingEnum,
     JoinRingEnum,
     _orders,
@@ -258,6 +259,45 @@ def test_radical_on_every_adapter(label):
     ring, count, _ = ADAPTERS[label]
     assert jacobson_radical(ring) == [ring.element(0)]
     assert semisimple_unit_factorization(ring) == (count, 1, count)
+
+
+def _difference(ring, a, b):
+    if isinstance(a, tuple):  # a semimagic matrix, as a tuple of rows
+        return tuple(tuple(map(ring.ctx.sub, ra, rb)) for ra, rb in zip(a, b))
+    return a - b
+
+
+def _radical_by_pairs(ring):
+    """The radical the long way: every x with 1 - r x a unit for every r,
+    one product, one difference and one is_unit per pair (x, r)."""
+    elements = list(ring.elements())
+    return [x for x in elements
+            if all(ring.is_unit(_difference(ring, ring.one, ring.mul(r, x))) for r in elements)]
+
+
+RADICAL_RINGS = {
+    **{label: ring for label, (ring, _, _) in ADAPTERS.items()},
+    # the rings of the benchmark's radical and factorization jobs
+    "F2[C6]": GroupRingEnum(cyclic(6), F2),
+    "F3[C3]": GroupRingEnum(cyclic(3), F3),
+    "SM3(F2)": semimagic_ring(3, F2),
+    "F2[S3]": GroupRingEnum(parse_group_spec("S3"), F2),
+    "join(C2,C2;F2)": JoinRingEnum(parse_shape_spec("join(C2,C2;F2)")),
+}
+
+
+@pytest.mark.parametrize("label", RADICAL_RINGS)
+def test_radical_matches_the_pairwise_definition(label):
+    ring = RADICAL_RINGS[label]
+    assert jacobson_radical(ring) == _radical_by_pairs(ring)
+
+
+def test_radical_decides_membership_on_the_walk(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("jacobson_radical called is_unit")
+
+    monkeypatch.setattr(EnumerableRing, "is_unit", refuse)
+    assert len(jacobson_radical(RADICAL_RINGS["F2[C6]"])) == 8
 
 
 def _unit_count_elementwise(ring):

@@ -67,6 +67,10 @@ def test_zeta_semimagic_cases():
     assert zeta_semimagic(2, 3).factors == {1: -2}
     assert zeta_semimagic(3, 2).factors == {1: -2}
     assert zeta_semimagic(4, 3).factors == {1: -2}
+    assert zeta_semimagic(2, 4).factors == {1: -1}  # F_4 has characteristic 2 too
+    for n in (1, 2, 3):
+        with pytest.raises(AlgebraError, match="not a prime power"):
+            zeta_semimagic(n, 6)
 
 
 def test_zeta_product_and_pretty():
