@@ -14,6 +14,7 @@ from joinrings.oracle import (
     semimagic_ring,
     semisimple_unit_factorization,
     unit_group_exponent,
+    unit_orders,
 )
 
 F2 = parse_field("F2")
@@ -32,7 +33,7 @@ print(f"\n{shape!r}: {enumerate_units(ring)} units among {ring.size} elements")
 print("\nunit-group exponents:")
 for n in (2, 4, 8):
     ring = GroupRingEnum(cyclic(n), F2)
-    print(f"  F_2[Z/{n}]: exponent {unit_group_exponent(ring)}")
+    print(f"  F_2[Z/{n}]: exponent {unit_group_exponent(unit_orders(ring))}")
 
 print("\nJacobson radical via quasi-regularity:")
 for ring in (GroupRingEnum(cyclic(3), F2), GroupRingEnum(cyclic(4), F2),

@@ -256,8 +256,9 @@ def classify_group_algebra_delta(
 
     Matches the six-way case analysis (Fermat / Mersenne over F_{p+1} /
     Mersenne over F_2 / q=3 with exponent 4 or 8 / q=9 / modular
-    characteristic-2 case), then cross-checks against an independently
-    computed unit-group exponent wherever one is available.  The modular
+    characteristic-2 case), or q = 2 with G trivial, then cross-checks
+    against an independently computed unit-group exponent wherever one is
+    available.  The modular
     case q = p = 2 with G non-abelian defers to exhaustive enumeration and
     reports verdict None when that is infeasible.
     """
@@ -319,7 +320,8 @@ def classify_group_algebra_delta(
 
 
 def _group_algebra_case(q: int, p: int, r: int, exp_g: int):
-    """Six-way case analysis for abelian p-groups in the coprime case."""
+    """Case analysis for abelian p-groups in the coprime case: the six
+    cases, then F_2[1] = F_2, whose one unit satisfies every u^n = 1."""
     fermat, n = is_fermat_prime(q)
     if fermat and p == 2 and r >= 2**n and (q - 1) % exp_g == 0:
         return True, f"Fermat prime q = 2^(2^{n}) + 1, exp(G) | 2^(2^{n})"
@@ -333,6 +335,8 @@ def _group_algebra_case(q: int, p: int, r: int, exp_g: int):
         return True, "q = 3, r >= 3, exp(G) in {4, 8}"
     if p == 2 and q == 9 and r >= 3 and exp_g in (1, 2, 4, 8):
         return True, "q = 9, r >= 3, exp(G) <= 8"
+    if q == 2 and exp_g == 1:
+        return True, "q = 2, G trivial (unit group trivial)"
     return False, "no case"
 
 

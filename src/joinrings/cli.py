@@ -262,41 +262,40 @@ def _cmd_delta(args) -> dict:
 
 def _oracle_ring(args) -> oracle.EnumerableRing:
     if args.shape:
-        return oracle.JoinRingEnum(parse_shape_spec(args.shape))
+        return oracle.JoinRingEnum(parse_shape_spec(args.shape), args.cap)
     if args.semimagic is not None:
         if not args.field:
             raise AlgebraError("--semimagic requires --field")
-        return oracle.semimagic_ring(args.semimagic, parse_field(args.field))
+        return oracle.SemimagicRing(args.semimagic, parse_field(args.field), args.cap)
     if args.group:
         if not args.field:
             raise AlgebraError("--group requires --field")
-        return oracle.GroupRingEnum(parse_group_spec(args.group), parse_field(args.field))
+        return oracle.GroupRingEnum(parse_group_spec(args.group), parse_field(args.field), args.cap)
     raise AlgebraError("oracle needs one of --group, --shape, --semimagic")
 
 
 def _cmd_oracle(args) -> dict:
-    ring = _oracle_ring(args)
-    ring.check_cap(args.cap)  # before the size goes into the report: it may not render
+    ring = _oracle_ring(args)  # refuses a ring above the cap, whose size may not render
     report = {"ring": repr(ring), "size": ring.size}
     if args.delta_n is not None:
         oracle.check_positive(args.delta_n, "exponent")
     if args.order is not None:
         oracle.check_positive(args.order, "order")
     if args.units:
-        report["unit_count"] = oracle.enumerate_units(ring, args.cap)
+        report["unit_count"] = oracle.enumerate_units(ring)
     if args.exponent or args.delta_n is not None or args.order is not None:
-        orders = oracle.unit_orders(ring, args.cap)  # one enumeration for all three
+        orders = oracle.unit_orders(ring)  # one enumeration for all three
     if args.exponent:
-        report["unit_group_exponent"] = oracle.exponent_from_orders(orders)
+        report["unit_group_exponent"] = oracle.unit_group_exponent(orders)
     if args.radical:
-        units, rsize, image = oracle.semisimple_unit_factorization(ring, args.cap)
+        units, rsize, image = oracle.semisimple_unit_factorization(ring)
         report["radical_size"] = rsize
         report["unit_factorization"] = {
             "units": units, "radical": rsize, "image": image,
             "holds": units == rsize * image,
         }
     if args.delta_n is not None:
-        ok, witness, order = oracle.delta_n_from_orders(orders, args.delta_n)
+        ok, witness, order = oracle.is_delta_n(orders, args.delta_n)
         report["is_delta"] = {"n": args.delta_n, "verdict": ok}
         if not ok:
             report["is_delta"]["witness"] = ring.label(witness)
@@ -304,7 +303,7 @@ def _cmd_oracle(args) -> dict:
     if args.order is not None:
         report["units_of_order"] = {
             "m": args.order,
-            "count": oracle.count_of_order_from_orders(orders, args.order),
+            "count": oracle.units_of_order(orders, args.order),
         }
     return report
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import islice
 from math import gcd
 
 from . import linalg
@@ -82,6 +83,14 @@ class JoinShape:
     def element(self, blocks, offdiag=None) -> "JoinElem":
         if offdiag is None:
             offdiag = [[0] * self.d for _ in range(self.d)]
+        return JoinElem(self, blocks, offdiag)
+
+    def from_vector(self, vec) -> "JoinElem":
+        """The element whose :meth:`dimension` coordinates are `vec`: every
+        block coefficient in block order, then the a_ij row by row."""
+        codes = iter(vec)
+        blocks = [GroupRingElem(self.ctx, g, islice(codes, g.order)) for g in self.groups]
+        offdiag = [[next(codes) if i != j else 0 for j in range(self.d)] for i in range(self.d)]
         return JoinElem(self, blocks, offdiag)
 
     def dimension(self) -> int:
@@ -315,17 +324,9 @@ def join_unembed(shape: JoinShape, rows) -> JoinElem:
 
 
 def random_join_element(shape: JoinShape, rng: random.Random) -> JoinElem:
-    """A uniform element: every block coefficient in order, then a_ij row by row."""
+    """A uniform element, drawn in the coordinate order of :meth:`JoinShape.from_vector`."""
     q = shape.ctx.q
-    blocks = [
-        GroupRingElem(shape.ctx, g, [rng.randrange(q) for _ in range(g.order)])
-        for g in shape.groups
-    ]
-    offdiag = [
-        [rng.randrange(q) if i != j else 0 for j in range(shape.d)]
-        for i in range(shape.d)
-    ]
-    return JoinElem(shape, blocks, offdiag)
+    return shape.from_vector([rng.randrange(q) for _ in range(shape.dimension())])
 
 
 # ---------------------------------------------------------------------------

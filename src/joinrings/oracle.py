@@ -4,23 +4,26 @@ Every closed-form claim elsewhere in the package can be replayed here by
 exhaustive enumeration: unit counts, unit orders, Jacobson radicals via
 quasi-regularity, and the u^n = 1 property.  Enumeration order is
 lexicographic over coefficient vectors, so failing witnesses are
-reproducible.
+reproducible.  A ring refuses to be built with more elements than its cap;
+the radical, which pairs elements, refuses more than cap pairs.
 
 Every ring kind gives `unit_matrix(a)`, a matrix linear in a's coefficient
-vector that is invertible iff a is a unit.  The unit count and `list_units`
-build no element to test it.  They walk the indices in increasing order
-(lexicographic n-tuples, as in Knuth, TAOCP 4A, 7.2.1.1) and keep, for each
-coordinate level, the sum of c_i B_i over the coordinates i from that level
-up, where B_i is the unit matrix of the i-th basis vector, packed once per
-call as one integer.  A step that changes coordinate i to c builds that
-level as its parent plus c B_i, so a step costs about q/(q - 1) packed
-additions, a split into rows, and one elimination.  The unit count walks
-one element per scalar class {c a : c in F_q^x}, since c a is a unit iff a
-is, and multiplies by q - 1: (q^dim - 1)/(q - 1) eliminations.
-`list_units` walks every index and builds an element only for a unit.
-The radical is {x : 1 + r x is a unit for all r}, the quasi-regular 1 - r x
-with r replaced by -r: U(1 + r x) = U(1) + sum r_i U(b_i x) is linear in r,
-so the same walk, from U(1) over the U(b_i x), tests x against every r.
+vector that is invertible iff a is a unit.  `enumerate_units` and
+`list_units` build no element to test it.  They walk the indices in
+increasing order (lexicographic n-tuples, as in Knuth, TAOCP 4A, 7.2.1.1)
+and keep, for each coordinate level, the sum of c_i B_i over the
+coordinates i from that level up, where B_i is the unit matrix of the i-th
+basis vector, packed once per call as one integer.  A step that changes
+coordinate i to c builds that level as its parent plus c B_i, so a step
+costs about q/(q - 1) packed additions, a split into rows, and one
+elimination.  The unit count walks one element per scalar class
+{c a : c in F_q^x}, since c a is a unit iff a is, and multiplies by q - 1:
+(q^dim - 1)/(q - 1) eliminations.  `list_units` walks every index and
+builds an element only for a unit.  The radical is {x : 1 + r x is a unit
+for all r}, the quasi-regular 1 - r x with r replaced by -r:
+U(1 + r x) = U(1) + sum r_i U(b_i x) is linear in r, so the same walk, from
+U(1) over the U(b_i x), tests x against every r.  The order questions
+(exponent, units of one order, u^n = 1) read one :func:`unit_orders` list.
 """
 
 from __future__ import annotations
@@ -51,34 +54,26 @@ class EnumerableRing:
     coefficient vector (lexicographic, least significant first).  Every
     oracle below works through these methods alone: `add` and `mul`
     default to the element operators, `is_unit` asks whether `unit_matrix`
-    is invertible, and `count_units`, `units` and the radical walk the packed
-    unit matrices without building elements.  Elements are hashable and
-    compare by value.  Subclasses provide `element(i)`, `unit_matrix(a)` and
-    `label(a)`, and override the arithmetic when their elements have no
+    is invertible, and the unit count, `list_units` and the radical walk the
+    packed unit matrices without building elements.  Elements are hashable
+    and compare by value.  Subclasses call ``__init__`` before they build
+    anything of the ring's size, and provide `element(i)`, `unit_matrix(a)`
+    and `label(a)`, overriding the arithmetic when their elements have no
     operators.  `element` and `unit_matrix` must be linear in the
     coefficient vector, and `unit_matrix(a)` invertible iff a is a unit.
     """
 
-    ctx: FieldCtx
-    dim: int
+    def __init__(self, ctx: FieldCtx, dim: int, cap: int):
+        """Refuse a ring of more than `cap` elements; `repr` must work already."""
+        self.ctx, self.dim, self.cap = ctx, dim, cap
+        # q^dim > cap once dim reaches cap's bit length, so no such power is
+        # built; nor printed, as it can pass the 4300-digit int-to-str limit
+        if dim >= cap.bit_length() or self.size > cap:
+            raise EnumerationCapError(f"{self!r} has {ctx.q}^{dim} elements, beyond the cap {cap}")
 
     @property
     def size(self) -> int:
         return self.ctx.q**self.dim
-
-    def check_cap(self, cap: int = DEFAULT_CAP) -> None:
-        if self.size > cap:
-            # q^dim, not its decimal value: that can pass Python's
-            # 4300-digit limit on int-to-str conversion
-            raise EnumerationCapError(
-                f"{self!r} has {self.ctx.q}^{self.dim} elements, beyond the cap {cap}"
-            )
-
-    def element(self, index: int):
-        raise NotImplementedError
-
-    def unit_matrix(self, a):
-        raise NotImplementedError
 
     def elements(self):
         return (self.element(i) for i in range(self.size))
@@ -99,25 +94,6 @@ class EnumerableRing:
 
     def is_unit(self, a) -> bool:
         return linalg.is_invertible(self.unit_matrix(a), self.ctx)
-
-    def count_units(self) -> int:
-        """Count the units, testing one element per scalar class {c a : c != 0}.
-
-        A class is all units or none: c M is invertible iff M is.  Its tested
-        element v has lowest nonzero coordinate 1; with that coordinate at
-        position t, v has index q^t (1 + q j), and its matrix is B_t plus the
-        walk over the coordinates above t.
-        """
-        basis, ctx = self._basis(), self.ctx
-        tested = (rows for t in range(self.dim)
-                  for rows in self._walk(basis[t], basis[t + 1:], self.dim - t - 1))
-        return (ctx.q - 1) * sum(1 for rows in tested if linalg.rows_invertible(rows, ctx))
-
-    def units(self) -> list:
-        """Every unit, in enumeration order; only units are built as elements."""
-        ctx = self.ctx
-        walk = enumerate(self._walk(0, self._basis(), self.dim))
-        return [self.element(i) for i, rows in walk if linalg.rows_invertible(rows, ctx)]
 
     def _basis(self) -> list[int]:
         """B_i: the packed unit matrix of each basis vector."""
@@ -168,10 +144,9 @@ class EnumerableRing:
 class GroupRingEnum(EnumerableRing):
     """F_q[G] with elements enumerated by coefficient vector."""
 
-    def __init__(self, group: FiniteGroup, ctx: FieldCtx):
+    def __init__(self, group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP):
         self.group = group
-        self.ctx = ctx
-        self.dim = group.order
+        super().__init__(ctx, group.order, cap)
         self.one = GroupRingElem.one(ctx, group)
 
     def element(self, index: int) -> GroupRingElem:
@@ -188,29 +163,15 @@ class GroupRingEnum(EnumerableRing):
 
 
 class JoinRingEnum(EnumerableRing):
-    """A join ring enumerated blockwise, then off-diagonal scalars."""
+    """A join ring enumerated in the coordinate order of :meth:`JoinShape.from_vector`."""
 
-    def __init__(self, shape: JoinShape):
+    def __init__(self, shape: JoinShape, cap: int = DEFAULT_CAP):
         self.shape = shape
-        self.ctx = shape.ctx
-        self.dim = shape.dimension()
+        super().__init__(shape.ctx, shape.dimension(), cap)
         self.one = shape.one()
 
     def element(self, index: int) -> JoinElem:
-        vec = self._vector(index)
-        pos = 0
-        blocks = []
-        for g in self.shape.groups:
-            blocks.append(GroupRingElem(self.ctx, g, vec[pos : pos + g.order]))
-            pos += g.order
-        d = self.shape.d
-        offdiag = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    offdiag[i][j] = vec[pos]
-                    pos += 1
-        return JoinElem(self.shape, blocks, offdiag)
+        return self.shape.from_vector(self._vector(index))
 
     def unit_matrix(self, a) -> list[list[int]]:
         return join_embed(a)
@@ -226,22 +187,18 @@ class SemimagicRing(EnumerableRing):
     """n x n matrices with all row and column sums equal.
 
     The dimension is the closed form n^2 - 2n + 2, so the enumeration cap
-    is checked before anything of size n^2 is built: the identity `one` is
-    built on first use.  The basis, built on the first :meth:`element`, is
-    the nullspace of the row/column sum constraints and must have that many
-    vectors, so the closed form is verified rather than assumed.
+    is checked before anything of size n^2 is built.  The basis, built on
+    the first :meth:`element`, is the nullspace of the row/column sum
+    constraints and must have that many vectors, so the closed form is
+    verified rather than assumed.
     """
 
-    def __init__(self, n: int, ctx: FieldCtx):
+    def __init__(self, n: int, ctx: FieldCtx, cap: int = DEFAULT_CAP):
         if n < 1:
             raise AlgebraError(f"semimagic size must be >= 1, got {n}")
         self.n = n
-        self.ctx = ctx
-        self.dim = 1 if n == 1 else n * n - 2 * n + 2
-
-    @cached_property
-    def one(self):
-        return self.element_from_matrix(linalg.identity(self.n))
+        super().__init__(ctx, 1 if n == 1 else n * n - 2 * n + 2, cap)
+        self.one = tuple(map(tuple, linalg.identity(n)))
 
     @cached_property
     def basis(self) -> list[list[list[int]]]:
@@ -281,18 +238,6 @@ class SemimagicRing(EnumerableRing):
                         out[i][j] = ctx.add(out[i][j], ctx.mul(coef, mat[i][j]))
         return tuple(tuple(r) for r in out)
 
-    def element_from_matrix(self, rows):
-        mat = tuple(tuple(r) for r in rows)
-        sums = [reduce(self.ctx.add, row, 0) for row in mat]
-        colsums = [reduce(self.ctx.add, col, 0) for col in zip(*mat)]
-        if len(set(sums + colsums)) != 1:
-            raise AlgebraError("matrix is not semimagic")
-        return mat
-
-    def sigma(self, a) -> int:
-        """The common row/column sum."""
-        return reduce(self.ctx.add, a[0], 0)
-
     def add(self, a, b):
         add = self.ctx.add
         return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -310,24 +255,31 @@ class SemimagicRing(EnumerableRing):
         return f"SM{self.n}(F{self.ctx.q})"
 
 
-def semimagic_ring(n: int, ctx: FieldCtx) -> SemimagicRing:
-    return SemimagicRing(n, ctx)
+semimagic_ring = SemimagicRing
 
 
 # ---------------------------------------------------------------------------
 # enumeration oracles
 # ---------------------------------------------------------------------------
 
-def enumerate_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> int:
-    """Exact unit count."""
-    ring.check_cap(cap)
-    return ring.count_units()
+def enumerate_units(ring: EnumerableRing) -> int:
+    """Exact unit count, testing one element per scalar class {c a : c != 0}.
+
+    A class is all units or none: c M is invertible iff M is.  Its tested
+    element v has lowest nonzero coordinate 1; with that coordinate at
+    position t, v has index q^t (1 + q j), and its matrix is B_t plus the
+    walk over the coordinates above t.
+    """
+    basis, ctx, dim = ring._basis(), ring.ctx, ring.dim
+    tested = (rows for t in range(dim) for rows in ring._walk(basis[t], basis[t + 1:], dim - t - 1))
+    return (ctx.q - 1) * sum(1 for rows in tested if linalg.rows_invertible(rows, ctx))
 
 
-def list_units(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
-    """Every unit, in enumeration order."""
-    ring.check_cap(cap)
-    return ring.units()
+def list_units(ring: EnumerableRing) -> list:
+    """Every unit, in enumeration order; only units are built as elements."""
+    ctx = ring.ctx
+    walk = enumerate(ring._walk(0, ring._basis(), ring.dim))
+    return [ring.element(i) for i, rows in walk if linalg.rows_invertible(rows, ctx)]
 
 
 def _orders(units, mul, one) -> dict:
@@ -355,21 +307,33 @@ def _orders(units, mul, one) -> dict:
     return orders
 
 
-def unit_orders(ring: EnumerableRing, cap: int = DEFAULT_CAP):
-    """List of (unit, multiplicative order) over all units."""
-    units = list_units(ring, cap)
+def unit_orders(ring: EnumerableRing):
+    """List of (unit, multiplicative order) over all units, in enumeration order."""
+    units = list_units(ring)
     orders = _orders(units, ring.mul, ring.one)
     return [(u, orders[u]) for u in units]
 
 
-def unit_group_exponent(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> int:
-    """lcm of the orders of all units."""
-    return exponent_from_orders(unit_orders(ring, cap))
-
-
-def exponent_from_orders(orders) -> int:
+def unit_group_exponent(orders) -> int:
     """lcm of the orders in a :func:`unit_orders` list."""
     return reduce(lcm, (t for _, t in orders), 1)
+
+
+def units_of_order(orders, m: int) -> int:
+    """Count the units of multiplicative order exactly m in a :func:`unit_orders` list."""
+    check_positive(m, "order")
+    return sum(1 for _, t in orders if t == m)
+
+
+def is_delta_n(orders, n: int):
+    """True iff u^n = 1 for every unit of a :func:`unit_orders` list; else
+    (False, witness, order), the witness the first unit in enumeration
+    order whose order does not divide n."""
+    check_positive(n, "exponent")
+    for u, t in orders:
+        if n % t != 0:
+            return False, u, t
+    return True, None, None
 
 
 def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
@@ -383,8 +347,7 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     p = ctx.p
     if not group.is_p_group(p):
         raise AlgebraError(f"{group.name} is not a {p}-group")
-    ring = GroupRingEnum(group, ctx)
-    ring.check_cap(cap)
+    ring = GroupRingEnum(group, ctx, cap)
     add, sub, convolve, table = ctx.add, ctx.sub, ctx.convolve, group.table
     # the last coefficient makes the coefficient sum 1
     units = ((*head, sub(1, reduce(add, head, 0)))
@@ -392,34 +355,6 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     orders = _orders(units, lambda a, b: tuple(convolve(a, b, table)), ring.one.coeffs)
     # every order is a power of p, so their lcm is the largest
     return max(orders.values())
-
-
-def units_of_order(ring: EnumerableRing, m: int, cap: int = DEFAULT_CAP) -> int:
-    """Count units of multiplicative order exactly m."""
-    check_positive(m, "order")
-    return count_of_order_from_orders(unit_orders(ring, cap), m)
-
-
-def count_of_order_from_orders(orders, m: int) -> int:
-    """Count the units of order exactly m in a :func:`unit_orders` list."""
-    check_positive(m, "order")
-    return sum(1 for _, t in orders if t == m)
-
-
-def is_delta_n(ring: EnumerableRing, n: int, cap: int = DEFAULT_CAP):
-    """True iff u^n = 1 for every unit; else (False, witness, order)."""
-    check_positive(n, "exponent")
-    return delta_n_from_orders(unit_orders(ring, cap), n)
-
-
-def delta_n_from_orders(orders, n: int):
-    """:func:`is_delta_n` on a :func:`unit_orders` list: the first unit in
-    enumeration order whose order does not divide n is the witness."""
-    check_positive(n, "exponent")
-    for u, t in orders:
-        if n % t != 0:
-            return False, u, t
-    return True, None, None
 
 
 def check_positive(n: int, what: str) -> None:
@@ -432,21 +367,25 @@ def check_positive(n: int, what: str) -> None:
 # Jacobson radical by quasi-regularity
 # ---------------------------------------------------------------------------
 
-def jacobson_radical(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
+def jacobson_radical(ring: EnumerableRing) -> list:
     """{x : 1 + r x is a unit for all r}, verified two-sided and nilpotent.
 
     r -> -r makes this the quasi-regular {x : 1 - r x is a unit for all r}.
     The walk from U(1) over the U(b_i x), b_i the basis vectors, tests every
     r and stops at the first singular matrix, building b_i x only once it
-    reaches coordinate i.
+    reaches coordinate i.  Membership and the ideal check each take up to
+    one step per pair (x, r), so the ring's cap bounds the q^(2 dim) pairs.
     """
-    ring.check_cap(cap)
+    q, dim = ring.ctx.q, ring.dim
+    if q ** (2 * dim) > ring.cap:
+        raise EnumerationCapError(
+            f"{ring!r} has {q}^{2 * dim} pairs (x, r) for the radical, beyond the cap {ring.cap}")
     elements = list(ring.elements())
     ctx, one = ring.ctx, ring._pack(ring.one)
-    basis = [ring.element(ctx.q**i) for i in range(ring.dim)]
+    basis = [ring.element(q**i) for i in range(dim)]
     rad = []
     for x in elements:
-        walk = ring._walk(one, (ring._pack(ring.mul(b, x)) for b in basis), len(basis))
+        walk = ring._walk(one, (ring._pack(ring.mul(b, x)) for b in basis), dim)
         if all(linalg.rows_invertible(rows, ctx) for rows in walk):
             rad.append(x)
 
@@ -469,7 +408,7 @@ def jacobson_radical(ring: EnumerableRing, cap: int = DEFAULT_CAP) -> list:
     return rad
 
 
-def semisimple_unit_factorization(ring: EnumerableRing, cap: int = DEFAULT_CAP):
+def semisimple_unit_factorization(ring: EnumerableRing):
     """Check |R^x| = |Rad(R)| * |image of R^x in R/Rad(R)|.
 
     Returns (unit_count, radical_size, image_size).  The image is counted
@@ -477,7 +416,7 @@ def semisimple_unit_factorization(ring: EnumerableRing, cap: int = DEFAULT_CAP):
     taken as a set of elements, which is an independent count of the
     semisimplification's units.
     """
-    rad = jacobson_radical(ring, cap)
-    units = list_units(ring, cap)
+    rad = jacobson_radical(ring)
+    units = list_units(ring)
     image = {frozenset(ring.add(u, ring.mul(u, x)) for x in rad) for u in units}
     return len(units), len(rad), len(image)

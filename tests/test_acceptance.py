@@ -195,7 +195,7 @@ def test_criterion_7_delta_classifier_vs_oracle():
     # Fermat/q=9 family beyond the oracle cap still classifies positively
     assert classify_group_algebra_delta(9, parse_group_spec("C2xC8"), 2, 3).verdict
     # named negative witness with its order-4 counterexample unit
-    ok, witness, order = is_delta_n(GroupRingEnum(cyclic(4), parse_field("F2")), 2)
+    ok, witness, order = is_delta_n(unit_orders(GroupRingEnum(cyclic(4), parse_field("F2"))), 2)
     assert not ok and order == 4
     _report(7, f"{checked} (q, G, p, r) classifications agree with enumeration")
 
@@ -205,14 +205,14 @@ def test_criterion_8_join_delta_instances():
     shape = parse_shape_spec("join(C2,C2;F2)")
     ring = JoinRingEnum(shape)
     assert ring.size == 64
-    ok, _, _ = is_delta_n(ring, 2)
+    ok, _, _ = is_delta_n(unit_orders(ring), 2)
     assert ok
     assert classify_join_delta(2, shape, 2, 1).verdict
 
     bad = parse_shape_spec("join(trivial,trivial;F2)")
     bad_ring = JoinRingEnum(bad)
     # this join is all of M_2(F_2); it has units of order 3
-    assert units_of_order(bad_ring, 3) > 0
+    assert units_of_order(unit_orders(bad_ring), 3) > 0
     for r in (1, 2, 5):
         c = classify_join_delta(2, bad, 2, r)
         assert not c.verdict and "at_most_one_trivial" in c.case

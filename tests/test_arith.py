@@ -11,7 +11,7 @@ from joinrings.arith import (
     units_of_order_p_expected,
 )
 from joinrings.errors import AlgebraError
-from joinrings.groups import parse_group_spec
+from joinrings.groups import parse_group_spec, trivial
 from joinrings.joinring import parse_shape_spec
 from joinrings.ntheory import (
     MR_LIMIT,
@@ -150,6 +150,24 @@ def test_classify_field_delta_matches_divisibility_grid():
             for r in (1, 2, 3, 4, 5):
                 c = classify_field_delta(q, p, r)  # internal cross-check raises
                 assert c.verdict == (p**r % (q - 1) == 0)
+
+
+def test_trivial_group_algebra_is_its_field():
+    # F_q[1] = F_q, so both classifiers agree on every input; q = 2 with a
+    # prime p that is not Mersenne is decided by the q = 2, G trivial row
+    checked = 0
+    for q in range(2, 65):
+        if prime_power(q) is None:
+            continue
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+            for r in (1, 2, 3, 4, 5):
+                group_algebra = classify_group_algebra_delta(q, trivial(), p, r)
+                assert group_algebra.verdict == classify_field_delta(q, p, r).verdict, (q, p, r)
+                checked += 1
+    assert checked == 1350
+    c = classify_group_algebra_delta(2, trivial(), 5, 1)
+    assert c.case == "q = 2, G trivial (unit group trivial)" and c.strict_n == 1
+    assert classify_group_algebra_delta(2, trivial(), 7, 1).case.startswith("Mersenne")
 
 
 def test_classify_group_algebra_examples():

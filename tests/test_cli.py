@@ -107,6 +107,26 @@ def test_oracle_cap_flag(capsys):
     capsys.readouterr()
 
 
+def test_oracle_radical_cap_counts_pairs(capsys):
+    # F2[C6] has 64 elements and 2^12 pairs (x, r)
+    argv = ["oracle", "--group", "C6", "--field", "F2", "--radical"]
+    assert run(["--cap", "4095", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: F2[C6] has 2^12 pairs (x, r) for the radical, beyond the cap 4095\n")
+    assert run_json(capsys, "--cap", "4096", *argv)["radical_size"] == 8
+
+
+@pytest.mark.parametrize("ring", [["--field", "F2", "--group", "trivial"],
+                                  ["--shape", "join(trivial;F2)"]])
+def test_delta_on_the_trivial_group_over_f2(capsys, ring):
+    # F2[1] = F2 has one unit; 5 is not a Mersenne prime
+    data = run_json(capsys, "delta", "--p", "5", "--r", "1", *ring)
+    assert data["verdict"] is True
+    assert data["case"] == "q = 2, G trivial (unit group trivial)"
+
+
 @pytest.mark.parametrize("ring", [["--field", "F2", "--group", "Q8"],
                                   ["--shape", "join(Q8,C2;F2)"]])
 def test_delta_honours_the_cap(capsys, ring):
@@ -119,8 +139,9 @@ def test_delta_honours_the_cap(capsys, ring):
 
 def test_semimagic_oracle_refuses_before_allocating(capsys):
     # SM30(F2) has 2^842 elements and a nullspace basis of 14 MB; building
-    # the 1000 x 1000 identity of SM1000(F2) alone peaks at 17 MB
-    for n in ("30", "1000"):
+    # the 1000 x 1000 identity of SM1000(F2) alone peaks at 17 MB, and the
+    # size 2^15992002 of SM4000(F2) is a 1.9 MB integer the check never builds
+    for n in ("30", "1000", "4000"):
         tracemalloc.start()
         try:
             code = run(["oracle", "--semimagic", n, "--field", "F2", "--units"])

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,35 @@ def test_parse_shape_spec():
     assert [g.order for g in shape.groups] == [3, 5]
     with pytest.raises(AlgebraError):
         parse_shape_spec("join(;F2)")
+
+
+def test_from_vector_layout():
+    # block coefficients in block order, then a_ij row by row
+    shape = parse_shape_spec("join(C2,C1,C3;F7)")
+    a = shape.from_vector(range(12))
+    assert [b.coeffs for b in a.blocks] == [(0, 1), (2,), (3, 4, 5)]
+    assert a.offdiag == ((0, 6, 7), (8, 0, 9), (10, 11, 0))
+
+
+def _bench_workloads():
+    """bench/workloads.py, read only, for its own copy of the join draw."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("spec", ["join(C3,C5;F2)", "join(S3,C2,C1;F7)", "join(C4;F9)",
+                                  "join(C2,C3,C2;F3)"])
+def test_random_join_element_draws_like_the_benchmark(spec):
+    # the benchmark keeps its own copy of the draw; both must give one stream
+    random_join = _bench_workloads()._random_join
+    shape = parse_shape_spec(spec)
+    for seed in range(5):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            assert random_join_element(shape, mine) == random_join(theirs, shape)
 
 
 def test_embed_respects_product():

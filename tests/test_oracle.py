@@ -1,4 +1,5 @@
 import time
+from functools import reduce
 from math import lcm, prod
 
 import pytest
@@ -14,6 +15,7 @@ from joinrings.oracle import (
     EnumerableRing,
     GroupRingEnum,
     JoinRingEnum,
+    SemimagicRing,
     _orders,
     enumerate_units,
     exp_U1,
@@ -59,16 +61,53 @@ def test_list_units_matches_count():
 
 
 def test_cap_enforced():
-    ring = GroupRingEnum(cyclic(7), F2)
-    with pytest.raises(EnumerationCapError):
-        enumerate_units(ring, cap=100)
+    message = r"F2\[C7\] has 2\^7 elements, beyond the cap 100"
+    with pytest.raises(EnumerationCapError, match=message):
+        GroupRingEnum(cyclic(7), F2, cap=100)
+    assert GroupRingEnum(cyclic(7), F2, cap=128).size == 128
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: JoinRingEnum(parse_shape_spec("join(C2,C3,C2;F3)")), r"3\^13 elements"),
+    (lambda: SemimagicRing(200, F2), r"SM200\(F2\) has 2\^39602 elements"),
+], ids=["join(C2,C3,C2;F3)", "SM200(F2)"])
+def test_adapters_refuse_beyond_the_default_cap_when_built(make, message):
+    with pytest.raises(EnumerationCapError, match=message + ", beyond the cap 1048576"):
+        make()
+
+
+def test_radical_cap_counts_pairs():
+    # membership and the ideal check take a step per pair (x, r): q^(2 dim)
+    with pytest.raises(EnumerationCapError, match=r"2\^12 pairs"):
+        jacobson_radical(GroupRingEnum(cyclic(6), F2, cap=4095))
+    assert len(jacobson_radical(GroupRingEnum(cyclic(6), F2, cap=4096))) == 8
+    # F2[C16] is within the default cap, its 2^32 pairs are not
+    ring = GroupRingEnum(cyclic(16), F2)
+    for oracle in (jacobson_radical, semisimple_unit_factorization):
+        with pytest.raises(EnumerationCapError, match=r"2\^32 pairs"):
+            oracle(ring)
+
+
+def test_join_enumeration_follows_the_vector_layout():
+    # coordinate k is the k-th block coefficient, then a_ij row by row
+    shape = parse_shape_spec("join(C2,C1,C3;F3)")
+    ring = JoinRingEnum(shape)
+    for k in range(ring.dim):
+        vec = [0] * ring.dim
+        vec[k] = 1
+        a = ring.element(3**k)
+        coords = [c for b in a.blocks for c in b.coeffs]
+        coords += [a.offdiag[i][j] for i in range(3) for j in range(3) if i != j]
+        assert coords == vec, k
+    assert ring.element(3**6 * 2).offdiag == ((0, 2, 0), (0, 0, 0), (0, 0, 0))
+    assert ring.element(3**11).offdiag == ((0, 0, 0), (0, 0, 0), (0, 1, 0))
 
 
 def test_unit_group_exponent():
-    assert unit_group_exponent(GroupRingEnum(cyclic(3), F2)) == 3
-    assert unit_group_exponent(GroupRingEnum(cyclic(7), F2)) == 7
+    assert unit_group_exponent(unit_orders(GroupRingEnum(cyclic(3), F2))) == 3
+    assert unit_group_exponent(unit_orders(GroupRingEnum(cyclic(7), F2))) == 7
     ring = JoinRingEnum(parse_shape_spec("join(C2,C2;F2)"))
-    assert unit_group_exponent(ring) == 2
+    assert unit_group_exponent(unit_orders(ring)) == 2
 
 
 def test_exp_u1():
@@ -107,30 +146,33 @@ def test_exp_u1_matches_elementwise_orders(spec, field):
 
 
 def test_units_of_order():
-    ring = GroupRingEnum(cyclic(3), F2)
-    assert units_of_order(ring, 1) == 1
-    assert units_of_order(ring, 3) == 2
-    ring7 = GroupRingEnum(cyclic(7), F2)
-    assert units_of_order(ring7, 7) == 48
+    orders = unit_orders(GroupRingEnum(cyclic(3), F2))
+    assert units_of_order(orders, 1) == 1
+    assert units_of_order(orders, 3) == 2
+    assert units_of_order(unit_orders(GroupRingEnum(cyclic(7), F2)), 7) == 48
+    with pytest.raises(AlgebraError):
+        units_of_order(orders, 0)
 
 
 def test_is_delta_n():
-    ok, _, _ = is_delta_n(GroupRingEnum(parse_group_spec("C2xC2"), F3), 2)
+    ok, _, _ = is_delta_n(unit_orders(GroupRingEnum(parse_group_spec("C2xC2"), F3)), 2)
     assert ok
-    ok, witness, order = is_delta_n(GroupRingEnum(cyclic(4), F2), 2)
+    ok, witness, order = is_delta_n(unit_orders(GroupRingEnum(cyclic(4), F2)), 2)
     assert not ok and order == 4
     # a failing witness really has that order
     w2 = witness * witness
     assert w2 != GroupRingEnum(cyclic(4), F2).one
-    ok, _, _ = is_delta_n(JoinRingEnum(parse_shape_spec("join(C2,C2;F2)")), 2)
+    ok, _, _ = is_delta_n(unit_orders(JoinRingEnum(parse_shape_spec("join(C2,C2;F2)"))), 2)
     assert ok
+    with pytest.raises(AlgebraError):
+        is_delta_n([], 0)
 
 
 def test_delta_divisor_monotonicity():
     # is_delta_n(R, n) implies is_delta_n(R, m) whenever n | m
-    ring = GroupRingEnum(parse_group_spec("C2xC2"), F3)
+    orders = unit_orders(GroupRingEnum(parse_group_spec("C2xC2"), F3))
     for m in (2, 4, 6, 8):
-        assert is_delta_n(ring, m)[0]
+        assert is_delta_n(orders, m)[0]
 
 
 def test_jacobson_radical():
@@ -167,19 +209,25 @@ def test_semimagic_dimensions_and_units():
     assert enumerate_units(sm2) == 2
 
 
+def _line_sums(ring, a):
+    """The row sums, then the column sums, of a semimagic matrix."""
+    return [reduce(ring.ctx.add, line, 0) for line in (*a, *zip(*a))]
+
+
 def test_semimagic_closed_under_product():
     sm = semimagic_ring(3, F3)
     a = sm.element(17)
     b = sm.element(101)
     ab = sm.mul(a, b)
-    # the product is still semimagic (constructor validates)
-    sm.element_from_matrix([list(r) for r in ab])
+    # every line of a product of semimagic matrices has one sum, the product of theirs
+    assert len(set(_line_sums(sm, a))) == len(set(_line_sums(sm, b))) == 1
+    assert _line_sums(sm, ab) == [F3.mul(_line_sums(sm, a)[0], _line_sums(sm, b)[0])] * 6
 
 
 def test_semimagic_sigma():
     sm = semimagic_ring(3, F3)
-    one = sm.one
-    assert sm.sigma(one) == 1
+    assert sm.one == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _line_sums(sm, sm.one) == [1] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +294,11 @@ def test_unit_orders_on_every_adapter(label):
     for u, t in orders:
         assert _power(ring, u, t) == ring.one
         assert all(_power(ring, u, t // f) != ring.one for f in factorize(t))
-    assert lcm(*(t for _, t in orders)) == unit_group_exponent(ring) == exponent
-    assert units_of_order(ring, 1) == 1
-    assert is_delta_n(ring, exponent) == (True, None, None)
+    assert lcm(*(t for _, t in orders)) == unit_group_exponent(orders) == exponent
+    assert units_of_order(orders, 1) == 1
+    assert is_delta_n(orders, exponent) == (True, None, None)
     n = exponent // max(factorize(exponent))
-    ok, witness, order = is_delta_n(ring, n)
+    ok, witness, order = is_delta_n(orders, n)
     assert not ok and n % order and _power(ring, witness, n) != ring.one
 
 
@@ -393,13 +441,14 @@ def test_unit_count_builds_nothing_that_grows_with_q(ring):
 @pytest.mark.parametrize("spec", ["F1031", "F2048", "F2187"])
 def test_unit_count_on_untabled_fields(spec):
     # the walk multiplies a packed basis matrix by every code above the
-    # table limit, in q + 1 eliminations; the q^2 elements pass the default
-    # cap.  F_q[C2] is F_q x F_q for odd q, and local with radical F_q (1 + g)
-    # in characteristic 2.
-    ring = GroupRingEnum(cyclic(2), parse_field(spec))
-    q = ring.ctx.q
+    # table limit, in q + 1 eliminations; the cap is raised to the q^2
+    # elements, beyond the default cap.  F_q[C2] is F_q x F_q for odd q, and
+    # local with radical F_q (1 + g) in characteristic 2.
+    ctx = parse_field(spec)
+    q = ctx.q
+    ring = GroupRingEnum(cyclic(2), ctx, cap=q**2)
     units = q * (q - 1) if q % 2 == 0 else (q - 1) ** 2
-    assert enumerate_units(ring, cap=ring.size) == units
+    assert enumerate_units(ring) == units
 
 
 @pytest.mark.parametrize("label", ORDER_RINGS)

@@ -130,8 +130,8 @@ def test_zeta_shares_no_code_with_the_unit_counts():
 
 
 def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
-    # every adapter gives unit_matrix; a copy of is_unit or of the walks
-    # could test a different matrix from the one the walks sum
+    # every adapter gives unit_matrix; a copy of is_unit or of the walk and
+    # its packed basis could test a different matrix from the one the walk sums
     own = [
         f"{path.name}:{item.lineno} {node.name}.{item.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -139,7 +139,8 @@ def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
         if isinstance(node, ast.ClassDef)
         and any(ast.unparse(base).endswith("EnumerableRing") for base in node.bases)
         for item in node.body
-        if isinstance(item, ast.FunctionDef) and item.name in {"is_unit", "count_units", "units"}
+        if isinstance(item, ast.FunctionDef)
+        and item.name in {"is_unit", "_walk", "_basis", "_pack"}
     ]
     assert not own, f"EnumerableRing subclasses define {own}"
 
