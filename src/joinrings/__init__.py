@@ -26,7 +26,7 @@ from .errors import (
     NotSubgroupError,
     ParseError,
 )
-from .ffield import FieldCtx, field_make, parse_field
+from .ffield import FieldCtx, parse_field
 from .groupring import (
     GroupRingElem,
     WedderburnData,

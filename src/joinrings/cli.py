@@ -213,18 +213,19 @@ def _cmd_join(args) -> dict:
 
 def _cmd_zeta(args) -> dict:
     if args.shape:
-        z = zeta_join(parse_shape_spec(args.shape))
-        subject = args.shape
+        shape = parse_shape_spec(args.shape)
+        z, subject = zeta_join(shape), repr(shape)
     elif args.group:
         if not args.field:
             raise AlgebraError("--group requires --field")
-        z = zeta_group_ring(parse_group_spec(args.group), parse_field(args.field))
-        subject = f"F{parse_field(args.field).q}[{args.group}]"
+        group = parse_group_spec(args.group)
+        ctx = parse_field(args.field)
+        z, subject = zeta_group_ring(group, ctx), f"F{ctx.q}[{group.name}]"
     elif args.semimagic is not None:
         if not args.field:
             raise AlgebraError("--semimagic requires --field")
-        z = zeta_semimagic(args.semimagic, parse_field(args.field).q)
-        subject = f"SM{args.semimagic}(F{parse_field(args.field).q})"
+        q = parse_field(args.field).q
+        z, subject = zeta_semimagic(args.semimagic, q), f"SM{args.semimagic}(F{q})"
     else:
         raise AlgebraError("zeta needs one of --shape, --group, --semimagic")
     return {
@@ -320,8 +321,12 @@ def _sweep_rooted(args) -> dict:
     if args.pmax > ORDER_CAP + 1:  # a prime p asks for the group C_p
         raise AlgebraError(f"sweep rooted: --pmax {args.pmax} reaches primes beyond "
                            f"the group order cap {ORDER_CAP}")
+    bases = _int_list(args.bases, "--bases")
+    for q in bases:  # every base, not only those that some prime below --pmax reaches
+        if ntheory.prime_power(q) is None:
+            raise AlgebraError(f"q must be a prime power, got {q}")
     rows = []
-    for q in _int_list(args.bases, "--bases"):
+    for q in bases:
         for p in range(2, args.pmax):
             if not ntheory.is_prime(p) or q % p == 0:  # p is the characteristic of F_q
                 continue
@@ -352,6 +357,8 @@ def _sweep_delta_fields(args) -> dict:
 
 def _sweep_block_formula(args) -> dict:
     specs = _split_shape_list(args.shapes)
+    if args.count < 0:
+        raise AlgebraError(f"sweep block-formula: --count {args.count} is negative")
     if args.count * len(specs) > args.cap:
         raise AlgebraError(f"sweep block-formula: --count * {len(specs)} shapes exceeds "
                            f"the cap {args.cap}")

@@ -403,9 +403,12 @@ def _lifted_convolver(lane_exp, log, add, reduce=None):
 
 
 class FieldCtx:
-    """The field F_{p^k} with a fixed monic irreducible modulus.
+    """The field F_{p^k}, reduced by its one canonical modulus.
 
-    Immutable after construction; safe to share.  The raw operations
+    Every result the library computes depends on F_q only up to isomorphism,
+    so each order has one modulus, :func:`_canonical_modulus`, and no option
+    selects another; contexts are equal when p and k are.  Immutable after
+    construction; safe to share.  The raw operations
     :attr:`add`, :attr:`sub`, :attr:`neg`, :attr:`mul` and :attr:`inv` act on
     integer codes in [0, q).  They are plain functions bound per context and
     do not check their arguments: codes from outside the program are checked
@@ -423,7 +426,7 @@ class FieldCtx:
     inv: Callable[[int], int]  # raises NotInvertibleError on zero
     convolve: Callable[..., list[int]]  # (a, b, table), the module docstring's kernel
 
-    def __init__(self, p: int, k: int = 1, modulus: Poly | None = None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise AlgebraError(f"{p} is not prime")
         if k < 1:
@@ -431,17 +434,7 @@ class FieldCtx:
         self.p = p
         self.k = k
         self.q = p**k
-        if modulus is None:
-            modulus = _canonical_modulus(p, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise AlgebraError(
-                    f"modulus must be monic of degree {k} over F_{p}, got {modulus}"
-                )
-            if not _irreducible(modulus, p):
-                raise AlgebraError(f"modulus {self.poly_str(modulus)} is reducible over F_{p}")
-        self.modulus: Poly = modulus
+        self.modulus: Poly = _canonical_modulus(p, k)
         if p == 2:  # characteristic 2 at every size: a + b = a - b = a XOR b
             self.add = self.sub = operator.xor
             self.neg = operator.pos
@@ -593,16 +586,15 @@ class FieldCtx:
 
     def __reduce__(self):
         # the bound operations are closures; pickle the definition instead
-        return FieldCtx, (self.p, self.k, self.modulus)
+        return FieldCtx, (self.p, self.k)
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, FieldCtx)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+            isinstance(other, FieldCtx) and (self.p, self.k) == (other.p, other.k)
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     def __repr__(self):
         if self.k == 1:
@@ -611,21 +603,8 @@ class FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# public constructors / parsing
+# parsing
 # ---------------------------------------------------------------------------
-
-def field_make(p: int, k: int = 1, modulus: Poly | str | None = None) -> FieldCtx:
-    """Build F_{p^k}.  Omitting the modulus selects the canonical one; a
-    string modulus is a literal such as "x^2+x+1"."""
-    if isinstance(modulus, str):
-        terms = _poly_terms(modulus)
-        degree = max(terms, default=0)
-        if degree != k:  # before building a coefficient list as long as the degree
-            raise AlgebraError(f"modulus must be monic of degree {k} over F_{p}, "
-                               f"got degree {degree}")
-        modulus = tuple(terms.get(i, 0) for i in range(k + 1))
-    return FieldCtx(p, k, modulus)
-
 
 @lru_cache(maxsize=None)
 def _cached_field(p: int, k: int) -> FieldCtx:
@@ -645,29 +624,3 @@ def parse_field(spec: str) -> FieldCtx:
         raise ParseError(f"F{q} is an extension field above 2^60, too large to build")
     return _cached_field(*pk)
 
-
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:x(?:\^(\d+))?)?$")
-
-
-def _poly_terms(text: str) -> dict[int, int]:
-    """exponent -> nonzero integer coefficient, for a polynomial literal."""
-    text = text.replace(" ", "").replace("-", "+-")
-    if not text:
-        raise ParseError("empty polynomial literal")
-    coeffs: dict[int, int] = {}
-    for term in text.split("+"):
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        m = _TERM_RE.match(term)
-        if not m or (m.group(1) is None and "x" not in term):
-            raise ParseError(f"bad polynomial term {term!r}")
-        coef = parse_int(m.group(1), "coefficient") if m.group(1) is not None else 1
-        if "x" in term:
-            exp = parse_int(m.group(2), "exponent") if m.group(2) is not None else 1
-        else:
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    return {e: c for e, c in coeffs.items() if c}

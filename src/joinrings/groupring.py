@@ -23,6 +23,7 @@ from . import linalg, poly
 from .errors import (
     AlgebraError,
     ContextMismatchError,
+    InternalConsistencyError,
     NotInvertibleError,
     ParseError,
     parse_int,
@@ -248,11 +249,11 @@ def wedderburn_abelian(group: FiniteGroup, ctx: FieldCtx) -> WedderburnData:
     for d, n_d in sorted(group.order_counts().items()):
         deg = ord_mod(d, ctx.q)
         if n_d % deg != 0:
-            raise AlgebraError(f"n_{d} = {n_d} not divisible by ord_{d}(q) = {deg}")
+            raise InternalConsistencyError(f"n_{d} = {n_d} not divisible by ord_{d}(q) = {deg}")
         triples.append((d, n_d // deg, deg))
     data = WedderburnData(tuple(triples), ctx.q, group)
     if data.dimension() != group.order:
-        raise AlgebraError("Wedderburn dimensions do not add up")
+        raise InternalConsistencyError("Wedderburn dimensions do not add up")
     return data
 
 

@@ -85,12 +85,6 @@ class FiniteGroup:
 
     # -- basic operations -----------------------------------------------------
 
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     @property
     def is_abelian(self) -> bool:
         if self.invariants is not None:
@@ -153,12 +147,6 @@ class FiniteGroup:
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(self.order))
-
-    def quotient(self, H: "Subgroup") -> tuple["FiniteGroup", tuple[int, ...]]:
-        """Quotient group G/H with the projection element -> coset index."""
-        if H.parent != self:
-            raise NotSubgroupError("subgroup belongs to a different group")
-        return H.quotient
 
     def __eq__(self, other):
         return self is other or (

@@ -80,11 +80,6 @@ class JoinShape:
             [[0] * self.d for _ in range(self.d)],
         )
 
-    def element(self, blocks, offdiag=None) -> "JoinElem":
-        if offdiag is None:
-            offdiag = [[0] * self.d for _ in range(self.d)]
-        return JoinElem(self, blocks, offdiag)
-
     def from_vector(self, vec) -> "JoinElem":
         """The element whose :meth:`dimension` coordinates are `vec`: every
         block coefficient in block order, then the a_ij row by row."""
@@ -202,16 +197,16 @@ class JoinElem:
         )
 
     @classmethod
-    def from_json(cls, text: str, shape: JoinShape | None = None) -> "JoinElem":
-        """Read :meth:`to_json` output; ParseError on any malformed or out-of-range entry."""
+    def from_json(cls, text: str) -> "JoinElem":
+        """Read :meth:`to_json` output in the shape the document names; ParseError
+        on any malformed or out-of-range entry."""
         try:
             data = json.loads(text)
         except ValueError as exc:
             raise ParseError(f"bad join element JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ParseError("join element JSON must be an object")
-        if shape is None:
-            shape = parse_shape_spec(str(data.get("shape")))
+        shape = parse_shape_spec(str(data.get("shape")))
         ctx, d, blocks = shape.ctx, shape.d, data.get("blocks")
         if not isinstance(blocks, list) or len(blocks) != d:
             raise ParseError(f"expected {d} blocks for {shape}")
@@ -387,6 +382,7 @@ def join_idempotents(shape: JoinShape, subgroups) -> list[JoinElem]:
     """
     subgroups = _check_subgroups(shape, subgroups)
     ctx = shape.ctx
+    offdiag = [[0] * shape.d for _ in range(shape.d)]
     out = []
     for i, (g, h) in enumerate(zip(shape.groups, subgroups)):
         f_i = GroupRingElem.one(ctx, g) - idempotent_eH(h, ctx)
@@ -394,7 +390,7 @@ def join_idempotents(shape: JoinShape, subgroups) -> list[JoinElem]:
             f_i if j == i else GroupRingElem.zero(ctx, gj)
             for j, gj in enumerate(shape.groups)
         ]
-        out.append(shape.element(blocks))
+        out.append(JoinElem(shape, blocks, offdiag))
     last = shape.one()
     for f in out:
         last = last - f

@@ -61,6 +61,15 @@ def test_zeta_of_non_abelian_and_modular_blocks(capsys, argv, factors):
     assert run_json(capsys, "zeta", *argv)["factors"] == factors
 
 
+@pytest.mark.parametrize("argv, subject", [
+    (["--group", "C1xC3", "--field", "F2"], "F2[C3]"),
+    (["--shape", "join(C3, C1xC5; F2)"], "join(C3,C5;F2)"),
+    (["--semimagic", "3", "--field", " F2"], "SM3(F2)"),
+])
+def test_zeta_names_its_subject_from_the_parsed_input(capsys, argv, subject):
+    assert run_json(capsys, "zeta", *argv)["subject"] == subject
+
+
 def test_rooted_command(capsys):
     data = run_json(capsys, "rooted", "--primes", "3,5", "--base", "2")
     assert data["verdict"] is True
@@ -168,9 +177,11 @@ def test_oracle_refusal_names_a_size_too_long_for_decimal(capsys):
     ["sweep", "delta-fields", "--qmax", "100000000"],
     ["sweep", "delta-fields", "--qmax", "100000000", "--pmax", "-1", "--rmax", "0"],
     ["sweep", "block-formula", "--count", "100000000"],
+    ["sweep", "block-formula", "--count", "-1", "--shapes", "join(C3;F2)"],
     ["sweep", "rooted", "--pmax", "260", "--bases", "2"],
     ["--cap", "1000", "sweep", "delta-fields", "--qmax", "10", "--pmax", "20", "--rmax", "6"],
-], ids=["delta-fields", "delta-fields-no-p", "block-formula", "rooted", "delta-fields-cap"])
+], ids=["delta-fields", "delta-fields-no-p", "block-formula", "block-formula-negative",
+        "rooted", "delta-fields-cap"])
 def test_sweeps_refuse_past_their_bound_before_the_loop(capsys, argv):
     import time
 
@@ -200,14 +211,13 @@ def test_sweep_block_formula_seeded(capsys):
 
 
 def test_element_json_roundtrip_via_cli(capsys):
-    from joinrings.joinring import JoinElem, parse_shape_spec
+    from joinrings.joinring import JoinElem
 
     data = run_json(capsys, "join", "--shape", "join(C3,C5;F2)",
                     "--a", "1+g1;1+g2;a[1][2]=1;a[2][1]=1",
                     "--b", "g1;g3;a[1][2]=1;a[2][1]=0",
                     "--op", "mul")
-    shape = parse_shape_spec("join(C3,C5;F2)")
-    elem = JoinElem.from_json(json.dumps(data["result"]), shape)
+    elem = JoinElem.from_json(json.dumps(data["result"]))
     assert json.loads(elem.to_json()) == data["result"]
 
 
@@ -316,6 +326,16 @@ def test_unbounded_inputs_are_refused_quickly(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bases, pmax", [("0", "30"), ("1", "30"), ("-3", "30"), ("30", "6"),
+                                         ("2,6", "3")])
+def test_sweep_rooted_refuses_a_base_that_is_no_prime_power(capsys, bases, pmax):
+    # refused up front, even where every prime below --pmax divides the base
+    assert run(["sweep", "rooted", f"--bases={bases}", "--pmax", pmax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q must be a prime power, got {bases.split(',')[-1]}\n"
+
+
 def test_sweep_rooted_over_a_prime_power_base(capsys):
     # p = 2 is the characteristic of F_4 and is skipped, not refused
     data = run_json(capsys, "sweep", "rooted", "--bases", "4", "--pmax", "8")
@@ -368,3 +388,14 @@ def test_oracle_enumerates_the_unit_orders_once(capsys, monkeypatch):
         '{"n": 2, "verdict": false, "witness": "g3", "witness_order": 3}, '
         '"units_of_order": {"m": 2, "count": 7}}\n'
     )
+
+
+def test_wedderburn_self_checks_exit_3(capsys, monkeypatch):
+    # ord_d(q) divides phi(d) and the n_d sum to |G|, so only wrong arithmetic
+    # in the library itself trips these checks
+    from joinrings import groupring
+
+    ord_mod = groupring.ord_mod
+    monkeypatch.setattr(groupring, "ord_mod", lambda d, q: ord_mod(d, q) + 1)
+    assert run(["gr", "--field", "F2", "--group", "C3", "--unit-count"]) == 3
+    assert capsys.readouterr().err.startswith("internal consistency failure: ")

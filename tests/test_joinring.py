@@ -213,7 +213,19 @@ def test_non_unit_inverse_raises():
 def test_element_json_roundtrip():
     shape = parse_shape_spec("join(C3,C5;F2)")
     a = random_join_element(shape, random.Random(29))
-    assert JoinElem.from_json(a.to_json(), shape) == a
+    assert JoinElem.from_json(a.to_json()) == a
+
+
+def test_from_json_keeps_the_documents_shape():
+    import json
+
+    # C4 and C2xC2 have one order, so the same coefficients fit either shape
+    shapes = [parse_shape_spec("join(C4;F2)"), parse_shape_spec("join(C2xC2;F2)")]
+    docs = [json.dumps({"shape": repr(s), "blocks": [[1, 1, 0, 1]], "offdiag": [[0]]})
+            for s in shapes]
+    elems = [JoinElem.from_json(doc) for doc in docs]
+    assert [e.shape for e in elems] == shapes
+    assert elems[0] != elems[1]
 
 
 def test_parse_join_element_literals():
@@ -246,8 +258,6 @@ def test_from_json_rejects_malformed_elements(blocks, offdiag):
 
     shape = parse_shape_spec("join(C2,C3;F2)")
     text = json.dumps({"shape": repr(shape), "blocks": blocks, "offdiag": offdiag})
-    with pytest.raises(ParseError):
-        JoinElem.from_json(text, shape)
     with pytest.raises(ParseError):
         JoinElem.from_json(text)
 

@@ -6,13 +6,17 @@ read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
 leave the unit test and the unit walks to the base class, and every demo
-script runs cleanly.
+script and README example runs cleanly.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "bench" / "layers.py"
 SRC = ROOT / "src" / "joinrings"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
 
 
 def test_every_traced_name_resolves():
@@ -152,3 +157,41 @@ def test_demos_run(demo):
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    section = README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def _readme_commands() -> list[tuple[str, list[str]]]:
+    """Each `$ joinrings ...` line of the CLI section with the lines shown after it."""
+    examples: list[tuple[str, list[str]]] = []
+    for line in _readme_block("CLI", "sh").splitlines():
+        if line.startswith("$ joinrings "):
+            examples.append((line[len("$ joinrings "):], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("command, shown", README_COMMANDS, ids=[c for c, _ in README_COMMANDS])
+def test_readme_cli_examples(capsys, command, shown):
+    from joinrings.cli import run
+
+    assert run(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    # the shown lines run on in the output, and "..." stands for any lines
+    pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n"
+                      for line in shown)
+    assert re.search(rf"(?m)^{pattern}", out), out
+
+
+def test_readme_library_quick_start():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_readme_block("Library quick start", "python"), {})
+    assert out.getvalue() == "True 270\n"

@@ -20,6 +20,7 @@ from joinrings.ffield import parse_field
 from joinrings.groupring import GroupRingElem, circulant_rows, gr_inverse, gr_is_unit
 from joinrings.groups import abelian, parse_group_spec
 from joinrings.joinring import (
+    JoinElem,
     join_embed,
     join_inverse,
     join_is_unit,
@@ -80,7 +81,7 @@ def _non_unit(shape, rng):
     c = rng.randrange(shape.ctx.q)
     blocks = list(m.blocks)
     blocks[i] = GroupRingElem(shape.ctx, shape.groups[i], [c] * shape.sizes[i])
-    m = shape.element(blocks, m.offdiag)
+    m = JoinElem(shape, blocks, m.offdiag)
     return random_join_element(shape, rng) * m * random_join_element(shape, rng)
 
 
