@@ -15,7 +15,6 @@ import json
 import random
 import sys
 from functools import cache
-from math import prod
 
 from . import arith, linalg, ntheory, oracle
 from .errors import AlgebraError, InternalConsistencyError, ParseError
@@ -325,21 +324,25 @@ def _sweep_rooted(args) -> dict:
     for q in bases:  # every base, not only those that some prime below --pmax reaches
         if ntheory.prime_power(q) is None:
             raise AlgebraError(f"q must be a prime power, got {q}")
+    # p is not the characteristic of F_q
+    cases = [(q, p) for q in bases for p in range(2, args.pmax) if ntheory.is_prime(p) and q % p]
+    if not cases:
+        raise AlgebraError(f"sweep rooted: --bases {args.bases!r} and --pmax {args.pmax} "
+                           f"give no case")
     rows = []
-    for q in bases:
-        for p in range(2, args.pmax):
-            if not ntheory.is_prime(p) or q % p == 0:  # p is the characteristic of F_q
-                continue
-            rep = arith.rooted_equivalence_report([p], q)
-            rows.append({"p": p, "q": q, "rooted": rep.agree,
-                         "unit_count": rep.unit_count})
+    for q, p in cases:
+        rep = arith.rooted_equivalence_report([p], q)
+        rows.append({"p": p, "q": q, "rooted": rep.agree, "unit_count": rep.unit_count})
     return {"kind": "rooted", "cases": len(rows),
             "all_consistent": True, "rows": rows}
 
 
 def _sweep_delta_fields(args) -> dict:
-    # each bound counts at least 1: the q and p loops run even when r has none
-    if prod(max(n, 1) for n in (args.qmax, args.pmax, args.rmax)) > args.cap:
+    # the grid starts at q = 2, p = 2 and r = 1
+    if args.qmax < 2 or args.pmax < 2 or args.rmax < 1:
+        raise AlgebraError(f"sweep delta-fields: --qmax {args.qmax}, --pmax {args.pmax} "
+                           f"and --rmax {args.rmax} give no case")
+    if args.qmax * args.pmax * args.rmax > args.cap:
         raise AlgebraError(f"sweep delta-fields: --qmax * --pmax * --rmax exceeds "
                            f"the cap {args.cap}")
     checked = 0

@@ -180,8 +180,17 @@ def test_oracle_refusal_names_a_size_too_long_for_decimal(capsys):
     ["sweep", "block-formula", "--count", "-1", "--shapes", "join(C3;F2)"],
     ["sweep", "rooted", "--pmax", "260", "--bases", "2"],
     ["--cap", "1000", "sweep", "delta-fields", "--qmax", "10", "--pmax", "20", "--rmax", "6"],
+    ["sweep", "delta-fields", "--qmax", "-5"],
+    ["sweep", "delta-fields", "--qmax", "1"],
+    ["sweep", "delta-fields", "--pmax", "1"],
+    ["sweep", "delta-fields", "--rmax", "0"],
+    ["sweep", "rooted", "--bases", ","],
+    ["sweep", "rooted", "--pmax", "2"],
+    ["sweep", "rooted", "--bases", "2,4", "--pmax", "3"],
 ], ids=["delta-fields", "delta-fields-no-p", "block-formula", "block-formula-negative",
-        "rooted", "delta-fields-cap"])
+        "rooted", "delta-fields-cap", "delta-fields-no-q", "delta-fields-q-1",
+        "delta-fields-p-1", "delta-fields-no-r", "rooted-no-bases", "rooted-no-p",
+        "rooted-only-the-characteristic"])
 def test_sweeps_refuse_past_their_bound_before_the_loop(capsys, argv):
     import time
 

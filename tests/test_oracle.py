@@ -1,5 +1,7 @@
+import random
 import time
 from functools import reduce
+from itertools import islice, product
 from math import lcm, prod
 
 import pytest
@@ -7,10 +9,10 @@ import pytest
 from joinrings import linalg
 from joinrings.errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from joinrings.ffield import parse_field
-from joinrings.groupring import gr_unit_count
+from joinrings.groupring import GroupRingElem, gr_unit_count
 from joinrings.groups import cyclic, parse_group_spec
-from joinrings.joinring import join_unit_count, parse_shape_spec
-from joinrings.ntheory import factorize
+from joinrings.joinring import JoinElem, join_unit_count, parse_shape_spec
+from joinrings.ntheory import euler_phi, factorize
 from joinrings.oracle import (
     EnumerableRing,
     GroupRingEnum,
@@ -360,6 +362,11 @@ COUNT_RINGS = {
     "F4[C5]": GroupRingEnum(cyclic(5), parse_field("F4")),
     "join(C2,C3;F3)": JoinRingEnum(parse_shape_spec("join(C2,C3;F3)")),
     "SM3(F3)": semimagic_ring(3, F3),
+    # orbits with stabilizers, images scaled by c^-1 in an extension field,
+    # a non-cyclic abelian group and a non-abelian block in a join
+    "F9[C4]": GroupRingEnum(cyclic(4), parse_field("F9")),
+    "F2[C2xC4]": GroupRingEnum(parse_group_spec("C2xC4"), F2),
+    "join(S3,C2;F2)": JoinRingEnum(parse_shape_spec("join(S3,C2;F2)")),
 }
 
 
@@ -369,9 +376,41 @@ def test_unit_count_matches_elementwise(label):
     assert enumerate_units(ring) == _unit_count_elementwise(ring)
 
 
-@pytest.mark.parametrize("label", COUNT_RINGS)
-def test_unit_count_tests_one_element_per_scalar_class(label, monkeypatch):
-    ring = COUNT_RINGS[label]
+def _index_of_one(ring):
+    return next(i for i in range(ring.size) if ring.element(i) == ring.one)
+
+
+def _coordinate_units(ring):
+    """Units whose left products permute coordinates, times the scalars:
+    c g in F_q[G], c diag(g_1..g_d) in a join, c one in a semimagic ring."""
+    ctx = ring.ctx
+    if isinstance(ring, GroupRingEnum):
+        moves = [ring.element(ctx.q**g) for g in range(ring.group.order)]
+    elif isinstance(ring, JoinRingEnum):
+        shape = ring.shape
+        zero = [[0] * shape.d for _ in range(shape.d)]
+        moves = [JoinElem(shape, [GroupRingElem(ctx, g, [int(h == k) for h in range(g.order)])
+                                  for g, k in zip(shape.groups, ks)], zero)
+                 for ks in product(*(range(g.order) for g in shape.groups))]
+    else:
+        moves = [ring.one]
+    one = ring._vector(_index_of_one(ring))
+    scalars = [ring.element(sum(ctx.mul(c, x) * ctx.q**h for h, x in enumerate(one)))
+               for c in range(1, ctx.q)]
+    return [ring.mul(s, u) for s in scalars for u in moves]
+
+
+def _orbit_count(ring):
+    """Orbits of the nonzero elements under left products by _coordinate_units."""
+    movers, seen, orbits = _coordinate_units(ring), set(), 0
+    for a in islice(ring.elements(), 1, None):
+        if a not in seen:
+            orbits += 1
+            seen.update(ring.mul(w, a) for w in movers)
+    return orbits
+
+
+def _tested_matrices(ring, monkeypatch):
     tested = []
     rows_invertible = linalg.rows_invertible
 
@@ -381,10 +420,43 @@ def test_unit_count_tests_one_element_per_scalar_class(label, monkeypatch):
 
     monkeypatch.setattr(linalg, "rows_invertible", counted)
     enumerate_units(ring)
-    q = ring.ctx.q
-    assert len(tested) == (q**ring.dim - 1) // (q - 1)
+    monkeypatch.undo()
+    return tested
+
+
+@pytest.mark.parametrize("label", COUNT_RINGS)
+def test_unit_count_tests_one_element_per_orbit(label, monkeypatch):
+    ring = COUNT_RINGS[label]
+    tested = _tested_matrices(ring, monkeypatch)
+    assert len(tested) == _orbit_count(ring)
     zero = list(map(ring.ctx.packing.pack, ring.unit_matrix(ring.element(0))))
     assert zero not in tested
+
+
+def test_unit_count_over_f2_cyclic_tests_one_necklace_per_orbit(monkeypatch):
+    # F_2^x is trivial, so the orbits are the nonzero binary necklaces of length n
+    tested = {}
+    for n in range(1, 13):
+        necklaces = sum(euler_phi(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        tested[n] = len(_tested_matrices(GroupRingEnum(cyclic(n), F2), monkeypatch))
+        assert tested[n] == necklaces - 1, n
+    assert (tested[7], tested[12]) == (19, 351)
+
+
+@pytest.mark.parametrize("label", COUNT_RINGS)
+def test_symmetries_are_left_products_by_units(label):
+    # each symmetry moves one to some u; it must move every a to u a
+    ring = COUNT_RINGS[label]
+    q, rng = ring.ctx.q, random.Random(label)
+    samples = [rng.randrange(ring.size) for _ in range(40)]
+    for perm in ring.symmetries():
+        def image(i):
+            return ring.element(sum(c * q ** perm[h] for h, c in enumerate(ring._vector(i))))
+
+        u = image(_index_of_one(ring))
+        assert ring.is_unit(u)
+        for i in samples:
+            assert image(i) == ring.mul(u, ring.element(i))
 
 
 def _unit_orders_by_prime_stripping(ring):

@@ -5,8 +5,8 @@ moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
-leave the unit test and the unit walks to the base class, and every demo
-script and README example runs cleanly.
+leave the unit test and the unit walks to the base class, it asks no ring
+its kind, and every demo script and README example runs cleanly.
 """
 
 import ast
@@ -148,6 +148,18 @@ def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
         and item.name in {"is_unit", "_walk", "_basis", "_pack"}
     ]
     assert not own, f"EnumerableRing subclasses define {own}"
+
+
+def test_oracle_asks_rings_rather_than_testing_their_kind():
+    # the adapters give their symmetries and unit matrices through methods;
+    # an isinstance on a ring kind in oracle.py would let one kind go its own way
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    checks = [
+        f"oracle.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in {"isinstance", "type"}
+    ]
+    assert not checks, f"oracle.py dispatches on type: {checks}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
