@@ -360,8 +360,8 @@ def _sweep_delta_fields(args) -> dict:
 
 def _sweep_block_formula(args) -> dict:
     specs = _split_shape_list(args.shapes)
-    if args.count < 0:
-        raise AlgebraError(f"sweep block-formula: --count {args.count} is negative")
+    if args.count < 1:
+        raise AlgebraError(f"sweep block-formula: --count {args.count} gives no case")
     if args.count * len(specs) > args.cap:
         raise AlgebraError(f"sweep block-formula: --count * {len(specs)} shapes exceeds "
                            f"the cap {args.cap}")
@@ -459,6 +459,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        oracle.check_positive(args.cap, "cap")
         report = _HANDLERS[args.command](args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

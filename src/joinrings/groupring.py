@@ -86,9 +86,8 @@ class GroupRingElem:
 
     def __mul__(self, other):
         self._check(other)
-        return GroupRingElem(
-            self.ctx, self.group, self.ctx.convolve(self.coeffs, other.coeffs, self.group.table)
-        )
+        ctx, group = self.ctx, self.group
+        return GroupRingElem(ctx, group, gr_product(ctx, group, self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -121,6 +120,11 @@ class GroupRingElem:
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.ctx}[{self.group.name}]>"
+
+
+def gr_product(ctx: FieldCtx, group: FiniteGroup, u, v) -> tuple[int, ...]:
+    """The coefficients of u v in F_q[G], for coefficient families u and v."""
+    return tuple(ctx.convolve(u, v, group.table))
 
 
 # ---------------------------------------------------------------------------

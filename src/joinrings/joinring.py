@@ -6,7 +6,9 @@ off-diagonal block itself is a_ij times the all-ones matrix and is never
 materialized except by :func:`join_embed`.
 
 Multiplication uses the closed block formula derived from the two matrix
-identities J_{m,n} J_{n,p} = n J_{m,p} and A J_{m,n} = rowsum(A) J_{m,n}.
+identities J_{m,n} J_{n,p} = n J_{m,p} and A J_{m,n} = rowsum(A) J_{m,n},
+on coordinate vectors (:meth:`JoinShape.product`); :func:`join_mul` wraps
+it for elements.
 Units and inverses come from the join decomposition: shifted blocks b_i in
 F_q[G_i] and one d x d matrix, by the matrix determinant lemma and
 Woodbury's identity (see :func:`_woodbury_split`).  The full matrix
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from itertools import islice
+from functools import cached_property, reduce
+from itertools import chain
 from math import gcd
 
 from . import linalg
@@ -38,6 +41,7 @@ from .groupring import (
     circulant_rows,
     gr_inverse,
     gr_is_unit,
+    gr_product,
     gr_unit_count,
     idempotent_eH,
     parse_element,
@@ -65,28 +69,63 @@ class JoinShape:
             i for i, g in enumerate(self.groups) if gcd(g.order, ctx.p) == 1
         )
         self.r = len(self.semisimple_blocks)
+        # the a_ij in the layout of from_vector, row by row
+        self._pairs = tuple((i, j) for i in range(self.d) for j in range(self.d) if i != j)
 
     def zero(self) -> "JoinElem":
-        return JoinElem(
-            self,
-            [GroupRingElem.zero(self.ctx, g) for g in self.groups],
-            [[0] * self.d for _ in range(self.d)],
-        )
+        return self.from_vector([0] * self.dimension())
 
     def one(self) -> "JoinElem":
-        return JoinElem(
-            self,
-            [GroupRingElem.one(self.ctx, g) for g in self.groups],
-            [[0] * self.d for _ in range(self.d)],
-        )
+        blocks = [GroupRingElem.one(self.ctx, g) for g in self.groups]
+        return JoinElem(self, blocks, [[0] * self.d] * self.d)
 
     def from_vector(self, vec) -> "JoinElem":
         """The element whose :meth:`dimension` coordinates are `vec`: every
         block coefficient in block order, then the a_ij row by row."""
-        codes = iter(vec)
-        blocks = [GroupRingElem(self.ctx, g, islice(codes, g.order)) for g in self.groups]
-        offdiag = [[next(codes) if i != j else 0 for j in range(self.d)] for i in range(self.d)]
-        return JoinElem(self, blocks, offdiag)
+        ctx, d, a = self.ctx, self.d, object.__new__(JoinElem)  # JoinElem's checks hold here
+        a.shape = self
+        a.blocks = tuple([GroupRingElem(ctx, g, vec[lo : lo + g.order])
+                          for g, lo in zip(self.groups, self.offsets)])
+        tail = vec[self.n :]  # row i holds its d - 1 scalars from i (d - 1) on
+        a.offdiag = tuple([(*tail[i * (d - 1) : i * d], 0, *tail[i * d : (i + 1) * (d - 1)])
+                           for i in range(d)])
+        return a
+
+    @cached_property
+    def _terms(self) -> list[list[list[tuple[int, int, int]]]]:
+        """[i][j]: the coordinates of a_ik and b_kj, and |G_k|, for each k != i, j."""
+        at = {pair: self.n + h for h, pair in enumerate(self._pairs)}
+        return [[[(at[i, k], at[k, j], self.ctx.scalar(size))
+                  for k, size in enumerate(self.sizes) if k not in (i, j)]
+                 for j in range(self.d)] for i in range(self.d)]
+
+    def product(self, u, v) -> tuple[int, ...]:
+        """The coordinates of u v, for u and v in the layout of :meth:`from_vector`.
+
+        With a_ij the scalars of u, b_ij those of v and epsilon the
+        augmentation, block i is u_i v_i plus the sum of a_ik b_ki |G_k| over
+        k != i times the all-ones element, and the scalar (i, j) is
+        epsilon(u_i) b_ij + a_ij epsilon(v_j) plus the sum of a_ik b_kj |G_k|
+        over k != i, j, by the identities of the module docstring.
+        """
+        ctx, terms = self.ctx, self._terms
+        add, mul = ctx.add, ctx.mul
+        out, aug_u, aug_v = [], [], []
+        for i, (g, lo) in enumerate(zip(self.groups, self.offsets)):
+            x, y = u[lo : lo + g.order], v[lo : lo + g.order]
+            aug_u.append(reduce(add, x, 0))
+            aug_v.append(reduce(add, y, 0))
+            s = 0
+            for ik, ki, size in terms[i][i]:
+                s = add(s, mul(mul(u[ik], v[ki]), size))
+            block = gr_product(ctx, g, x, y)
+            out += [add(c, s) for c in block] if s else block
+        for ij, (i, j) in enumerate(self._pairs, self.n):
+            s = add(mul(aug_u[i], v[ij]), mul(u[ij], aug_v[j]))
+            for ik, kj, size in terms[i][j]:
+                s = add(s, mul(mul(u[ik], v[kj]), size))
+            out.append(s)
+        return tuple(out)
 
     def dimension(self) -> int:
         """Dimension over F_q: sum |G_i| plus d(d-1) off-diagonal scalars."""
@@ -136,29 +175,20 @@ class JoinElem:
         if self.shape != other.shape:
             raise ContextMismatchError("join elements with different shapes")
 
+    def to_vector(self) -> tuple[int, ...]:
+        """The coordinates that :meth:`JoinShape.from_vector` reads."""
+        return (*chain.from_iterable(b.coeffs for b in self.blocks),
+                *(self.offdiag[i][j] for i, j in self.shape._pairs))
+
     def __add__(self, other):
         self._check(other)
         add = self.shape.ctx.add
-        return JoinElem(
-            self.shape,
-            [a + b for a, b in zip(self.blocks, other.blocks)],
-            [
-                [add(x, y) for x, y in zip(ra, rb)]
-                for ra, rb in zip(self.offdiag, other.offdiag)
-            ],
-        )
+        return self.shape.from_vector(tuple(map(add, self.to_vector(), other.to_vector())))
 
     def __sub__(self, other):
         self._check(other)
         sub = self.shape.ctx.sub
-        return JoinElem(
-            self.shape,
-            [a - b for a, b in zip(self.blocks, other.blocks)],
-            [
-                [sub(x, y) for x, y in zip(ra, rb)]
-                for ra, rb in zip(self.offdiag, other.offdiag)
-            ],
-        )
+        return self.shape.from_vector(tuple(map(sub, self.to_vector(), other.to_vector())))
 
     def __mul__(self, other):
         return join_mul(self, other)
@@ -234,88 +264,33 @@ class JoinElem:
 # ---------------------------------------------------------------------------
 
 def join_mul(a: JoinElem, b: JoinElem) -> JoinElem:
-    """Block-formula product (agrees with matrix product after embedding)."""
+    """The element product by :meth:`JoinShape.product`; it agrees with the embedded product."""
     a._check(b)
     shape = a.shape
-    ctx = shape.ctx
-    d = shape.d
-    add, mul = ctx.add, ctx.mul
-    sizes = [ctx.scalar(k) for k in shape.sizes]
-    aug_a = [blk.aug_total() for blk in a.blocks]
-    aug_b = [blk.aug_total() for blk in b.blocks]
-
-    blocks = []
-    for i in range(d):
-        blk = a.blocks[i] * b.blocks[i]
-        # contributions a_ik * J * b_ki * J = a_ik b_ki k_k * (all-ones)
-        s = 0
-        for k in range(d):
-            if k != i:
-                s = add(s, mul(mul(a.offdiag[i][k], b.offdiag[k][i]), sizes[k]))
-        if s:
-            blk = blk + GroupRingElem(ctx, shape.groups[i], (s,) * shape.sizes[i])
-        blocks.append(blk)
-
-    offdiag = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            s = add(mul(aug_a[i], b.offdiag[i][j]), mul(a.offdiag[i][j], aug_b[j]))
-            for k in range(d):
-                if k != i and k != j:
-                    s = add(s, mul(mul(a.offdiag[i][k], b.offdiag[k][j]), sizes[k]))
-            offdiag[i][j] = s
-    return JoinElem(shape, blocks, offdiag)
+    return shape.from_vector(shape.product(a.to_vector(), b.to_vector()))
 
 
 def join_embed(a: JoinElem) -> list[list[int]]:
     """The element as a full n x n matrix over F_q (raw codes)."""
-    shape = a.shape
-    n = shape.n
-    rows = [[0] * n for _ in range(n)]
-    for i, blk in enumerate(a.blocks):
-        off = shape.offsets[i]
-        for r, row in enumerate(circulant_rows(blk)):
-            rows[off + r][off : off + shape.sizes[i]] = row
-    for i in range(shape.d):
-        for j in range(shape.d):
-            if i == j or not a.offdiag[i][j]:
-                continue
-            v = a.offdiag[i][j]
-            oi, oj = shape.offsets[i], shape.offsets[j]
-            for r in range(shape.sizes[i]):
-                row = rows[oi + r]
-                for c in range(shape.sizes[j]):
-                    row[oj + c] = v
+    shape, at, sizes = a.shape, a.shape.offsets, a.shape.sizes
+    rows = [[0] * shape.n for _ in range(shape.n)]
+    for i, j in shape._pairs:  # a_ij times the all-ones block
+        for r in range(at[i], at[i] + sizes[i]):
+            rows[r][at[j] : at[j] + sizes[j]] = [a.offdiag[i][j]] * sizes[j]
+    for blk, lo in zip(a.blocks, at):
+        for r, row in enumerate(circulant_rows(blk), lo):
+            rows[r][lo : lo + len(row)] = row
     return rows
 
 
 def join_unembed(shape: JoinShape, rows) -> JoinElem:
     """Inverse of join_embed; raises if the matrix is not in the join subring."""
-    blocks = []
-    for i, g in enumerate(shape.groups):
-        off = shape.offsets[i]
-        sub = [list(row[off : off + g.order]) for row in rows[off : off + g.order]]
-        blk = GroupRingElem(shape.ctx, g, sub[0])
-        if circulant_rows(blk) != sub:
-            raise AlgebraError(f"diagonal block {i} does not satisfy the circulant condition")
-        blocks.append(blk)
-    offdiag = [[0] * shape.d for _ in range(shape.d)]
-    for i in range(shape.d):
-        for j in range(shape.d):
-            if i == j:
-                continue
-            oi, oj = shape.offsets[i], shape.offsets[j]
-            v = rows[oi][oj]
-            for r in range(shape.sizes[i]):
-                for c in range(shape.sizes[j]):
-                    if rows[oi + r][oj + c] != v:
-                        raise AlgebraError(
-                            f"off-diagonal block ({i}, {j}) is not constant"
-                        )
-            offdiag[i][j] = v
-    return JoinElem(shape, blocks, offdiag)
+    at = shape.offsets
+    blocks = [rows[lo][lo + h] for g, lo in zip(shape.groups, at) for h in range(g.order)]
+    a = shape.from_vector(blocks + [rows[at[i]][at[j]] for i, j in shape._pairs])
+    if join_embed(a) != [list(row) for row in rows]:
+        raise AlgebraError(f"the matrix is not in the join subring of {shape}")
+    return a
 
 
 def random_join_element(shape: JoinShape, rng: random.Random) -> JoinElem:
@@ -353,13 +328,8 @@ def gen_augmentation(a: JoinElem, subgroups) -> JoinElem:
     ctx = shape.ctx
     target = quotient_shape(shape, subgroups)
     blocks = [augmentation(blk, h) for blk, h in zip(a.blocks, subgroups)]
-    offdiag = [
-        [
-            ctx.mul(a.offdiag[i][j], ctx.scalar(subgroups[j].order)) if i != j else 0
-            for j in range(shape.d)
-        ]
-        for i in range(shape.d)
-    ]
+    scale = [ctx.scalar(h.order) for h in subgroups]  # the diagonal stays 0
+    offdiag = [[ctx.mul(x, s) for x, s in zip(row, scale)] for row in a.offdiag]
     return JoinElem(target, blocks, offdiag)
 
 

@@ -7,27 +7,24 @@ lexicographic over coefficient vectors, so failing witnesses are
 reproducible.  A ring refuses to be built with more elements than its cap;
 the radical, which pairs elements, refuses more than cap pairs.
 
-Every ring kind gives `unit_matrix(a)`, a matrix linear in a's coefficient
-vector that is invertible iff a is a unit.  The unit count, `list_units`
-and the radical build no element to test it.  `list_units` walks every
+The oracles run on coefficient tuples and build elements only for return
+values and labels.  Each ring kind gives one product on the tuples, and
+`unit_matrix(a)`, linear in a's coefficients and invertible iff a is a
+unit; U(v) is packed as one integer, the sum of c_i B_i over v's nonzero
+coordinates, B_i that of the i-th basis vector.  `list_units` walks every
 index in increasing order (lexicographic n-tuples, as in Knuth, TAOCP 4A,
-7.2.1.1) and keeps, for each coordinate level, the sum of c_i B_i over the
-coordinates i from that level up, where B_i is the unit matrix of the i-th
-basis vector, packed once per call as one integer.  A step that changes
-coordinate i to c builds that level as its parent plus c B_i, so a step
-costs about q/(q - 1) packed additions, a split into rows, and one
-elimination; only a unit is built as an element.  The unit count tests
-one element per orbit of F_q^x times the ring's `symmetries`, coordinate
-permutations that come from left multiplication by a unit: by g in a
-group ring, by diag(g_1..g_d) in a join.  An orbit is all units or none,
-so each unit tested counts its orbit's size, and its matrix is the packed
-sum of c_i B_i over its nonzero coordinates.  F2[C12] takes 351
-eliminations where the (q^dim - 1)/(q - 1) scalar classes took 4095, F3[C7]
-157 for 1093 and F5[S3] 684 for 3906.  The radical is {x : 1 + r x is a
-unit for all r}, the quasi-regular 1 - r x with r replaced by -r:
-U(1 + r x) = U(1) + sum r_i U(b_i x) is linear in r, so the walk from U(1)
-over the U(b_i x) tests x against every r.  The order questions
-(exponent, units of one order, u^n = 1) read one :func:`unit_orders` list.
+7.2.1.1) and keeps, per coordinate level, the sum of c_i B_i over the
+coordinates from that level up, so a step costs about q/(q - 1) packed
+additions and one elimination.  The unit count tests one element per
+orbit of F_q^x times the ring's `symmetries`, coordinate permutations that
+come from left multiplication by a unit (g in a group ring, diag(g_1..g_d)
+in a join); an orbit is all units or none.  F2[C12] takes 351 eliminations
+where the (q^dim - 1)/(q - 1) scalar classes took 4095, F3[C7] 157 for
+1093 and F5[S3] 684 for 3906.  The radical is {x : 1 + r x is a unit for
+all r}, the quasi-regular 1 - r x with r replaced by -r: U(1 + r x) =
+U(1) + sum r_i U(b_i x) is linear in r, so the walk from U(1) over the
+U(b_i x) tests x against every r.  The order questions (exponent, units of
+one order, u^n = 1) read one :func:`unit_orders` list.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from .ffield import FieldCtx
-from .groupring import GroupRingElem, circulant_rows, format_element
+from .groupring import GroupRingElem, circulant_rows, format_element, gr_product
 from .groups import FiniteGroup
 from .joinring import JoinElem, JoinShape, join_embed
 
@@ -55,18 +52,15 @@ class EnumerableRing:
     """Uniform enumeration interface over the ring families we brute-force.
 
     Index 0 is zero; `one` is the identity.  `element(i)` decodes the i-th
-    coefficient vector (lexicographic, least significant first).  Every
-    oracle below works through these methods alone: `add` and `mul`
-    default to the element operators, `is_unit` asks whether `unit_matrix`
-    is invertible, and the unit count, `list_units` and the radical walk the
-    packed unit matrices without building elements.  Elements are hashable
+    coefficient vector (lexicographic, least significant first), `_vector(i)`,
+    and `coordinates(a)` reads it back.  The oracles run on these tuples
+    through `product(u, v)`, the ring product on them.  Elements are hashable
     and compare by value.  Subclasses call ``__init__`` before they build
-    anything of the ring's size, and provide `element(i)`, `unit_matrix(a)`
-    and `label(a)`, overriding the arithmetic when their elements have no
-    operators.  `element` and `unit_matrix` must be linear in the
-    coefficient vector, and `unit_matrix(a)` invertible iff a is a unit.
-    An adapter whose units some coordinate permutations preserve lists
-    them in `symmetries`, which the unit count uses.
+    anything of the ring's size, and provide `one`, `element(i)`,
+    `coordinates(a)`, `product(u, v)`, `unit_matrix(a)` and `label(a)`.
+    `element` and `unit_matrix` must be linear in the coefficient vector, and
+    `unit_matrix(a)` invertible iff a is a unit.  An adapter whose units some
+    coordinate permutations preserve lists them in `symmetries`.
     """
 
     def __init__(self, ctx: FieldCtx, dim: int, cap: int):
@@ -84,31 +78,33 @@ class EnumerableRing:
     def elements(self):
         return (self.element(i) for i in range(self.size))
 
-    def _vector(self, index: int) -> list[int]:
+    def _vector(self, index: int) -> tuple[int, ...]:
         q = self.ctx.q
-        out = []
-        for _ in range(self.dim):
-            out.append(index % q)
-            index //= q
-        return out
+        return tuple(index // q**h % q for h in range(self.dim))
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
+    @cached_property
+    def _one(self) -> tuple[int, ...]:
+        return tuple(self.coordinates(self.one))
 
     def is_unit(self, a) -> bool:
         return linalg.is_invertible(self.unit_matrix(a), self.ctx)
 
+    @cached_property
     def _basis(self) -> list[int]:
         """B_i: the packed unit matrix of each basis vector."""
-        q = self.ctx.q
-        return [self._pack(self.element(q**i)) for i in range(self.dim)]
+        q, pack = self.ctx.q, self.ctx.packing.pack
+        return [pack(chain.from_iterable(self.unit_matrix(self.element(q**i))))
+                for i in range(self.dim)]
 
-    def _pack(self, a) -> int:
-        """The unit matrix of a, packed as one integer."""
-        return self.ctx.packing.pack(chain.from_iterable(self.unit_matrix(a)))
+    def _pack(self, vector) -> int:
+        """The unit matrix of the element with coordinates `vector`, packed as
+        one integer: the sum of c_h B_h over its nonzero coordinates c_h."""
+        combine, times = self.ctx.packing.combine, self.ctx.packing.times
+        matrix = 0
+        for c, b in zip(vector, self._basis):
+            if c:
+                matrix = combine(matrix, times(b, c))
+        return matrix
 
     @cached_property
     def _row_split(self) -> tuple[int, range]:
@@ -166,6 +162,12 @@ class GroupRingEnum(EnumerableRing):
     def element(self, index: int) -> GroupRingElem:
         return GroupRingElem(self.ctx, self.group, self._vector(index))
 
+    def coordinates(self, a) -> tuple[int, ...]:
+        return a.coeffs
+
+    def product(self, u, v) -> tuple[int, ...]:
+        return gr_product(self.ctx, self.group, u, v)
+
     def unit_matrix(self, a) -> list[list[int]]:
         return circulant_rows(a)
 
@@ -191,6 +193,12 @@ class JoinRingEnum(EnumerableRing):
     def element(self, index: int) -> JoinElem:
         return self.shape.from_vector(self._vector(index))
 
+    def coordinates(self, a) -> tuple[int, ...]:
+        return a.to_vector()
+
+    def product(self, u, v) -> tuple[int, ...]:
+        return self.shape.product(u, v)
+
     def unit_matrix(self, a) -> list[list[int]]:
         return join_embed(a)
 
@@ -198,11 +206,10 @@ class JoinRingEnum(EnumerableRing):
         """Left multiplication by the unit diag(g_1..g_d): block i moves as
         in F_q[G_i], and each a_ij stays, since a permutation matrix times
         an all-ones block is that block."""
-        blocks, start = [], 0
-        for g in self.shape.groups:
-            blocks.append([[start + h for h in row] for row in g.table])
-            start += g.order
-        offdiag = range(start, self.dim)
+        shape = self.shape
+        blocks = [[[lo + h for h in row] for row in g.table]
+                  for g, lo in zip(shape.groups, shape.offsets)]
+        offdiag = range(shape.n, self.dim)
         return [[*chain.from_iterable(rows), *offdiag] for rows in product(*blocks)]
 
     def label(self, a) -> str:
@@ -217,62 +224,70 @@ class SemimagicRing(EnumerableRing):
 
     The dimension is the closed form n^2 - 2n + 2, so the enumeration cap
     is checked before anything of size n^2 is built.  The basis, built on
-    the first :meth:`element`, is the nullspace of the row/column sum
-    constraints and must have that many vectors, so the closed form is
-    verified rather than assumed.
+    first use, is the nullspace of the row/column sum constraints and must
+    have that many vectors, so the closed form is verified rather than
+    assumed.  Each basis vector is 1 at its own free column and 0 at the
+    others', so an element's coordinates are its entries at those columns,
+    and the product reads the structure constants of the basis, built once.
     """
 
     def __init__(self, n: int, ctx: FieldCtx, cap: int = DEFAULT_CAP):
         if n < 1:
             raise AlgebraError(f"semimagic size must be >= 1, got {n}")
         self.n = n
-        super().__init__(ctx, 1 if n == 1 else n * n - 2 * n + 2, cap)
+        super().__init__(ctx, n * n - 2 * n + 2, cap)
         self.one = tuple(map(tuple, linalg.identity(n)))
 
     @cached_property
-    def basis(self) -> list[list[list[int]]]:
+    def basis(self) -> list[list[int]]:
+        """The nullspace basis, each vector the n^2 entries row by row."""
         n, ctx = self.n, self.ctx
-        if n == 1:
-            return [[[1]]]
-        # constraints: rowsum_i - rowsum_0 = 0 (i >= 1), colsum_j - rowsum_0 = 0
-        rows = []
-        for i in range(1, n):
-            vec = [0] * (n * n)
-            for j in range(n):
-                vec[i * n + j] = 1
-                vec[j] = ctx.sub(vec[j], 1)
-            rows.append(vec)
-        for j in range(n):
-            vec = [0] * (n * n)
-            for i in range(n):
-                vec[i * n + j] = ctx.add(vec[i * n + j], 1)
-            for c in range(n):
-                vec[c] = ctx.sub(vec[c], 1)
-            rows.append(vec)
+        # every line sum but that of row 0, minus that of row 0
+        lines = [range(i * n, i * n + n) for i in range(n)] + [range(j, n * n, n) for j in range(n)]
+        rows = [[ctx.sub(int(c in line), int(c in lines[0])) for c in range(n * n)]
+                for line in lines[1:]]
         basis_vecs = linalg.nullspace(rows, ctx)
         if len(basis_vecs) != self.dim:
             raise InternalConsistencyError(
                 f"semimagic dimension {len(basis_vecs)} != expected {self.dim}"
             )
-        return [[vec[i * n : (i + 1) * n] for i in range(n)] for vec in basis_vecs]
+        return basis_vecs
+
+    @cached_property
+    def _free(self) -> list[int]:
+        """The free column of each basis vector, its last nonzero entry: a
+        pivot column lies left of every free column its row reaches."""
+        return [max(c for c, x in enumerate(vec) if x) for vec in self.basis]
 
     def element(self, index: int):
-        vec = self._vector(index)
         ctx, n = self.ctx, self.n
-        out = [[0] * n for _ in range(n)]
-        for coef, mat in zip(vec, self.basis):
+        out = [0] * (n * n)
+        for coef, vec in zip(self._vector(index), self.basis):
             if coef:
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j] = ctx.add(out[i][j], ctx.mul(coef, mat[i][j]))
-        return tuple(tuple(r) for r in out)
+                out = [ctx.add(x, ctx.mul(coef, y)) for x, y in zip(out, vec)]
+        return tuple(tuple(out[i * n : (i + 1) * n]) for i in range(n))
 
-    def add(self, a, b):
-        add = self.ctx.add
-        return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    def coordinates(self, a) -> tuple[int, ...]:
+        return tuple(a[c // self.n][c % self.n] for c in self._free)
 
-    def mul(self, a, b):
-        return tuple(tuple(r) for r in linalg.mat_mul([list(r) for r in a], [list(r) for r in b], self.ctx))
+    @cached_property
+    def _constants(self) -> list[list[int]]:
+        """[h][k]: the coordinates of the product of basis vectors h and k,
+        packed as one row."""
+        q, ctx, pack = self.ctx.q, self.ctx, self.ctx.packing.pack
+        mats = [self.element(q**h) for h in range(self.dim)]
+        return [[pack(self.coordinates(linalg.mat_mul(x, y, ctx))) for y in mats] for x in mats]
+
+    def product(self, u, v) -> tuple[int, ...]:
+        packing, mul = self.ctx.packing, self.ctx.mul
+        combine, times = packing.combine, packing.times
+        acc = 0
+        for x, row in zip(u, self._constants):
+            if x:
+                for y, c in zip(v, row):
+                    if y:
+                        acc = combine(acc, times(c, mul(x, y)))
+        return tuple(packing.unpack(acc, self.dim))
 
     def unit_matrix(self, a):
         return a
@@ -304,8 +319,7 @@ def enumerate_units(ring: EnumerableRing) -> int:
     marks the orbit so that none of the others is tested.
     """
     ctx, dim, q = ring.ctx, ring.dim, ring.ctx.q
-    basis, (row_mask, shifts) = ring._basis(), ring._row_split
-    combine, times = ctx.packing.combine, ctx.packing.times
+    row_mask, shifts = ring._row_split
     # columns[h][c][k] = c q^perm[h], perm the k-th symmetry: the image of v
     # under perm has index sum_h columns[h][v[h]][k]
     columns = [_Multiples({1: [q**i for i in images]}) for images in zip(*ring.symmetries())]
@@ -319,16 +333,13 @@ def enumerate_units(ring: EnumerableRing) -> int:
             orbit = _orbit(vector, columns, ctx)
             for image in orbit:
                 marked[image] = 1
-            matrix = basis[t]  # coordinate t is 1, and those under it 0
-            for h in range(t + 1, dim):
-                if vector[h]:
-                    matrix = combine(matrix, times(basis[h], vector[h]))
+            matrix = ring._pack(vector)
             if linalg.rows_invertible([matrix >> s & row_mask for s in shifts], ctx):
                 units += len(orbit)
     return (q - 1) * units
 
 
-def _orbit(vector: list[int], columns: list[_Multiples], ctx: FieldCtx) -> set[int]:
+def _orbit(vector: tuple[int, ...], columns: list[_Multiples], ctx: FieldCtx) -> set[int]:
     """Indices of the images of `vector` under the symmetries of `columns`,
     each divided by its lowest nonzero coordinate."""
     q = ctx.q
@@ -356,14 +367,18 @@ class _Multiples(dict):
         return out
 
 
+def _unit_indices(ring: EnumerableRing) -> list[int]:
+    """The index of every unit, in increasing order, from the packed walk."""
+    walk = enumerate(ring._walk(0, ring._basis, ring.dim))
+    return [i for i, rows in walk if linalg.rows_invertible(rows, ring.ctx)]
+
+
 def list_units(ring: EnumerableRing) -> list:
     """Every unit, in enumeration order; only units are built as elements."""
-    ctx = ring.ctx
-    walk = enumerate(ring._walk(0, ring._basis(), ring.dim))
-    return [ring.element(i) for i, rows in walk if linalg.rows_invertible(rows, ctx)]
+    return [ring.element(i) for i in _unit_indices(ring)]
 
 
-def _orders(units, mul, one) -> dict:
+def _orders(units, product, one) -> dict:
     """Multiplicative order of every unit, from ring products alone.
 
     Each unit u not yet seen is multiplied by u until its power u^t is
@@ -382,17 +397,18 @@ def _orders(units, mul, one) -> dict:
             if x in powers:
                 raise InternalConsistencyError(f"{u!r} is not a unit: its powers never reach one")
             powers[x] = t
-            x, t = mul(x, u), t + 1
+            x, t = product(x, u), t + 1
         for x, j in powers.items():
             orders[x] = t // gcd(j, t)
     return orders
 
 
 def unit_orders(ring: EnumerableRing):
-    """List of (unit, multiplicative order) over all units, in enumeration order."""
-    units = list_units(ring)
-    orders = _orders(units, ring.mul, ring.one)
-    return [(u, orders[u]) for u in units]
+    """(unit, multiplicative order) of every unit, in enumeration order, by `ring.product`."""
+    indices = _unit_indices(ring)
+    units = [ring._vector(i) for i in indices]
+    orders = _orders(units, ring.product, ring._one)
+    return [(ring.element(i), orders[u]) for i, u in zip(indices, units)]
 
 
 def unit_group_exponent(orders) -> int:
@@ -423,23 +439,23 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     Over F_p with G a p-group the group ring is local, so the normalized
     units are exactly the elements of coefficient sum 1, and every order is
     a power of p.  Their orders come from the same power sweep as
-    :func:`unit_orders`, on raw coefficient tuples.
+    :func:`unit_orders`, on coefficient tuples.
     """
     p = ctx.p
     if not group.is_p_group(p):
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx, cap)
-    add, sub, convolve, table = ctx.add, ctx.sub, ctx.convolve, group.table
+    add, sub = ctx.add, ctx.sub
     # the last coefficient makes the coefficient sum 1
     units = ((*head, sub(1, reduce(add, head, 0)))
              for head in product(range(ctx.q), repeat=group.order - 1))
-    orders = _orders(units, lambda a, b: tuple(convolve(a, b, table)), ring.one.coeffs)
+    orders = _orders(units, ring.product, ring._one)
     # every order is a power of p, so their lcm is the largest
     return max(orders.values())
 
 
 def check_positive(n: int, what: str) -> None:
-    """Refuse an order or exponent below 1, before anything is enumerated."""
+    """Refuse an order, exponent or cap below 1, before anything is enumerated."""
     if n < 1:
         raise AlgebraError(f"{what} must be positive, got {n}")
 
@@ -453,51 +469,60 @@ def jacobson_radical(ring: EnumerableRing) -> list:
 
     r -> -r makes this the quasi-regular {x : 1 - r x is a unit for all r}.
     The walk from U(1) over the U(b_i x), b_i the basis vectors, tests every
-    r and stops at the first singular matrix, building b_i x only once it
+    r and stops at the first singular matrix, packing U(b_i x) only once it
     reaches coordinate i.  Membership and the ideal check each take up to
     one step per pair (x, r), so the ring's cap bounds the q^(2 dim) pairs.
     """
-    q, dim = ring.ctx.q, ring.dim
+    return [ring.element(i) for i in _radical(ring)]
+
+
+def _radical(ring: EnumerableRing) -> list[int]:
+    """The indices of :func:`jacobson_radical`, in increasing order; every
+    product and check runs on coordinate tuples."""
+    q, dim, ctx, mul = ring.ctx.q, ring.dim, ring.ctx, ring.product
     if q ** (2 * dim) > ring.cap:
         raise EnumerationCapError(
             f"{ring!r} has {q}^{2 * dim} pairs (x, r) for the radical, beyond the cap {ring.cap}")
-    elements = list(ring.elements())
-    ctx, one = ring.ctx, ring._pack(ring.one)
-    basis = [ring.element(q**i) for i in range(dim)]
-    rad = []
-    for x in elements:
-        walk = ring._walk(one, (ring._pack(ring.mul(b, x)) for b in basis), dim)
-        if all(linalg.rows_invertible(rows, ctx) for rows in walk):
-            rad.append(x)
+    elements = [ring._vector(i) for i in range(ring.size)]
+    one = ring._pack(ring._one)
+    basis = [elements[q**i] for i in range(dim)]
+    indices = [
+        i for i, x in enumerate(elements)
+        if all(linalg.rows_invertible(rows, ctx)
+               for rows in ring._walk(one, (ring._pack(mul(b, x)) for b in basis), dim))
+    ]
+    rad = [elements[i] for i in indices]
 
     rad_set = set(rad)
     # two-sided ideal check
     for x in rad:
         for r in elements:
-            if ring.mul(r, x) not in rad_set or ring.mul(x, r) not in rad_set:
+            if mul(r, x) not in rad_set or mul(x, r) not in rad_set:
                 raise InternalConsistencyError("radical is not a two-sided ideal")
     # nilpotency: rad^k shrinks to {0} within dim steps
-    current = set(rad)
-    zero = ring.element(0)
-    for _ in range(ring.dim):
+    current = rad_set
+    zero = elements[0]
+    for _ in range(dim):
         if current == {zero}:
             break
-        current = {ring.mul(x, y) for x in current for y in rad}
+        current = {mul(x, y) for x in current for y in rad}
     else:
         if current != {zero}:
             raise InternalConsistencyError("radical failed the nilpotency check")
-    return rad
+    return indices
 
 
 def semisimple_unit_factorization(ring: EnumerableRing):
     """Check |R^x| = |Rad(R)| * |image of R^x in R/Rad(R)|.
 
     Returns (unit_count, radical_size, image_size).  The image is counted
-    as the number of distinct cosets u(1 + Rad) = {u + u x : x in Rad}, each
-    taken as a set of elements, which is an independent count of the
-    semisimplification's units.
+    as the number of distinct cosets u(1 + Rad) = {u y : y in 1 + Rad}, each
+    taken as a set of coordinate tuples, which is an independent count of
+    the semisimplification's units.
     """
-    rad = jacobson_radical(ring)
-    units = list_units(ring)
-    image = {frozenset(ring.add(u, ring.mul(u, x)) for x in rad) for u in units}
+    rad = [ring._vector(i) for i in _radical(ring)]
+    units = [ring._vector(i) for i in _unit_indices(ring)]
+    add, mul = ring.ctx.add, ring.product
+    shifted = [tuple(map(add, ring._one, x)) for x in rad]  # 1 + Rad
+    image = {frozenset(mul(u, y) for y in shifted) for u in units}
     return len(units), len(rad), len(image)

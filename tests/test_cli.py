@@ -116,6 +116,16 @@ def test_oracle_cap_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["sweep", "rooted"], ["field", "F2"],
+                                  ["oracle", "--group", "C3", "--field", "F2", "--units"]])
+@pytest.mark.parametrize("cap", ["0", "-1", "-5"])
+def test_cap_below_one_is_refused_before_any_command(capsys, cap, argv):
+    assert run(["--cap", cap, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cap must be positive, got {cap}\n"
+
+
 def test_oracle_radical_cap_counts_pairs(capsys):
     # F2[C6] has 64 elements and 2^12 pairs (x, r)
     argv = ["oracle", "--group", "C6", "--field", "F2", "--radical"]
@@ -178,6 +188,7 @@ def test_oracle_refusal_names_a_size_too_long_for_decimal(capsys):
     ["sweep", "delta-fields", "--qmax", "100000000", "--pmax", "-1", "--rmax", "0"],
     ["sweep", "block-formula", "--count", "100000000"],
     ["sweep", "block-formula", "--count", "-1", "--shapes", "join(C3;F2)"],
+    ["sweep", "block-formula", "--count", "0", "--shapes", "join(C3;F2)"],
     ["sweep", "rooted", "--pmax", "260", "--bases", "2"],
     ["--cap", "1000", "sweep", "delta-fields", "--qmax", "10", "--pmax", "20", "--rmax", "6"],
     ["sweep", "delta-fields", "--qmax", "-5"],
@@ -188,6 +199,7 @@ def test_oracle_refusal_names_a_size_too_long_for_decimal(capsys):
     ["sweep", "rooted", "--pmax", "2"],
     ["sweep", "rooted", "--bases", "2,4", "--pmax", "3"],
 ], ids=["delta-fields", "delta-fields-no-p", "block-formula", "block-formula-negative",
+        "block-formula-no-count",
         "rooted", "delta-fields-cap", "delta-fields-no-q", "delta-fields-q-1",
         "delta-fields-p-1", "delta-fields-no-r", "rooted-no-bases", "rooted-no-p",
         "rooted-only-the-characteristic"])
@@ -356,14 +368,15 @@ def test_sweep_rooted_over_a_prime_power_base(capsys):
 
 
 def test_oracle_radical_enumerates_the_radical_once(capsys, monkeypatch):
+    # the factorization reads the radical's coordinates from oracle._radical
     calls = []
-    jacobson_radical = oracle.jacobson_radical
+    radical = oracle._radical
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return jacobson_radical(*args, **kwargs)
+        return radical(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "jacobson_radical", counted)
+    monkeypatch.setattr(oracle, "_radical", counted)
     assert run(["oracle", "--group", "S3", "--field", "F2", "--radical"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == (

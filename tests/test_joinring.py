@@ -94,6 +94,9 @@ def test_unembed_rejects_non_member():
     rows = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(AlgebraError):
         join_unembed(shape, rows)  # diagonal block not circulant
+    rows = [[1, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(AlgebraError):
+        join_unembed(shape, rows)  # off-diagonal block not constant
 
 
 def test_one_and_zero():

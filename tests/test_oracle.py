@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from functools import reduce
@@ -211,6 +212,14 @@ def test_semimagic_dimensions_and_units():
     assert enumerate_units(sm2) == 2
 
 
+def _times(ring, a, b):
+    """The element product: the operator, or mat_mul on two semimagic
+    matrices, which are tuples of rows."""
+    if isinstance(a, tuple):
+        return tuple(map(tuple, linalg.mat_mul(a, b, ring.ctx)))
+    return a * b
+
+
 def _line_sums(ring, a):
     """The row sums, then the column sums, of a semimagic matrix."""
     return [reduce(ring.ctx.add, line, 0) for line in (*a, *zip(*a))]
@@ -220,7 +229,7 @@ def test_semimagic_closed_under_product():
     sm = semimagic_ring(3, F3)
     a = sm.element(17)
     b = sm.element(101)
-    ab = sm.mul(a, b)
+    ab = _times(sm, a, b)
     # every line of a product of semimagic matrices has one sum, the product of theirs
     assert len(set(_line_sums(sm, a))) == len(set(_line_sums(sm, b))) == 1
     assert _line_sums(sm, ab) == [F3.mul(_line_sums(sm, a)[0], _line_sums(sm, b)[0])] * 6
@@ -271,8 +280,8 @@ def _power(ring, u, t):
     result = ring.one
     while t:
         if t & 1:
-            result = ring.mul(result, u)
-        u = ring.mul(u, u)
+            result = _times(ring, result, u)
+        u = _times(ring, u, u)
         t >>= 1
     return result
 
@@ -322,7 +331,7 @@ def _radical_by_pairs(ring):
     one product, one difference and one is_unit per pair (x, r)."""
     elements = list(ring.elements())
     return [x for x in elements
-            if all(ring.is_unit(_difference(ring, ring.one, ring.mul(r, x))) for r in elements)]
+            if all(ring.is_unit(_difference(ring, ring.one, _times(ring, r, x))) for r in elements)]
 
 
 RADICAL_RINGS = {
@@ -397,7 +406,7 @@ def _coordinate_units(ring):
     one = ring._vector(_index_of_one(ring))
     scalars = [ring.element(sum(ctx.mul(c, x) * ctx.q**h for h, x in enumerate(one)))
                for c in range(1, ctx.q)]
-    return [ring.mul(s, u) for s in scalars for u in moves]
+    return [_times(ring, s, u) for s in scalars for u in moves]
 
 
 def _orbit_count(ring):
@@ -406,7 +415,7 @@ def _orbit_count(ring):
     for a in islice(ring.elements(), 1, None):
         if a not in seen:
             orbits += 1
-            seen.update(ring.mul(w, a) for w in movers)
+            seen.update(_times(ring, w, a) for w in movers)
     return orbits
 
 
@@ -456,7 +465,7 @@ def test_symmetries_are_left_products_by_units(label):
         u = image(_index_of_one(ring))
         assert ring.is_unit(u)
         for i in samples:
-            assert image(i) == ring.mul(u, ring.element(i))
+            assert image(i) == _times(ring, u, ring.element(i))
 
 
 def _unit_orders_by_prime_stripping(ring):
@@ -533,4 +542,49 @@ def test_orders_refuses_a_non_unit():
     ring = GroupRingEnum(cyclic(2), F2)
     nilpotent = ring.element(3)  # 1 + g, whose square is 0
     with pytest.raises(InternalConsistencyError):
-        _orders([nilpotent], ring.mul, ring.one)
+        _orders([nilpotent], operator.mul, ring.one)
+
+
+PRODUCT_RINGS = {
+    "F2[S3]": GroupRingEnum(parse_group_spec("S3"), F2),
+    "join(C2,C2;F2)": JoinRingEnum(parse_shape_spec("join(C2,C2;F2)")),
+    "join(C2,C3;F2)": JoinRingEnum(parse_shape_spec("join(C2,C3;F2)")),
+    "SM2(F3)": semimagic_ring(2, F3),
+    "SM3(F2)": semimagic_ring(3, F2),
+}
+
+
+@pytest.mark.parametrize("label", PRODUCT_RINGS)
+def test_coordinates_read_back_the_enumeration(label):
+    ring = PRODUCT_RINGS[label]
+    for i in range(ring.size):
+        assert ring.coordinates(ring.element(i)) == ring._vector(i), i
+
+
+@pytest.mark.parametrize("label", PRODUCT_RINGS)
+def test_product_agrees_with_the_element_and_matrix_products(label):
+    # on every pair: the element product, and the product of the unit
+    # matrices, which are a faithful representation of the ring
+    ring = PRODUCT_RINGS[label]
+    ctx, q = ring.ctx, ring.ctx.q
+    elements = list(ring.elements())
+    matrices = [ring.unit_matrix(a) for a in elements]
+    for a, ma in zip(elements, matrices):
+        u = ring.coordinates(a)
+        assert ring.product(u, ring._one) == u == ring.product(ring._one, u)
+        for b, mb in zip(elements, matrices):
+            uv = ring.product(u, ring.coordinates(b))
+            assert uv == ring.coordinates(_times(ring, a, b))
+            muv = matrices[sum(c * q**h for h, c in enumerate(uv))]
+            assert list(map(list, muv)) == linalg.mat_mul(ma, mb, ctx)
+
+
+def test_product_on_three_blocks_agrees_with_the_matrix_product():
+    # three blocks reach the terms a_ik b_kj |G_k| with k != i, j, which
+    # the two-block rings above lack
+    ring = JoinRingEnum(parse_shape_spec("join(C2,C1,C3;F3)"))
+    rng = random.Random(ring.dim)
+    for _ in range(300):
+        a, b = (ring.element(rng.randrange(ring.size)) for _ in range(2))
+        ab = ring.shape.from_vector(ring.product(ring.coordinates(a), ring.coordinates(b)))
+        assert ring.unit_matrix(ab) == linalg.mat_mul(ring.unit_matrix(a), ring.unit_matrix(b), ring.ctx)

@@ -5,8 +5,9 @@ moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
-leave the unit test and the unit walks to the base class, it asks no ring
-its kind, and every demo script and README example runs cleanly.
+leave the unit test and the unit walks to the base class, each ring kind
+has one product, it asks no ring its kind, and every demo script and README
+example runs cleanly.
 """
 
 import ast
@@ -148,6 +149,29 @@ def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
         and item.name in {"is_unit", "_walk", "_basis", "_pack"}
     ]
     assert not own, f"EnumerableRing subclasses define {own}"
+
+
+def test_each_ring_kind_has_one_product():
+    # an adapter multiplies by its `product` on coordinate tuples alone; an
+    # add or mul beside it, or a convolution named in oracle.py, would be a
+    # second product path that could disagree with the first
+    own = [
+        f"{path.name}:{item.lineno} {node.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and (node.name == "EnumerableRing"
+             or any(ast.unparse(base).endswith("EnumerableRing") for base in node.bases))
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in {"add", "mul"}
+    ]
+    assert not own, f"EnumerableRing or a subclass defines {own}"
+    named = [
+        f"oracle.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "oracle.py").read_text()))
+        if "convolve" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+    ]
+    assert not named, f"oracle.py names convolve at {named}"
 
 
 def test_oracle_asks_rings_rather_than_testing_their_kind():
