@@ -1,16 +1,20 @@
-"""The group ring F_q[G]: convolution arithmetic and structure maps.
+"""The group ring F_q[G]: its products, units and structure maps.
 
 A :class:`GroupRingElem` stores its coefficient family as a tuple of raw
-field codes indexed by group-element index, and multiplies by the field's
-product kernel ``ctx.convolve`` on the group's Cayley table.  Over a cyclic
-group C_n built from its one invariant (element i is g^i) the ring is
-F_q[y]/(y^n - 1), so an element a is a unit iff gcd(a(y), y^n - 1) = 1,
-and the extended Euclidean algorithm of :mod:`joinrings.poly`, the one the
-extension fields use, gives its inverse.  Every other group decides units
-through the regular representation: the element is a unit iff its
-circulant image is an invertible matrix, and inverses are pulled back
-through the first row.  The circulant route stays the independent check
-of the Euclidean one (the oracle adapters and the tests use it).
+field codes indexed by group-element index.  :func:`gr_multiplier` picks
+each ring's product: for C_n built from its one invariant (element i is
+g^i) over a prime field, ``ctx.kronecker(n)``, one integer product of the
+packed families folded by y^n = 1 (:mod:`joinrings.ffield`, "Sums of many
+products"), where it measured faster; else ``ctx.convolve`` on the Cayley
+table.  The join blocks and the oracle's group rings bind it once.  Over
+C_n the ring is F_q[y]/(y^n - 1), so an element a is a unit iff
+gcd(a(y), y^n - 1) = 1, and the extended Euclidean algorithm of
+:mod:`joinrings.poly`, the one the extension fields use, gives its
+inverse.  Every other group decides units through the regular
+representation: the element is a unit iff its circulant image is an
+invertible matrix, and inverses are pulled back through the first row.
+The circulant route stays the independent check of the Euclidean one (the
+oracle adapters and the tests use it).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     ParseError,
     parse_int,
 )
-from .ffield import FieldCtx
+from .ffield import FamilyProduct, FieldCtx
 from .groups import FiniteGroup, Subgroup
 from .ntheory import ord_mod, power
 
@@ -87,7 +91,7 @@ class GroupRingElem:
     def __mul__(self, other):
         self._check(other)
         ctx, group = self.ctx, self.group
-        return GroupRingElem(ctx, group, gr_product(ctx, group, self.coeffs, other.coeffs))
+        return GroupRingElem(ctx, group, gr_multiplier(ctx, group)(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -122,9 +126,17 @@ class GroupRingElem:
         return f"<{format_element(self)} in {self.ctx}[{self.group.name}]>"
 
 
-def gr_product(ctx: FieldCtx, group: FiniteGroup, u, v) -> tuple[int, ...]:
-    """The coefficients of u v in F_q[G], for coefficient families u and v."""
-    return tuple(ctx.convolve(u, v, group.table))
+def gr_multiplier(ctx: FieldCtx, group: FiniteGroup) -> FamilyProduct:
+    """(u, v) -> the coefficients of u v in F_q[G], for coefficient families.
+
+    The one place that picks a group ring's product (module docstring);
+    callers that multiply many times bind the result once.
+    """
+    product = ctx.kronecker(group.order) if _is_cyclic(group) else None
+    if product is not None:
+        return product
+    convolve, table = ctx.convolve, group.table
+    return lambda u, v: tuple(convolve(u, v, table))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,14 @@ from .errors import (
     ParseError,
     parse_int,
 )
-from .ffield import FieldCtx, parse_field
+from .ffield import FamilyProduct, FieldCtx, parse_field
 from .groupring import (
     GroupRingElem,
     augmentation,
     circulant_rows,
     gr_inverse,
     gr_is_unit,
-    gr_product,
+    gr_multiplier,
     gr_unit_count,
     idempotent_eH,
     parse_element,
@@ -92,6 +92,14 @@ class JoinShape:
         return a
 
     @cached_property
+    def _blocks(self) -> list[tuple[int, int, FamilyProduct]]:
+        """The coordinate range of each block and its group ring's product,
+        bound once, on the first product, so that shapes built for one
+        augmentation never bind it."""
+        return [(lo, lo + g.order, gr_multiplier(self.ctx, g))
+                for g, lo in zip(self.groups, self.offsets)]
+
+    @cached_property
     def _terms(self) -> list[list[list[tuple[int, int, int]]]]:
         """[i][j]: the coordinates of a_ik and b_kj, and |G_k|, for each k != i, j."""
         at = {pair: self.n + h for h, pair in enumerate(self._pairs)}
@@ -111,14 +119,14 @@ class JoinShape:
         ctx, terms = self.ctx, self._terms
         add, mul = ctx.add, ctx.mul
         out, aug_u, aug_v = [], [], []
-        for i, (g, lo) in enumerate(zip(self.groups, self.offsets)):
-            x, y = u[lo : lo + g.order], v[lo : lo + g.order]
+        for i, (lo, hi, times) in enumerate(self._blocks):
+            x, y = u[lo:hi], v[lo:hi]
             aug_u.append(reduce(add, x, 0))
             aug_v.append(reduce(add, y, 0))
             s = 0
             for ik, ki, size in terms[i][i]:
                 s = add(s, mul(mul(u[ik], v[ki]), size))
-            block = gr_product(ctx, g, x, y)
+            block = times(x, y)
             out += [add(c, s) for c in block] if s else block
         for ij, (i, j) in enumerate(self._pairs, self.n):
             s = add(mul(aug_u[i], v[ij]), mul(u[ij], aug_v[j]))

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from .ffield import FieldCtx
-from .groupring import GroupRingElem, circulant_rows, format_element, gr_product
+from .groupring import GroupRingElem, circulant_rows, format_element, gr_multiplier
 from .groups import FiniteGroup
 from .joinring import JoinElem, JoinShape, join_embed
 
@@ -158,15 +158,13 @@ class GroupRingEnum(EnumerableRing):
         self.group = group
         super().__init__(ctx, group.order, cap)
         self.one = GroupRingElem.one(ctx, group)
+        self.product = gr_multiplier(ctx, group)
 
     def element(self, index: int) -> GroupRingElem:
         return GroupRingElem(self.ctx, self.group, self._vector(index))
 
     def coordinates(self, a) -> tuple[int, ...]:
         return a.coeffs
-
-    def product(self, u, v) -> tuple[int, ...]:
-        return gr_product(self.ctx, self.group, u, v)
 
     def unit_matrix(self, a) -> list[list[int]]:
         return circulant_rows(a)
@@ -189,15 +187,13 @@ class JoinRingEnum(EnumerableRing):
         self.shape = shape
         super().__init__(shape.ctx, shape.dimension(), cap)
         self.one = shape.one()
+        self.product = shape.product
 
     def element(self, index: int) -> JoinElem:
         return self.shape.from_vector(self._vector(index))
 
     def coordinates(self, a) -> tuple[int, ...]:
         return a.to_vector()
-
-    def product(self, u, v) -> tuple[int, ...]:
-        return self.shape.product(u, v)
 
     def unit_matrix(self, a) -> list[list[int]]:
         return join_embed(a)
@@ -445,13 +441,31 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     if not group.is_p_group(p):
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx, cap)
-    add, sub = ctx.add, ctx.sub
-    # the last coefficient makes the coefficient sum 1
-    units = ((*head, sub(1, reduce(add, head, 0)))
-             for head in product(range(ctx.q), repeat=group.order - 1))
-    orders = _orders(units, ring.product, ring._one)
+    orders = _orders(_augmentation_one(ctx, group.order), ring.product, ring._one)
     # every order is a power of p, so their lcm is the largest
     return max(orders.values())
+
+
+def _augmentation_one(ctx: FieldCtx, n: int):
+    """Every n-tuple of codes with sum 1, lexicographic in the first n - 1.
+
+    The last coordinate makes the sum 1.  The last r come from a table of
+    the r-tuples of each sum, built once with about one field operation per
+    entry, r the least with q^(r-1) >= n (at most n - 1); the sum of the
+    first n - r is taken once per q^(r-1) tuples, so a tuple costs less
+    than one field addition.
+    """
+    q, add, sub = ctx.q, ctx.add, ctx.sub
+    r = 1
+    while q ** (r - 1) < n and r < n - 1:
+        r += 1
+    heads = [((), 0)]  # every (r - 1)-tuple with its sum
+    for _ in range(r - 1):
+        heads = [(h + (c,), add(s, c)) for h, s in heads for c in range(q)]
+    tails = [[h + (sub(t, s),) for h, s in heads] for t in range(q)]  # the r-tuples of sum t
+    return (high + tail
+            for high in product(range(q), repeat=n - r)
+            for tail in tails[sub(1, reduce(add, high, 0))])
 
 
 def check_positive(n: int, what: str) -> None:

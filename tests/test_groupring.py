@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from joinrings.errors import AlgebraError, NotInvertibleError
@@ -10,6 +12,7 @@ from joinrings.groupring import (
     gr_decompose,
     gr_inverse,
     gr_is_unit,
+    gr_multiplier,
     gr_unit_count,
     idempotent_eH,
     parse_element,
@@ -164,3 +167,20 @@ def test_hash_agrees_with_equality_across_equal_groups():
     assert augmentation(x, h2) == augmentation(x, h1)
     # an equal but separately built parent forms the same quotient
     assert cyclic(4).subgroup([0, 2]).quotient == (quotient, proj)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F7], ids=str)
+def test_cyclic_products_agree_with_the_table_route(ctx):
+    # cyclic(n) multiplies by ctx.kronecker from n = 5 here, and from_table
+    # of the same table, without invariants, by ctx.convolve: the two
+    # routes share no code and check each other
+    rng = random.Random(f"routes/{ctx.q}")
+    for n in (1, 2, 5, 9, 16):
+        kron, table = cyclic(n), from_table(cyclic(n).table)
+        assert table.invariants is None
+        if n >= 5:
+            assert gr_multiplier(ctx, kron) is ctx.kronecker(n) is not None
+        for _ in range(40):
+            a, b = ([rng.randrange(ctx.q) for _ in range(n)] for _ in range(2))
+            want = (GroupRingElem(ctx, table, a) * GroupRingElem(ctx, table, b)).coeffs
+            assert (GroupRingElem(ctx, kron, a) * GroupRingElem(ctx, kron, b)).coeffs == want

@@ -1,4 +1,4 @@
-"""linalg and the group-ring convolution against plain scalar loops.
+"""linalg and the group-ring products against plain scalar loops.
 
 Every reference below uses only the scalar FieldCtx.add/sub/mul/inv, which
 test_ffield checks against the polynomial routines; none of it touches the
@@ -15,9 +15,9 @@ import pytest
 
 from joinrings import linalg
 from joinrings.errors import NotInvertibleError
-from joinrings.ffield import parse_field
+from joinrings.ffield import _kronecker, parse_field
 from joinrings.groups import cyclic, parse_group_spec
-from joinrings.ntheory import prime_power
+from joinrings.ntheory import is_prime, prime_power
 
 LARGE = ["F1031", "F2048", "F2187", "F1048576", "F1000000000000000003"]
 FIELDS = [f"F{q}" for q in range(2, 65) if prime_power(q)] + ["F169"] + LARGE
@@ -180,6 +180,15 @@ def test_packing_above_the_table_limit_does_not_grow_with_q(spec):
     assert peak < 64 * 1024
 
 
+def _convolve_ref(a, b, table, ctx):
+    want = [0] * len(a)
+    for h, x in enumerate(a):
+        for k, y in enumerate(b):
+            g = table[h][k]
+            want[g] = ctx.add(want[g], ctx.mul(x, y))
+    return want
+
+
 @pytest.mark.parametrize("spec", FIELDS)
 def test_convolve_matches_double_loop(spec):
     ctx = parse_field(spec)
@@ -189,9 +198,22 @@ def test_convolve_matches_double_loop(spec):
         cases = [([ctx.q - 1] * n, [ctx.q - 1] * n), ([0] * n, [1] * n)]
         cases += [(_rand(rng, ctx, 1, n)[0], _rand(rng, ctx, 1, n)[0]) for _ in range(4)]
         for a, b in cases:
-            want = [0] * n
-            for h in range(n):
-                for k in range(n):
-                    g = group.table[h][k]
-                    want[g] = ctx.add(want[g], ctx.mul(a[h], b[k]))
-            assert ctx.convolve(a, b, group.table) == want
+            assert ctx.convolve(a, b, group.table) == _convolve_ref(a, b, group.table, ctx)
+
+
+# a folded lane holds n (p - 1)^2 at most: 240 and 256 on F5[C15] and F5[C16],
+# 255 and 256 on F2[C255] and F2[C256], either side of one-byte lanes
+LANE_BOUNDARIES = {2: [255, 256], 5: [15, 16]}
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
+def test_kronecker_matches_double_loop(p):
+    ctx = parse_field(f"F{p}")
+    rng = random.Random(f"kronecker/{p}")
+    for n in [*range(1, 17), *LANE_BOUNDARIES.get(p, [])]:
+        product, table = _kronecker(p, n), cyclic(n).table
+        top, zero = [p - 1] * n, [0] * n
+        cases = [(top, top), (zero, zero), (zero, top), (top, zero)]
+        cases += [(_rand(rng, ctx, 1, n)[0], _rand(rng, ctx, 1, n)[0]) for _ in range(4)]
+        for a, b in cases:
+            assert product(a, b) == tuple(_convolve_ref(a, b, table, ctx)), (n, a, b)

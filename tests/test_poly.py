@@ -61,16 +61,9 @@ def test_product_and_remainder(spec):
         b = _random_poly(rng, ctx.q, rng.randrange(-1, 9))
         prod = poly.mul(a, b, ctx)
         assert prod == _ref_mul(a, b, ctx)
-        quot = [0] * max(len(prod) - len(m) + 1, 0)
-        r = poly.rem(list(prod), m, ctx, quot)
+        r = poly.rem(list(prod), m, ctx)
         assert r == _ref_rem(prod, m, ctx)
         assert len(r) < len(m)
-        # prod = quot * m + r
-        back = _ref_mul(quot, m, ctx)
-        back += [0] * (len(prod) - len(back))
-        for j, x in enumerate(r):
-            back[j] = ctx.add(back[j], x)
-        assert _trim(back) == prod
 
 
 def _cofactor_cases(ctx, rng):
@@ -100,6 +93,16 @@ def test_cofactor_identity(spec):
         last, quotients = poly.euclid(m, a, ctx)
         s = poly.cofactor(quotients, ctx)
         assert (m, a) == (m_before, a_before)  # euclid works on copies
+        r0, r1 = m, _trim(a)
+        for quot in quotients:  # r0 = quot * r1 + (the next remainder)
+            r2 = _ref_rem(r0, r1, ctx)
+            back = _ref_mul(quot, r1, ctx)
+            back += [0] * (len(r0) - len(back))
+            for j, x in enumerate(r2):
+                back[j] = ctx.add(back[j], x)
+            assert _trim(back) == r0
+            r0, r1 = r1, r2
+        assert r1 == last
         assert len(last) <= 1 and len(s) < len(m)
         assert _ref_rem(_ref_mul(s, a, ctx), m, ctx) == last, (kind, m, a)
         if kind in ("zero", "non-coprime"):

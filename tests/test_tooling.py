@@ -153,8 +153,8 @@ def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
 
 def test_each_ring_kind_has_one_product():
     # an adapter multiplies by its `product` on coordinate tuples alone; an
-    # add or mul beside it, or a convolution named in oracle.py, would be a
-    # second product path that could disagree with the first
+    # add or mul beside it would be a second product path that could
+    # disagree with the first
     own = [
         f"{path.name}:{item.lineno} {node.name}.{item.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -166,12 +166,33 @@ def test_each_ring_kind_has_one_product():
         if isinstance(item, ast.FunctionDef) and item.name in {"add", "mul"}
     ]
     assert not own, f"EnumerableRing or a subclass defines {own}"
-    named = [
-        f"oracle.py:{node.lineno}"
-        for node in ast.walk(ast.parse((SRC / "oracle.py").read_text()))
-        if "convolve" in {getattr(node, field, None) for field in ("id", "attr", "name")}
-    ]
-    assert not named, f"oracle.py names convolve at {named}"
+    # the group-ring products are named only where they are built (ffield.py)
+    # and in the one factory that picks between them, so that no caller can
+    # take the table route where the factory picked the Kronecker one
+    kernels = {"convolve", "kronecker", "_kronecker"}
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ffield.py":
+            continue
+        tree = ast.parse(path.read_text())
+        factory = set()
+        if path.name == "groupring.py":
+            (node,) = [n for n in tree.body
+                       if isinstance(n, ast.FunctionDef) and n.name == "gr_multiplier"]
+            factory = set(map(id, ast.walk(node)))
+        named += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in factory
+            and kernels & {getattr(node, field, None) for field in ("id", "attr", "name")}
+        ]
+    assert not named, f"a group-ring kernel is named outside gr_multiplier at {named}"
+    # the join blocks and the oracle's group rings bind their product there
+    for module, cls in (("joinring.py", "JoinShape"), ("oracle.py", "GroupRingEnum")):
+        (node,) = [n for n in ast.parse((SRC / module).read_text()).body
+                   if isinstance(n, ast.ClassDef) and n.name == cls]
+        calls = {ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+        assert "gr_multiplier" in calls, f"{cls} does not bind its product by gr_multiplier"
 
 
 def test_oracle_asks_rings_rather_than_testing_their_kind():
