@@ -38,5 +38,5 @@ print("\njoin rings (d >= 2 forces p = q = 2):")
 for spec, p, r in (("join(C2,C2;F2)", 2, 1), ("join(C2,C4;F2)", 2, 2),
                    ("join(trivial,trivial;F2)", 2, 4), ("join(C2,C2;F3)", 2, 1)):
     shape = parse_shape_spec(spec)
-    c = classify_join_delta(shape.ctx.q, shape, p, r)
+    c = classify_join_delta(shape, p, r)
     print(f"  {spec:28} p={p} r={r}: {'yes' if c.verdict else 'no'} — {c.case}")

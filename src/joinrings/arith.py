@@ -8,7 +8,7 @@ unit u satisfies u^(p^r) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import lcm
 
 from . import oracle
@@ -191,15 +191,7 @@ class DeltaClassification:
     evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "p": self.p,
-            "r": self.r,
-            "verdict": self.verdict,
-            "case": self.case,
-            "strict_n": self.strict_n,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def _field_case(q: int, p: int, r: int):
@@ -341,21 +333,20 @@ def _group_algebra_case(q: int, p: int, r: int, exp_g: int):
 
 
 def classify_join_delta(
-    q: int, shape: JoinShape, p: int, r: int, cap: int = oracle.DEFAULT_CAP
+    shape: JoinShape, p: int, r: int, cap: int = oracle.DEFAULT_CAP
 ) -> DeltaClassification:
     """Decide whether a join ring with d >= 2 blocks is a Delta_{p^r} ring.
 
-    Conjunction of four conditions: p = q = 2; every block group a 2-group;
-    at most one trivial block; 2^r at least the largest normalized-unit
-    exponent among the block group rings.  d = 1 delegates to the group
-    algebra classifier.
+    Conjunction of four conditions over the shape's field F_q: p = q = 2;
+    every block group a 2-group; at most one trivial block; 2^r at least the
+    largest normalized-unit exponent among the block group rings.  d = 1
+    delegates to the group algebra classifier.
     """
+    q = shape.ctx.q
     _check_delta_args(q, p, r)
     if shape.d == 1:
         return classify_group_algebra_delta(q, shape.groups[0], p, r, cap)
     subject = repr(shape)
-    if shape.ctx.q != q:
-        raise AlgebraError(f"shape is over F{shape.ctx.q}, not F{q}")
 
     conditions = {"p_q_both_2": p == 2 and q == 2}
     conditions["blocks_2_groups"] = all(g.is_p_group(2) for g in shape.groups)

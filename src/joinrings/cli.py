@@ -210,23 +210,39 @@ def _cmd_join(args) -> dict:
     return report
 
 
+def _subject(args, kinds: tuple[str, ...]) -> str:
+    """Which of the flags `kinds` names the one subject of the command.
+
+    A join shape names its own field, so --field beside --shape is refused;
+    --group and --semimagic name a ring over --field and need it; the kind
+    "field" is --field with none of the others.
+    """
+    given = [kind for kind in kinds if kind != "field" and getattr(args, kind) is not None]
+    if not given and "field" in kinds and args.field is not None:
+        return "field"
+    if len(given) != 1:
+        raise AlgebraError(f"{args.command} needs exactly one of "
+                           + ", ".join(f"--{kind}" for kind in kinds))
+    kind = given[0]
+    if kind == "shape" and args.field is not None:
+        raise AlgebraError(f"{args.command} --shape names its field and takes no --field")
+    if kind != "shape" and args.field is None:
+        raise AlgebraError(f"{args.command} --{kind} requires --field")
+    return kind
+
+
 def _cmd_zeta(args) -> dict:
-    if args.shape:
+    kind = _subject(args, ("shape", "group", "semimagic"))
+    if kind == "shape":
         shape = parse_shape_spec(args.shape)
         z, subject = zeta_join(shape), repr(shape)
-    elif args.group:
-        if not args.field:
-            raise AlgebraError("--group requires --field")
+    elif kind == "group":
         group = parse_group_spec(args.group)
         ctx = parse_field(args.field)
         z, subject = zeta_group_ring(group, ctx), f"F{ctx.q}[{group.name}]"
-    elif args.semimagic is not None:
-        if not args.field:
-            raise AlgebraError("--semimagic requires --field")
+    else:
         q = parse_field(args.field).q
         z, subject = zeta_semimagic(args.semimagic, q), f"SM{args.semimagic}(F{q})"
-    else:
-        raise AlgebraError("zeta needs one of --shape, --group, --semimagic")
     return {
         "subject": subject,
         "zeta": z.pretty(),
@@ -241,37 +257,26 @@ def _cmd_rooted(args) -> dict:
 
 
 def _cmd_delta(args) -> dict:
-    if args.shape and (args.field or args.group):
-        raise AlgebraError("delta --shape cannot be combined with --field/--group")
-    if args.shape:
-        shape = parse_shape_spec(args.shape)
-        c = arith.classify_join_delta(shape.ctx.q, shape, args.p, args.r, args.cap)
-    elif args.group:
-        if not args.field:
-            raise AlgebraError("delta --group requires --field")
+    kind = _subject(args, ("shape", "group", "field"))
+    if kind == "shape":
+        c = arith.classify_join_delta(parse_shape_spec(args.shape), args.p, args.r, args.cap)
+    elif kind == "group":
         ctx = parse_field(args.field)
         c = arith.classify_group_algebra_delta(
             ctx.q, parse_group_spec(args.group), args.p, args.r, args.cap
         )
-    elif args.field:
-        c = arith.classify_field_delta(parse_field(args.field).q, args.p, args.r)
     else:
-        raise AlgebraError("delta needs one of --field, --group, --shape")
+        c = arith.classify_field_delta(parse_field(args.field).q, args.p, args.r)
     return c.to_json()
 
 
 def _oracle_ring(args) -> oracle.EnumerableRing:
-    if args.shape:
+    kind = _subject(args, ("group", "shape", "semimagic"))
+    if kind == "shape":
         return oracle.JoinRingEnum(parse_shape_spec(args.shape), args.cap)
-    if args.semimagic is not None:
-        if not args.field:
-            raise AlgebraError("--semimagic requires --field")
+    if kind == "semimagic":
         return oracle.SemimagicRing(args.semimagic, parse_field(args.field), args.cap)
-    if args.group:
-        if not args.field:
-            raise AlgebraError("--group requires --field")
-        return oracle.GroupRingEnum(parse_group_spec(args.group), parse_field(args.field), args.cap)
-    raise AlgebraError("oracle needs one of --group, --shape, --semimagic")
+    return oracle.GroupRingEnum(parse_group_spec(args.group), parse_field(args.field), args.cap)
 
 
 def _cmd_oracle(args) -> dict:

@@ -23,19 +23,20 @@ Sums of many products run on plain integers and are reduced once:
   mod p at the end (in characteristic 2 it sums by XOR).  A tabled
   extension field sums the *lifts* of ``exp[log a + log b]``:
   :class:`_Lanes` puts digit i of a code in a lane from bit ``i * w`` up,
-  wide enough that 2**``_LANE_HEADROOM`` lifted codes never carry between
-  lanes, and reads each lane back mod p (in characteristic 2 a lift is its
-  code).  A larger extension field sums its scalar products.
+  w the bit length of ``ORDER_CAP * (p - 1)``: no group has more than
+  ``ORDER_CAP`` elements, so an output coefficient sums at most that many
+  lifts, each lane below p, and no lane carries into the next.  Each lane
+  is read back mod p (in characteristic 2 a lift is its code).  A larger
+  extension field sums its scalar products.
 - A prime field multiplies in F_p[C_n] = F_p[y]/(y^n - 1) by Kronecker
-  substitution (:func:`_kronecker`): each family is packed into one
-  integer, coefficient i in a lane of whole bytes that holds n (p - 1)^2,
-  one byte while that is below 256 (F_2 up to C_255, F_3 up to C_63).  One
-  integer product gives every coefficient of the product polynomial, a
-  mask, a shift and an add fold y^n onto 1, and ``bytes.translate`` by
-  :func:`_byte_residues`, the table of :func:`_lane_adder`, reduces every
-  lane mod p (a wider lane byte by byte).
-  :meth:`FieldCtx.kronecker` offers it from n = 3 (n = 5 with wider lanes),
-  where it measured faster than ``convolve``.
+  substitution (:func:`_kronecker`) while n (p - 1)^2 fits a byte (F_2 up
+  to C_255, F_3 up to C_63, F_7 up to C_7): each family is packed into one
+  integer, coefficient i in byte i.  One integer product gives every
+  coefficient of the product polynomial, a mask, a shift and an add fold
+  y^n onto 1, and ``bytes.translate`` by :func:`_byte_residues`, the table
+  of :func:`_lane_adder`, reduces every lane mod p.
+  :meth:`FieldCtx.kronecker` offers it from n = 3, where it measured
+  faster than ``convolve``; a larger n (p - 1)^2 keeps ``convolve``.
 - For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
   packs a whole matrix row into one integer: in characteristic 2 each entry
   is its code in whole bytes (one byte up to F_256, F_2 included), and
@@ -55,6 +56,7 @@ from functools import cached_property, lru_cache
 
 from . import poly
 from .errors import AlgebraError, NotInvertibleError, ParseError, parse_int
+from .groups import ORDER_CAP
 from .ntheory import factorize, is_prime, order_dividing, power, prime_power
 
 # Extension fields with q at most this bound get the O(q) log/antilog (and
@@ -63,11 +65,6 @@ _TABLE_LIMIT = 1024
 
 # parse_field refuses larger extension fields; F_{5^25} takes 0.6 s to build
 _EXTENSION_LIMIT = 2**60
-
-# Each lane of a lifted code (odd p, k > 1) holds the sum of 2**_LANE_HEADROOM
-# lifted codes without carrying into the next lane.  A convolution sums one
-# term per group element, far fewer than that.
-_LANE_HEADROOM = 32
 
 Poly = tuple[int, ...]  # a modulus: dense coefficients, constant term first
 # (u, v) -> the coefficients of u v, for coefficient families of a group ring
@@ -386,50 +383,24 @@ def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:
 def _kronecker(p: int, n: int) -> FamilyProduct | None:
     """The product of F_p[C_n] = F_p[y]/(y^n - 1) as one integer product, or None.
 
-    Coefficient i of a family takes the lane of ``width`` bytes from byte
-    ``i * width`` up, the least width that holds n (p - 1)^2, the largest
-    sum a lane of the folded product can reach, so no lane carries into the
-    next.  The product of two packed families holds the coefficients of
-    y^0 .. y^(2n-2), and y^n = 1 folds lane i + n onto lane i by one mask,
-    one shift and one add (D. Harvey, "Faster polynomial multiplication via
-    multipoint Kronecker substitution", J. Symbolic Comput. 44(10), 2009).
-    A one-byte lane is reduced by one ``bytes.translate``.  A wider lane is
-    reduced byte by byte: byte j goes to (byte * 256^j) mod p by its own
-    table, the ``width`` streams add as integers and one more translate
-    reduces the sums.  None where those sums could carry, w (p - 1) > 255,
-    which also keeps every code within one byte.
+    Coefficient i of a family takes byte i, one lane that holds n (p - 1)^2,
+    the largest sum a lane of the folded product can reach, so no lane
+    carries into the next.  The product of two packed families holds the
+    coefficients of y^0 .. y^(2n-2), and y^n = 1 folds lane i + n onto lane
+    i by one mask, one shift and one add (D. Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symbolic
+    Comput. 44(10), 2009); one ``bytes.translate`` reduces every lane mod p.
+    None where n (p - 1)^2 > 255, which a byte cannot hold.
     """
-    top = n * (p - 1) ** 2
-    width = 1
-    while top >> 8 * width:
-        width += 1
-    if width * (p - 1) > 255:
+    if n * (p - 1) ** 2 > 255:
         return None
-    bits = 8 * width * n
+    bits = 8 * n
     mask = (1 << bits) - 1
     residues = _byte_residues(p)
-    if width == 1:  # the bytes of a family are its lanes
-
-        def product(a, b) -> tuple[int, ...]:
-            x = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-            return tuple(((x & mask) + (x >> bits)).to_bytes(n, "little").translate(residues))
-
-        return product
-    zeros = bytes(width * n)
-    places = [(j, bytes(c * 256**j % p for c in range(256))) for j in range(width)]
-
-    def pack(a) -> int:
-        lanes = bytearray(zeros)
-        lanes[::width] = bytes(a)
-        return int.from_bytes(lanes, "little")
 
     def product(a, b) -> tuple[int, ...]:
-        x = pack(a) * pack(b)
-        data = ((x & mask) + (x >> bits)).to_bytes(width * n, "little")
-        sums = 0
-        for j, table in places:
-            sums += int.from_bytes(data[j::width].translate(table), "little")
-        return tuple(sums.to_bytes(n, "little").translate(residues))
+        x = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return tuple(((x & mask) + (x >> bits)).to_bytes(n, "little").translate(residues))
 
     return product
 
@@ -555,7 +526,8 @@ class FieldCtx:
             self.convolve = _lifted_convolver(exp, log, operator.xor)
             return
         self._bind_zech(exp, log, _zech_table(p, exp, log))
-        lanes = _Lanes(p, k, (p - 1).bit_length() + _LANE_HEADROOM)
+        # no lane carries: an output coefficient sums at most ORDER_CAP lifts
+        lanes = _Lanes(p, k, (ORDER_CAP * (p - 1)).bit_length())
         lift = list(map(lanes.lift, range(self.q)))  # q lifts, not one per entry of exp
         lane_exp = [lift[c] for c in exp]
         self.convolve = _lifted_convolver(lane_exp, log, operator.add, lanes.__getitem__)
@@ -566,10 +538,10 @@ class FieldCtx:
 
     def kronecker(self, n: int) -> FamilyProduct | None:
         """The :func:`_kronecker` product of F_p[C_n] where it measured faster
-        than :attr:`convolve`, else None: in a prime field, from n = 3 with
-        one-byte lanes and from n = 5 with wider ones (below that, packing
-        costs as much as the few terms it saves)."""
-        if self.k > 1 or n < 3 or (n < 5 and n * (self.p - 1) ** 2 > 255):
+        than :attr:`convolve`, else None: in a prime field from n = 3 (below
+        that, packing costs as much as the few terms it saves), while
+        n (p - 1)^2 fits a byte."""
+        if self.k > 1 or n < 3:
             return None
         return _kronecker(self.p, n)
 

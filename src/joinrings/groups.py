@@ -21,7 +21,9 @@ ORDER_CAP = 256
 
 
 def _check_order(n: int) -> None:
-    """Refuse a group beyond ORDER_CAP before its n x n table is built."""
+    """Refuse an empty group, and one beyond ORDER_CAP before its n x n table is built."""
+    if n < 1:
+        raise AlgebraError("a group has at least its identity; the Cayley table has no rows")
     if n > ORDER_CAP:
         raise AlgebraError(f"group order {n} exceeds cap {ORDER_CAP}")
 
@@ -341,13 +343,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if spec.startswith("S") and spec[1:].isdigit():
         return symmetric(parse_int(spec[1:], "symmetric group degree"))
     if spec.startswith("table:"):
-        path = spec[len("table:"):]
-        try:
-            with open(path) as fh:
-                rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"cannot read a Cayley table from {path!r}: {exc}") from None
-        return from_table(rows)
+        return from_table(_read_table(spec[len("table:"):]))
     parts = spec.split("x")
     invariants = []
     for part in parts:
@@ -355,6 +351,26 @@ def parse_group_spec(spec: str) -> FiniteGroup:
             raise ParseError(f"bad group spec {spec!r}")
         invariants.append(parse_int(part[1:], "cyclic group order"))
     return abelian(invariants)
+
+
+def _read_table(path: str) -> list[list[int]]:
+    """The nonblank rows of a Cayley-table file, read no further than the
+    first row or line that no group within ORDER_CAP can have."""
+    longest = 8 * ORDER_CAP  # ORDER_CAP entries, eight characters each with their blanks
+    rows: list[list[int]] = []
+    try:
+        with open(path) as fh:
+            while line := fh.readline(longest + 1):
+                if len(line) > longest:
+                    raise ParseError(f"row {len(rows)} of Cayley table {path!r} "
+                                     f"is longer than {longest} characters")
+                row = [int(x) for x in line.split()]
+                if row:
+                    rows.append(row)
+                    _check_order(max(len(rows), len(row)))
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read a Cayley table from {path!r}: {exc}") from None
+    return rows
 
 
 def abelian_groups_of_order(n: int) -> list[FiniteGroup]:

@@ -207,14 +207,14 @@ def test_criterion_8_join_delta_instances():
     assert ring.size == 64
     ok, _, _ = is_delta_n(unit_orders(ring), 2)
     assert ok
-    assert classify_join_delta(2, shape, 2, 1).verdict
+    assert classify_join_delta(shape, 2, 1).verdict
 
     bad = parse_shape_spec("join(trivial,trivial;F2)")
     bad_ring = JoinRingEnum(bad)
     # this join is all of M_2(F_2); it has units of order 3
     assert units_of_order(unit_orders(bad_ring), 3) > 0
     for r in (1, 2, 5):
-        c = classify_join_delta(2, bad, 2, r)
+        c = classify_join_delta(bad, 2, r)
         assert not c.verdict and "at_most_one_trivial" in c.case
     _report(8, "every unit of join(C2,C2;F2) squares to 1; double-trivial join rejected")
 

@@ -201,22 +201,22 @@ def test_classify_group_algebra_infeasible_returns_unknown():
 
 def test_classify_join_delta():
     sh = parse_shape_spec("join(C2,C2;F2)")
-    assert classify_join_delta(2, sh, 2, 1).verdict
+    assert classify_join_delta(sh, 2, 1).verdict
     sh = parse_shape_spec("join(trivial,trivial;F2)")
-    c = classify_join_delta(2, sh, 2, 4)
+    c = classify_join_delta(sh, 2, 4)
     assert not c.verdict and "at_most_one_trivial" in c.case
     sh = parse_shape_spec("join(C2,C2;F3)")
-    assert not classify_join_delta(3, sh, 2, 1).verdict
+    assert not classify_join_delta(sh, 2, 1).verdict
     sh = parse_shape_spec("join(C2,C4;F2)")
-    assert not classify_join_delta(2, sh, 2, 1).verdict
-    assert classify_join_delta(2, sh, 2, 2).verdict
+    assert not classify_join_delta(sh, 2, 1).verdict
+    assert classify_join_delta(sh, 2, 2).verdict
     sh = parse_shape_spec("join(trivial,C2;F2)")
-    assert classify_join_delta(2, sh, 2, 1).verdict
+    assert classify_join_delta(sh, 2, 1).verdict
 
 
 def test_classify_join_delta_d1_delegates():
     sh = parse_shape_spec("join(C4;F2)")
-    c = classify_join_delta(2, sh, 2, 2)
+    c = classify_join_delta(sh, 2, 2)
     assert c.verdict is True and c.strict_n == 4
 
 
@@ -231,8 +231,8 @@ def test_delta_classifiers_never_build_p_to_the_r():
     assert classify_group_algebra_delta(3, parse_group_spec("C8"), 2, r).verdict
     assert classify_group_algebra_delta(2, parse_group_spec("C4"), 2, r).verdict
     assert classify_group_algebra_delta(2, parse_group_spec("Q8"), 2, r).verdict
-    assert classify_join_delta(2, parse_shape_spec("join(C2,C4;F2)"), 2, r).verdict
-    assert classify_join_delta(2, parse_shape_spec("join(Q8,C2;F2)"), 2, r).verdict
+    assert classify_join_delta(parse_shape_spec("join(C2,C4;F2)"), 2, r).verdict
+    assert classify_join_delta(parse_shape_spec("join(Q8,C2;F2)"), 2, r).verdict
     assert time.perf_counter() - start < 1.0
 
 

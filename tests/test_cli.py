@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 
 from joinrings import oracle
 from joinrings.cli import run
+from joinrings.groups import ORDER_CAP
 
 
 def run_json(capsys, *argv):
@@ -87,6 +89,28 @@ def test_oracle_command(capsys):
     assert data["unit_count"] == 8
     assert data["is_delta"]["verdict"] is False
     assert data["is_delta"]["witness_order"] == 4
+
+
+SUBJECTS = {"shape": "join(C2,C2;F2)", "group": "C2", "semimagic": "2"}
+ACTIONS = {"zeta": [], "delta": ["--p", "2", "--r", "1"], "oracle": ["--units"]}
+
+
+@pytest.mark.parametrize("command, flags", [
+    (command, flags)
+    for command in ACTIONS
+    for flags in [*itertools.combinations(SUBJECTS, 2), ("shape",)]
+    if command != "delta" or "semimagic" not in flags
+])
+def test_one_subject_per_command(capsys, command, flags):
+    # a second subject, or a --field beside the shape that names its own,
+    # is refused rather than silently dropped
+    argv = [command, *ACTIONS[command], "--field", "F2"]
+    for flag in flags:
+        argv += [f"--{flag}", SUBJECTS[flag]]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exactly one of" in captured.err or "takes no --field" in captured.err
 
 
 def test_text_and_json_report_same_numbers(capsys):
@@ -277,7 +301,11 @@ def test_field_pow_exponent_may_exceed_q(capsys):
     ("S8", None),
     ("table:{dir}/missing.txt", None),
     ("table:{dir}/table.txt", "0 1\n1 x\n"),
-], ids=["S8", "missing-table", "non-integer-table"])
+    ("table:{dir}/table.txt", ""),
+    ("table:{dir}/table.txt", "0\n" * (ORDER_CAP + 1)),
+    ("table:{dir}/table.txt", "0 " * 10**5),
+], ids=["S8", "missing-table", "non-integer-table", "empty-table", "rows-over-cap",
+        "long-row"])
 def test_group_spec_errors_exit_1(capsys, tmp_path, spec, table):
     if table is not None:
         (tmp_path / "table.txt").write_text(table)
@@ -285,6 +313,17 @@ def test_group_spec_errors_exit_1(capsys, tmp_path, spec, table):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gr", "--field", "F2", "--a", "0", "--is-unit"],
+    ["oracle", "--field", "F2", "--units"],
+])
+def test_empty_table_is_no_group_ring(capsys, tmp_path, argv):
+    (tmp_path / "table.txt").write_text("")
+    assert run([*argv, "--group", f"table:{tmp_path}/table.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no rows" in captured.err
 
 
 def test_huge_prime_field_spec_is_fast(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from joinrings.errors import AlgebraError, NotNormalError
 from joinrings.groups import (
+    ORDER_CAP,
     abelian,
     abelian_groups_of_order,
     cyclic,
@@ -116,6 +117,27 @@ def test_from_table_validates_associativity():
     bad = [[0, 1], [1, 1]]  # not a group
     with pytest.raises(AlgebraError):
         from_table(bad)
+
+
+def test_from_table_refuses_an_empty_table(tmp_path):
+    with pytest.raises(AlgebraError):
+        from_table([])
+    path = tmp_path / "table.txt"
+    path.write_text("\n \n")
+    with pytest.raises(AlgebraError):
+        parse_group_spec(f"table:{path}")
+
+
+@pytest.mark.parametrize("text", [
+    "0\n" * (ORDER_CAP + 1),
+    " ".join(["0"] * (ORDER_CAP + 1)) + "\n",
+    "0 " * 10**5,
+], ids=["rows-over-cap", "entries-over-cap", "long-line"])
+def test_table_files_are_read_no_further_than_the_cap(tmp_path, text):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    with pytest.raises(AlgebraError):
+        parse_group_spec(f"table:{path}")
 
 
 def test_abelian_groups_of_order():

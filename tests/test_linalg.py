@@ -16,7 +16,7 @@ import pytest
 from joinrings import linalg
 from joinrings.errors import NotInvertibleError
 from joinrings.ffield import _kronecker, parse_field
-from joinrings.groups import cyclic, parse_group_spec
+from joinrings.groups import ORDER_CAP, cyclic, parse_group_spec
 from joinrings.ntheory import is_prime, prime_power
 
 LARGE = ["F1031", "F2048", "F2187", "F1048576", "F1000000000000000003"]
@@ -201,9 +201,19 @@ def test_convolve_matches_double_loop(spec):
             assert ctx.convolve(a, b, group.table) == _convolve_ref(a, b, group.table, ctx)
 
 
-# a folded lane holds n (p - 1)^2 at most: 240 and 256 on F5[C15] and F5[C16],
-# 255 and 256 on F2[C255] and F2[C256], either side of one-byte lanes
-LANE_BOUNDARIES = {2: [255, 256], 5: [15, 16]}
+@pytest.mark.parametrize("spec", ["F9", "F961"])
+def test_convolve_holds_the_largest_lane_sum(spec):
+    # a lifted lane of F_{p^k} sums at most ORDER_CAP digits below p; all-ones
+    # times all-(p - 1) over C_256 fills every output lane to 256 (p - 1)
+    ctx, group = parse_field(spec), cyclic(ORDER_CAP)
+    a, b = [1] * ORDER_CAP, [ctx.p - 1] * ORDER_CAP
+    assert ctx.convolve(a, b, group.table) == _convolve_ref(a, b, group.table, ctx)
+
+
+# a folded lane holds n (p - 1)^2 at most, and one byte holds 255: 240 and
+# 256 on F5[C15] and F5[C16], 252 and 256 on F3[C63] and F3[C64], 255 and
+# 256 on F2[C255] and F2[C256]
+LANE_BOUNDARIES = {2: [255, 256], 3: [63, 64], 5: [15, 16]}
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
@@ -212,6 +222,9 @@ def test_kronecker_matches_double_loop(p):
     rng = random.Random(f"kronecker/{p}")
     for n in [*range(1, 17), *LANE_BOUNDARIES.get(p, [])]:
         product, table = _kronecker(p, n), cyclic(n).table
+        if n * (p - 1) ** 2 > 255:
+            assert product is None, n
+            continue
         top, zero = [p - 1] * n, [0] * n
         cases = [(top, top), (zero, zero), (zero, top), (top, zero)]
         cases += [(_rand(rng, ctx, 1, n)[0], _rand(rng, ctx, 1, n)[0]) for _ in range(4)]

@@ -6,8 +6,8 @@ read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
 leave the unit test and the unit walks to the base class, each ring kind
-has one product, it asks no ring its kind, and every demo script and README
-example runs cleanly.
+has one product, it asks no ring its kind, and every demo script, README
+example and the installed console script run cleanly.
 """
 
 import ast
@@ -15,6 +15,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
 import shlex
@@ -214,6 +215,20 @@ def test_demos_run(demo):
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_console_script_runs(capsys, monkeypatch):
+    # the [project.scripts] entry that `pip install .` makes the `joinrings`
+    # command (read without tomllib, which Python 3.10 lacks)
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^joinrings = "([\w.]+):(\w+)"$', section, re.M)
+    main = getattr(importlib.import_module(target[0]), target[1])
+    monkeypatch.setattr(sys, "argv", ["joinrings", "--json", "field", "F9"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["modulus"] == "x^2+1"
 
 
 def _readme_block(heading: str, lang: str) -> str:
