@@ -8,7 +8,7 @@ unit u satisfies u^(p^r) = 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from math import lcm
 
 from . import oracle
@@ -191,7 +191,7 @@ class DeltaClassification:
     evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _field_case(q: int, p: int, r: int):

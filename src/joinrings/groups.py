@@ -2,15 +2,24 @@
 
 Elements are indices 0..n-1 with the identity fixed at index 0 (the first
 row/column encoding of circulant matrices depends on this convention).
-Groups are validated at construction and immutable afterwards, so the
-named constructors keep what they build and return the same object for the
-same group (:func:`abelian` keeps its 64 most recent); :func:`from_table`
-and ``table:`` specs build a new group on every call.
+Every table is checked when built, at every order and by every
+constructor: each row permutes the indices, 0 is an identity, and Light's
+test checks (x s) y = x (s y) for the generators s only.  The s that pass
+hold 0 and are closed under the product, and the generators reach every
+element from 0, so they cover the table; and an associative table with an
+identity and bijective rows gives each element a right inverse, so it is
+a group.  The generators, subgroups, normality and commutativity all come
+from one closure, :meth:`FiniteGroup._closure`.
+Groups are immutable once built, so the named constructors keep what they
+build and return the same object for the same group (:func:`abelian` keeps
+its 64 most recent); :func:`from_table` and ``table:`` specs build a new
+group on every call.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache, cached_property, lru_cache, reduce
 from math import factorial, lcm, prod
 
@@ -35,7 +44,7 @@ class FiniteGroup:
     :func:`from_table`, :func:`symmetric`, :func:`quaternion`.
     """
 
-    def __init__(self, table, invariants=None, name=None, _validated=False):
+    def __init__(self, table, invariants=None, name=None):
         _check_order(len(table))
         self.table = tuple(tuple(row) for row in table)
         self._hash = hash(self.table)  # groups are equal by table; hash it once
@@ -44,39 +53,55 @@ class FiniteGroup:
         self.name = name or (
             "x".join(f"C{m}" for m in self.invariants) if self.invariants else f"G{self.order}"
         )
-        if not _validated:
-            self._validate()
-        self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
+        self._validate()
+        self.inverse = tuple(row.index(0) for row in self.table)
         self.element_orders = tuple(self._element_order(a) for a in range(self.order))
 
     # -- construction-time checks -------------------------------------------
 
     def _validate(self) -> None:
-        n = self.order
-        for i, row in enumerate(self.table):
-            if len(row) != n or any(not 0 <= x < n for x in row):
-                raise AlgebraError(f"row {i} of Cayley table is malformed")
-        for a in range(n):
-            if self.table[0][a] != a or self.table[a][0] != a:
-                raise AlgebraError(f"index 0 is not an identity: fails at element {a}")
-        for a in range(n):
-            if all(self.table[a][b] != 0 for b in range(n)):
-                raise AlgebraError(f"element {a} has no inverse")
-        if n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    ab = self.table[a][b]
-                    for c in range(n):
-                        if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                            raise AlgebraError(
-                                f"associativity fails at witness triple ({a}, {b}, {c})"
-                            )
+        """Rows that permute the indices, 0 an identity, and Light's test."""
+        n, t = self.order, self.table
+        indices = list(range(n))
+        for i, row in enumerate(t):
+            if sorted(row) != indices:
+                raise AlgebraError(f"row {i} of Cayley table is not a permutation of 0..{n - 1}")
+        if list(t[0]) != indices or [row[0] for row in t] != indices:
+            raise AlgebraError("index 0 is not an identity of the Cayley table")
+        for s in self.generators:
+            for x, row in enumerate(t):
+                if t[row[s]] != tuple(map(row.__getitem__, t[s])):
+                    raise AlgebraError(f"associativity fails: (x s) y != x (s y) for x = {x}, "
+                                       f"s = {s} and some y")
 
-    def _find_inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == 0:
-                return b
-        raise AlgebraError(f"element {a} has no inverse")  # pragma: no cover
+    def _closure(self, gens) -> set[int]:
+        """The elements reached from 0 by right multiplication by `gens`:
+        in a group, the subgroup that they generate."""
+        gens = list(gens)
+        if any(not 0 <= a < self.order for a in gens):
+            raise NotSubgroupError(f"{gens} holds an index outside 0..{self.order - 1}")
+        t, reached, todo = self.table, {0}, [0]
+        for x in todo:  # todo grows while it is walked
+            for s in gens:
+                if (y := t[x][s]) not in reached:
+                    reached.add(y)
+                    todo.append(y)
+        return reached
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Each the least element outside the subgroup that the earlier ones
+        generate.  Each at least doubles that subgroup, so a table that needs
+        more than log2 |G| of them is no group."""
+        gens, reached = [], {0}
+        for a in range(self.order):
+            if a not in reached:
+                gens.append(a)
+                if 1 << len(gens) > self.order:
+                    raise AlgebraError(f"Cayley table needs more than log2({self.order}) "
+                                       "generators, so it is no group")
+                reached = self._closure(gens)
+        return tuple(gens)
 
     def _element_order(self, a: int) -> int:
         t, x = 1, a
@@ -89,10 +114,9 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self.invariants is not None:
-            return True
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        """Whether the generators commute pairwise."""
+        t, gens = self.table, self.generators
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
     def exponent(self) -> int:
         """lcm of the element orders; divides |G|."""
@@ -100,10 +124,7 @@ class FiniteGroup:
 
     def order_counts(self) -> dict[int, int]:
         """Mapping d -> number of elements of order d."""
-        counts: dict[int, int] = {}
-        for t in self.element_orders:
-            counts[t] = counts.get(t, 0) + 1
-        return counts
+        return dict(Counter(self.element_orders))
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -122,7 +143,7 @@ class FiniteGroup:
     def is_p_group(self, p: int) -> bool:
         if not is_prime(p):
             raise AlgebraError(f"{p} is not prime")
-        return _is_p_power(self.order, p)
+        return set(factorize(self.order)) <= {p}
 
     # -- subgroups and quotients ----------------------------------------------
 
@@ -130,19 +151,7 @@ class FiniteGroup:
         return Subgroup(self, elements)
 
     def subgroup_generated(self, generators) -> "Subgroup":
-        """Close a generating set under products (finite, so this suffices)."""
-        elems = {0}
-        frontier = set(generators) | {0}
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in list(elems) + list(generators):
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in elems and c not in frontier:
-                            new.add(c)
-            elems |= frontier
-            frontier = new
-        return Subgroup(self, sorted(elems))
+        return Subgroup(self, self._closure(generators))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,))
@@ -164,36 +173,25 @@ class FiniteGroup:
         return f"<{self.name}: order {self.order}>"
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 class Subgroup:
     """A validated subgroup, stored as a sorted element-index tuple."""
 
     def __init__(self, parent: FiniteGroup, elements):
         self.parent = parent
-        self.elements = tuple(sorted(set(elements)))
+        self._eset = set(elements)
+        self.elements = tuple(sorted(self._eset))
         self.order = len(self.elements)
-        eset = set(self.elements)
-        if 0 not in eset:
-            raise NotSubgroupError("subgroup must contain the identity")
-        for a in self.elements:
-            if parent.inverse[a] not in eset:
-                raise NotSubgroupError(f"subgroup not closed under inverse at {a}")
-            for b in self.elements:
-                if parent.table[a][b] not in eset:
-                    raise NotSubgroupError(f"subgroup not closed under product at ({a}, {b})")
-        self._eset = eset
+        # the closure holds 0 and H, and no more iff H is closed under the product
+        if parent._closure(self.elements) != self._eset:
+            raise NotSubgroupError(f"{self} is not closed under the product of {parent}")
         self.is_normal = self._check_normal()
 
     def _check_normal(self) -> bool:
+        """g H g^-1 within H for the generators g of the parent, hence for all g."""
         t, inv = self.parent.table, self.parent.inverse
         return all(
             t[t[g][h]][inv[g]] in self._eset
-            for g in range(self.parent.order)
+            for g in self.parent.generators
             for h in self.elements
         )
 
@@ -252,7 +250,7 @@ class Subgroup:
 
 @cache
 def trivial() -> FiniteGroup:
-    return FiniteGroup(((0,),), invariants=(1,), name="trivial", _validated=True)
+    return FiniteGroup(((0,),), invariants=(1,), name="trivial")
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -283,7 +281,7 @@ def _abelian(invariants: tuple[int, ...]) -> FiniteGroup:
         table = [[x + stride * ((c + d) % m) for d in range(m) for x in row]
                  for c in range(m) for row in table]
         stride *= m
-    return FiniteGroup(table, invariants=invariants, _validated=True)
+    return FiniteGroup(table, invariants=invariants)
 
 
 def from_table(table) -> FiniteGroup:

@@ -23,7 +23,7 @@ import random
 import re
 from functools import cached_property, reduce
 from itertools import chain
-from math import gcd
+from math import prod
 
 from . import linalg
 from .errors import (
@@ -47,7 +47,7 @@ from .groupring import (
     parse_element,
     wedderburn_abelian,
 )
-from .groups import FiniteGroup, Subgroup, parse_group_spec
+from .groups import ORDER_CAP, FiniteGroup, Subgroup, parse_group_spec
 from .ntheory import power
 
 
@@ -58,17 +58,16 @@ class JoinShape:
         self.groups: tuple[FiniteGroup, ...] = tuple(groups_)
         if not self.groups:
             raise AlgebraError("a join shape needs at least one block group")
+        if len(self.groups) > ORDER_CAP // 4:  # before the d(d - 1) pairs below
+            raise AlgebraError(f"a join shape of {len(self.groups)} blocks exceeds "
+                               f"the cap of {ORDER_CAP // 4}")
         self.ctx = ctx
         self.d = len(self.groups)
         self.sizes = tuple(g.order for g in self.groups)
         self.n = sum(self.sizes)
         self.offsets = tuple(sum(self.sizes[:i]) for i in range(self.d))
-        # r = number of blocks whose order is invertible in F_q; block order
-        # is irrelevant here, only the count and membership are used.
-        self.semisimple_blocks = tuple(
-            i for i, g in enumerate(self.groups) if gcd(g.order, ctx.p) == 1
-        )
-        self.r = len(self.semisimple_blocks)
+        # r = number of blocks whose order is invertible in F_q
+        self.r = sum(g.order % ctx.p != 0 for g in self.groups)
         # the a_ij in the layout of from_vector, row by row
         self._pairs = tuple((i, j) for i in range(self.d) for j in range(self.d) if i != j)
 
@@ -281,6 +280,9 @@ def join_mul(a: JoinElem, b: JoinElem) -> JoinElem:
 def join_embed(a: JoinElem) -> list[list[int]]:
     """The element as a full n x n matrix over F_q (raw codes)."""
     shape, at, sizes = a.shape, a.shape.offsets, a.shape.sizes
+    if shape.n > 4 * ORDER_CAP:
+        raise AlgebraError(f"embedding {shape} needs a matrix of {shape.n} rows, "
+                           f"beyond the cap of {4 * ORDER_CAP}")
     rows = [[0] * shape.n for _ in range(shape.n)]
     for i, j in shape._pairs:  # a_ij times the all-ones block
         for r in range(at[i], at[i] + sizes[i]):
@@ -500,10 +502,7 @@ def join_unit_count(shape: JoinShape) -> int:
             raise AlgebraError("unit-count formula needs abelian blocks")
         if g.order % shape.ctx.p == 0:
             raise AlgebraError("block order divisible by the characteristic")
-    d = shape.d
-    total = 1
-    for i in range(d):
-        total *= q**d - q**i
+    total = _gl_order(shape.d, q)
     for g in shape.groups:
         # Delta(G)^x: drop one copy of the trivial-character factor F_q^x.
         wd = wedderburn_abelian(g, shape.ctx)
@@ -514,13 +513,15 @@ def join_unit_count(shape: JoinShape) -> int:
 def thm_unit_count_rooted(shape: JoinShape) -> int:
     """The all-rooted closed form prod(q^{p_i-1} - 1) * |GL_d(F_q)|."""
     q = shape.ctx.q
-    d = shape.d
-    total = 1
+    total = _gl_order(shape.d, q)
     for g in shape.groups:
         total *= q ** (g.order - 1) - 1
-    for i in range(d):
-        total *= q**d - q**i
     return total
+
+
+def _gl_order(d: int, q: int) -> int:
+    """|GL_d(F_q)| = prod over i < d of (q^d - q^i)."""
+    return prod(q**d - q**i for i in range(d))
 
 
 def diagonal_unit_count(shape: JoinShape) -> int:

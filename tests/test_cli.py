@@ -247,6 +247,17 @@ def test_sweep_within_the_cap_runs(capsys):
     assert data["rows"][-1]["p"] == 251
 
 
+def test_join_shape_caps_exit_1(capsys):
+    # one past each cap; tests/test_joinring.py checks both at the cap
+    past = "join(C256,C256,C256,C256,trivial;F2)"  # n = 4 ORDER_CAP + 1
+    for argv in (["join", "--shape", f"join({','.join(['C2'] * (ORDER_CAP // 4 + 1))};F2)"],
+                 ["join", "--shape", past, "--a", "1", "--embed"],
+                 ["sweep", "block-formula", "--count", "1", "--shapes", past]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_sweep_block_formula_seeded(capsys):
     data = run_json(capsys, "--seed", "42", "sweep", "block-formula",
                     "--count", "20", "--shapes", "join(C3,C5;F2),join(C2;F3)")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from joinrings.errors import AlgebraError, NotInvertibleError
+from joinrings.errors import AlgebraError, ContextMismatchError, NotInvertibleError
 from joinrings.ffield import parse_field
 from joinrings.groupring import (
     GroupRingElem,
@@ -23,6 +23,15 @@ from joinrings.groups import cyclic, from_table, parse_group_spec, symmetric
 F2 = parse_field("F2")
 F3 = parse_field("F3")
 F7 = parse_field("F7")
+
+
+def test_elements_of_two_rings_do_not_mix():
+    a = parse_element("1+g1", cyclic(3), F2)
+    for other in (parse_element("1+g1", cyclic(3), F3), parse_element("1+g1", cyclic(4), F2)):
+        with pytest.raises(ContextMismatchError):
+            a + other
+        with pytest.raises(ContextMismatchError):
+            a * other
 
 
 def test_ring_axioms_random_free():

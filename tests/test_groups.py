@@ -2,7 +2,8 @@ from math import prod
 
 import pytest
 
-from joinrings.errors import AlgebraError, NotNormalError
+from joinrings.cli import run
+from joinrings.errors import AlgebraError, NotNormalError, NotSubgroupError
 from joinrings.groups import (
     ORDER_CAP,
     abelian,
@@ -70,8 +71,15 @@ def test_subgroup_and_quotient():
 
 
 def test_non_subgroup_rejected():
-    with pytest.raises(AlgebraError):
-        cyclic(6).subgroup([0, 2, 3])
+    # not closed, no identity, a negative index, an index past the order, empty
+    for n, elements in [(6, [0, 2, 3]), (6, [2, 4]), (2, [0, 1, -1]), (2, [0, 5]), (2, [])]:
+        with pytest.raises(NotSubgroupError):
+            cyclic(n).subgroup(elements)
+
+
+def test_subgroup_generated_refuses_an_index_past_the_order():
+    with pytest.raises(NotSubgroupError):
+        cyclic(2).subgroup_generated([5])
 
 
 def test_non_normal_quotient_rejected():
@@ -117,6 +125,58 @@ def test_from_table_validates_associativity():
     bad = [[0, 1], [1, 1]]  # not a group
     with pytest.raises(AlgebraError):
         from_table(bad)
+
+
+def _c66_with_an_intercalate_swapped():
+    """C66 with the 2 x 2 Latin subsquare at rows 1, 34 and columns 2, 35
+    swapped: still a Latin square with identity 0, but not associative."""
+    t = [[(a + b) % 66 for b in range(66)] for a in range(66)]
+    t[1][2], t[1][35], t[34][2], t[34][35] = t[1][35], t[1][2], t[34][35], t[34][2]
+    return t
+
+
+def _c65_with_a_repeated_entry():
+    t = [[(a + b) % 65 for b in range(65)] for a in range(65)]
+    t[3][5] = t[3][6]
+    return t
+
+
+def test_tables_are_checked_at_every_order():
+    with pytest.raises(AlgebraError, match="associativity"):
+        from_table(_c66_with_an_intercalate_swapped())
+    with pytest.raises(AlgebraError, match="row 3"):
+        from_table(_c65_with_a_repeated_entry())
+    with pytest.raises(AlgebraError, match="identity"):
+        from_table([[0, 1], [0, 1]])
+    # row x swaps 0 and x: rows permute, 0 is an identity, but each element
+    # generates only itself and 0, so 3 generators for 4 elements
+    with pytest.raises(AlgebraError, match="generators"):
+        from_table([[x if y == 0 else 0 if y == x else y for y in range(4)] for x in range(4)])
+
+
+@pytest.mark.parametrize("rows", [_c66_with_an_intercalate_swapped(), _c65_with_a_repeated_entry()],
+                         ids=["non-associative-order-66", "repeated-entry-order-65"])
+def test_tables_that_are_no_group_exit_1(capsys, tmp_path, rows):
+    path = tmp_path / "table.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    assert run(["group", f"table:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_generators_each_leave_the_subgroup_of_the_earlier_ones():
+    assert cyclic(256).generators == (1,)
+    assert trivial().generators == ()
+    assert abelian([2] * 8).generators == (1, 2, 4, 8, 16, 32, 64, 128)
+    assert symmetric(3).generators == (1, 2) and quaternion().generators == (1, 2, 4)
+    for g in [symmetric(5), abelian([16, 16]), *abelian_groups_of_order(48)]:
+        gens = g.generators
+        for k, s in enumerate(gens):
+            below = g.subgroup_generated(gens[:k]).elements
+            assert s not in below and all(x in below for x in range(s))
+        assert g.subgroup_generated(gens).order == g.order
+        assert 2 ** len(gens) <= g.order
 
 
 def test_from_table_refuses_an_empty_table(tmp_path):

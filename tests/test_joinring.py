@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 
 import joinrings.linalg as linalg
-from joinrings.errors import AlgebraError, NotInvertibleError, ParseError
+from joinrings.errors import AlgebraError, ContextMismatchError, NotInvertibleError, ParseError
 from joinrings.ffield import parse_field
 from joinrings.groupring import parse_element
-from joinrings.groups import cyclic, parse_group_spec, trivial
+from joinrings.groups import ORDER_CAP, cyclic, parse_group_spec, trivial
 from joinrings.joinring import (
     JoinElem,
     JoinShape,
@@ -106,6 +106,32 @@ def test_one_and_zero():
     assert a * one == a
     assert one * a == a
     assert a + zero == a
+
+
+def test_elements_of_two_shapes_do_not_mix():
+    a = parse_shape_spec("join(C3,C5;F2)").one()
+    for spec in ("join(C5,C3;F2)", "join(C3,C5;F4)", "join(C3,C5,C1;F2)"):
+        b = parse_shape_spec(spec).one()
+        with pytest.raises(ContextMismatchError):
+            a + b
+        with pytest.raises(ContextMismatchError):
+            a * b
+
+
+def test_a_shape_has_at_most_a_quarter_of_order_cap_blocks():
+    blocks = ORDER_CAP // 4
+    assert JoinShape([cyclic(2)] * blocks, F2).dimension() == 2 * blocks + blocks * (blocks - 1)
+    with pytest.raises(AlgebraError):
+        JoinShape([cyclic(2)] * (blocks + 1), F2)
+
+
+def test_embedding_is_capped_at_four_times_order_cap_rows():
+    at_cap = parse_shape_spec("join(C256,C256,C256,C256;F2)")
+    assert len(join_embed(at_cap.one())) == 4 * ORDER_CAP
+    past = parse_shape_spec("join(C256,C256,C256,C256,trivial;F2)")
+    assert past.n == 4 * ORDER_CAP + 1
+    with pytest.raises(AlgebraError):
+        join_embed(past.one())
 
 
 def test_gen_augmentation_is_hom():

@@ -208,6 +208,19 @@ def test_oracle_asks_rings_rather_than_testing_their_kind():
     assert not checks, f"oracle.py dispatches on type: {checks}"
 
 
+def test_every_error_class_is_raised_in_some_test():
+    # a class that no test expects may be raised nowhere, or wrapped away
+    defined = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    expected = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises"
+                    and node.args):
+                expected |= {n.id for n in ast.walk(node.args[0]) if isinstance(n, ast.Name)}
+    assert defined - expected == set()
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demos_run(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
