@@ -45,6 +45,9 @@ Sums of many products run on plain integers and are reduced once:
   x - f*y is then one integer addition (XOR in characteristic 2) followed
   by one reduction of the whole row.  This works for every field; only up
   to ``_TABLE_LIMIT`` are the packed forms of all q codes built in advance.
+  :meth:`PackedRows.combination` is the one sum of packed multiples,
+  sum c_i row_i over the nonzero c_i: the rows of a matrix product and the
+  oracle's packed unit matrices and semimagic products.
 """
 
 from __future__ import annotations
@@ -305,6 +308,15 @@ class PackedRows:
 
     def pack(self, codes) -> int:
         return int.from_bytes(b"".join(map(self._encode, codes)), "little")
+
+    def combination(self, coeffs, rows) -> int:
+        """The reduced sum of c * row over the pairs of `coeffs` and `rows` with c nonzero."""
+        combine, times = self.combine, self.times
+        acc = 0
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc = combine(acc, times(row, c))
+        return acc
 
     def unpack(self, x: int, n: int) -> list[int]:
         """The n codes of the reduced row x."""

@@ -64,7 +64,7 @@ class FiniteGroup:
         n, t = self.order, self.table
         indices = list(range(n))
         for i, row in enumerate(t):
-            if sorted(row) != indices:
+            if {*map(type, row)} != {int} or sorted(row) != indices:  # 1.0, True sort as 1
                 raise AlgebraError(f"row {i} of Cayley table is not a permutation of 0..{n - 1}")
         if list(t[0]) != indices or [row[0] for row in t] != indices:
             raise AlgebraError("index 0 is not an identity of the Cayley table")
@@ -78,8 +78,8 @@ class FiniteGroup:
         """The elements reached from 0 by right multiplication by `gens`:
         in a group, the subgroup that they generate."""
         gens = list(gens)
-        if any(not 0 <= a < self.order for a in gens):
-            raise NotSubgroupError(f"{gens} holds an index outside 0..{self.order - 1}")
+        if any(type(a) is not int or not 0 <= a < self.order for a in gens):
+            raise NotSubgroupError(f"{gens} holds a value that is no int in 0..{self.order - 1}")
         t, reached, todo = self.table, {0}, [0]
         for x in todo:  # todo grows while it is walked
             for s in gens:
@@ -179,10 +179,11 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, elements):
         self.parent = parent
         self._eset = set(elements)
+        closed = parent._closure(self._eset) == self._eset  # refuses a non-index before the sort
         self.elements = tuple(sorted(self._eset))
         self.order = len(self.elements)
         # the closure holds 0 and H, and no more iff H is closed under the product
-        if parent._closure(self.elements) != self._eset:
+        if not closed:
             raise NotSubgroupError(f"{self} is not closed under the product of {parent}")
         self.is_normal = self._check_normal()
 

@@ -494,14 +494,10 @@ def join_unit_count(shape: JoinShape) -> int:
     """|J^x| for abelian blocks with orders invertible in F_q.
 
     Computed through the decomposition J = M_d(F_q) x prod Delta(G_i):
-    |GL_d(F_q)| times the product of the Delta(G_i) unit-group orders.
+    |GL_d(F_q)| times the product of the Delta(G_i) unit-group orders, which
+    :func:`wedderburn_abelian` refuses for any other block.
     """
     q = shape.ctx.q
-    for g in shape.groups:
-        if not g.is_abelian:
-            raise AlgebraError("unit-count formula needs abelian blocks")
-        if g.order % shape.ctx.p == 0:
-            raise AlgebraError("block order divisible by the characteristic")
     total = _gl_order(shape.d, q)
     for g in shape.groups:
         # Delta(G)^x: drop one copy of the trivial-character factor F_q^x.

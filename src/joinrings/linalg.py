@@ -12,7 +12,8 @@ pivot row (XOR in characteristic 2), reduced lane by lane in one step, and
 that multiple is built once per distinct factor f within a column (over
 F_2, rows_invertible ranks the byte rows by their leading set bits instead).
 Single entries are decoded only where they are read: the pivot column (to
-find the pivot and the factors) and the output.
+find the pivot and the factors) and the output.  Each row of a product is
+one :meth:`~joinrings.ffield.PackedRows.combination`, the one sum of packed multiples.
 """
 
 from __future__ import annotations
@@ -34,17 +35,9 @@ def mat_add(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
     packing = ctx.packing
-    combine, times = packing.combine, packing.times
     brows = list(map(packing.pack, b))
     width = len(b[0])
-    out = []
-    for row in a:
-        acc = 0
-        for x, brow in zip(row, brows):
-            if x:
-                acc = combine(acc, times(brow, x))
-        out.append(packing.unpack(acc, width))
-    return out
+    return [packing.unpack(packing.combination(row, brows), width) for row in a]
 
 
 def is_invertible(a: Matrix, ctx: FieldCtx) -> bool:

@@ -11,9 +11,11 @@ The oracles run on coefficient tuples and build elements only for return
 values and labels.  Each ring kind gives one product on the tuples, and
 `unit_matrix(a)`, linear in a's coefficients and invertible iff a is a
 unit; U(v) is packed as one integer, the sum of c_i B_i over v's nonzero
-coordinates, B_i that of the i-th basis vector.  `list_units` walks every
-index in increasing order (lexicographic n-tuples, as in Knuth, TAOCP 4A,
-7.2.1.1) and keeps, per coordinate level, the sum of c_i B_i over the
+coordinates, B_i that of the i-th basis vector: one
+:meth:`~joinrings.ffield.PackedRows.combination`, the one sum of packed
+multiples, which also gives a semimagic element and product.  `list_units`
+walks every index in increasing order (lexicographic n-tuples, as in Knuth,
+TAOCP 4A, 7.2.1.1) and keeps, per coordinate level, the sum of c_i B_i over the
 coordinates from that level up, so a step costs about q/(q - 1) packed
 additions and one elimination.  The unit count tests one element per
 orbit of F_q^x times the ring's `symmetries`, coordinate permutations that
@@ -99,12 +101,7 @@ class EnumerableRing:
     def _pack(self, vector) -> int:
         """The unit matrix of the element with coordinates `vector`, packed as
         one integer: the sum of c_h B_h over its nonzero coordinates c_h."""
-        combine, times = self.ctx.packing.combine, self.ctx.packing.times
-        matrix = 0
-        for c, b in zip(vector, self._basis):
-            if c:
-                matrix = combine(matrix, times(b, c))
-        return matrix
+        return self.ctx.packing.combination(vector, self._basis)
 
     @cached_property
     def _row_split(self) -> tuple[int, range]:
@@ -121,8 +118,8 @@ class EnumerableRing:
         """
         return [range(self.dim)]
 
-    def _walk(self, base: int, terms: Iterable[int], width: int):
-        """Packed rows of base + sum_{j < width} c_j T_j, T_j the j-th of
+    def _walk(self, base: int, terms: Iterable[int]):
+        """Packed rows of base + sum_{j < dim} c_j T_j, T_j the j-th of
         `terms`, for every choice of the codes c_j, in increasing index order.
 
         levels[j] is base plus the terms of coordinates j and up.  A step
@@ -133,16 +130,16 @@ class EnumerableRing:
         """
         combine, times = self.ctx.packing.combine, self.ctx.packing.times
         row_mask, shifts = self._row_split
-        top = self.ctx.q - 1
-        terms, codes, drawn = iter(terms), [0] * width, []
-        levels = [base] * (width + 1)
+        top, dim = self.ctx.q - 1, self.dim
+        terms, codes, drawn = iter(terms), [0] * dim, []
+        levels = [base] * (dim + 1)
         while True:
             matrix = levels[0]
             yield [matrix >> s & row_mask for s in shifts]
             j = 0  # the coordinate that steps up: the lowest one below q - 1
-            while j < width and codes[j] == top:
+            while j < dim and codes[j] == top:
                 j += 1
-            if j == width:
+            if j == dim:
                 return
             if j == len(drawn):
                 drawn.append(next(terms))
@@ -255,12 +252,14 @@ class SemimagicRing(EnumerableRing):
         pivot column lies left of every free column its row reaches."""
         return [max(c for c, x in enumerate(vec) if x) for vec in self.basis]
 
+    @cached_property
+    def _packed_basis(self) -> list[int]:
+        """The basis vectors, each packed as one row of n^2 entries."""
+        return list(map(self.ctx.packing.pack, self.basis))
+
     def element(self, index: int):
-        ctx, n = self.ctx, self.n
-        out = [0] * (n * n)
-        for coef, vec in zip(self._vector(index), self.basis):
-            if coef:
-                out = [ctx.add(x, ctx.mul(coef, y)) for x, y in zip(out, vec)]
+        packing, n = self.ctx.packing, self.n
+        out = packing.unpack(packing.combination(self._vector(index), self._packed_basis), n * n)
         return tuple(tuple(out[i * n : (i + 1) * n]) for i in range(n))
 
     def coordinates(self, a) -> tuple[int, ...]:
@@ -275,15 +274,12 @@ class SemimagicRing(EnumerableRing):
         return [[pack(self.coordinates(linalg.mat_mul(x, y, ctx))) for y in mats] for x in mats]
 
     def product(self, u, v) -> tuple[int, ...]:
-        packing, mul = self.ctx.packing, self.ctx.mul
-        combine, times = packing.combine, packing.times
-        acc = 0
-        for x, row in zip(u, self._constants):
-            if x:
-                for y, c in zip(v, row):
-                    if y:
-                        acc = combine(acc, times(c, mul(x, y)))
-        return tuple(packing.unpack(acc, self.dim))
+        """sum_h u_h (sum_k v_k C_hk), C_hk the packed structure constants;
+        the inner sum is skipped where u_h is 0."""
+        packing = self.ctx.packing
+        combination = packing.combination
+        rows = [combination(v, row) if x else 0 for x, row in zip(u, self._constants)]
+        return tuple(packing.unpack(combination(u, rows), self.dim))
 
     def unit_matrix(self, a):
         return a
@@ -365,7 +361,7 @@ class _Multiples(dict):
 
 def _unit_indices(ring: EnumerableRing) -> list[int]:
     """The index of every unit, in increasing order, from the packed walk."""
-    walk = enumerate(ring._walk(0, ring._basis, ring.dim))
+    walk = enumerate(ring._walk(0, ring._basis))
     return [i for i, rows in walk if linalg.rows_invertible(rows, ring.ctx)]
 
 
@@ -503,7 +499,7 @@ def _radical(ring: EnumerableRing) -> list[int]:
     indices = [
         i for i, x in enumerate(elements)
         if all(linalg.rows_invertible(rows, ctx)
-               for rows in ring._walk(one, (ring._pack(mul(b, x)) for b in basis), dim))
+               for rows in ring._walk(one, (ring._pack(mul(b, x)) for b in basis)))
     ]
     rad = [elements[i] for i in indices]
 

@@ -471,3 +471,93 @@ def test_wedderburn_self_checks_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(groupring, "ord_mod", lambda d, q: ord_mod(d, q) + 1)
     assert run(["gr", "--field", "F2", "--group", "C3", "--unit-count"]) == 3
     assert capsys.readouterr().err.startswith("internal consistency failure: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # unit counts beyond the closed form: a non-abelian block, 3 dividing |C3|
+    ["join", "--shape", "join(S3,C2;F5)", "--unit-count"],
+    ["join", "--shape", "join(C3,C2;F3)", "--unit-count"],
+    ["gr", "--group", "S3", "--field", "F5", "--unit-count"],
+    # a missing operand or field
+    ["field", "F5", "--op", "add", "--a", "1"],
+    ["gr", "--field", "F3", "--group", "C2", "--op", "mul", "--a", "1+g1"],
+    ["join", "--shape", "join(C2;F3)", "--op", "add", "--a", "1"],
+    ["gr", "--field", "F3", "--group", "C2", "--inverse"],
+    ["zeta", "--group", "C3"],
+], ids=["join-non-abelian", "join-modular", "gr-non-abelian", "field-op-no-b", "gr-op-no-b",
+        "join-op-no-b", "inverse-no-a", "zeta-group-no-field"])
+def test_refused_requests_exit_1_with_one_error_line(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_join_idempotents_are_orthogonal_and_sum_to_one(capsys):
+    from joinrings.joinring import JoinElem, join_mul, parse_shape_spec
+
+    shape = parse_shape_spec("join(C3,C5;F2)")
+    data = run_json(capsys, "join", "--shape", repr(shape), "--idempotents")
+    es = [JoinElem.from_json(json.dumps(e)) for e in data["idempotents"]]
+    assert len(es) == shape.d + 1
+    zero, total = shape.zero(), shape.zero()
+    for i, e in enumerate(es):
+        total = total + e
+        for j, f in enumerate(es):
+            assert join_mul(e, f) == (e if i == j else zero)
+    assert total == shape.one()
+
+
+def test_gr_circulant_reads_the_group_table(capsys):
+    from joinrings.groups import symmetric
+
+    table = symmetric(3).table
+    coeffs = [1, 2, 0, 0, 1, 2]  # non-abelian, so a_{g_i^-1 g_j} and a_{g_j g_i^-1} differ
+    a = "+".join(f"{c}*g{h}" for h, c in enumerate(coeffs) if c)
+    data = run_json(capsys, "gr", "--field", "F3", "--group", "S3", "--a", a, "--circulant")
+    inverse = [row.index(0) for row in table]
+    assert data["circulant"] == [[coeffs[table[inverse[i]][j]] for j in range(6)]
+                                 for i in range(6)]
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_gr_op_agrees_with_element_arithmetic(capsys, op):
+    from joinrings.ffield import parse_field
+    from joinrings.groupring import parse_element
+    from joinrings.groups import symmetric
+
+    ctx, group = parse_field("F5"), symmetric(3)
+    a, b = "1+2*g1+4*g3", "3+g2+2*g5"
+    data = run_json(capsys, "gr", "--field", "F5", "--group", "S3",
+                    "--a", a, "--b", b, "--op", op)
+    x, y = parse_element(a, group, ctx), parse_element(b, group, ctx)
+    assert parse_element(data["result"], group, ctx) == (x + y if op == "add" else x * y)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--shape", "join(C2,C2;F3)"],
+    ["--semimagic", "3", "--field", "F3"],
+], ids=["join", "semimagic"])
+def test_delta_n_witness_has_its_reported_order(capsys, argv):
+    # the power sweep multiplies plain integer matrices mod 3, not ring tuples
+    import ast
+
+    from joinrings.joinring import JoinElem, join_embed
+
+    report = run_json(capsys, "oracle", *argv, "--delta-n", "2")["is_delta"]
+    assert report["verdict"] is False
+    witness = report["witness"]
+    if argv[0] == "--shape":
+        matrix = join_embed(JoinElem.from_json(witness))
+    else:
+        matrix = ast.literal_eval(witness)
+        assert len({sum(r) % 3 for r in matrix} | {sum(c) % 3 for c in zip(*matrix)}) == 1
+    n = len(matrix)
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    power, order = matrix, 1
+    while power != one:
+        assert order <= 3**n, "the witness is not a unit"
+        power = [[sum(x * y for x, y in zip(row, col)) % 3 for col in zip(*matrix)]
+                 for row in power]
+        order += 1
+    assert order == report["witness_order"] and 2 % order != 0

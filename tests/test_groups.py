@@ -127,6 +127,19 @@ def test_from_table_validates_associativity():
         from_table(bad)
 
 
+@pytest.mark.parametrize("one", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_from_table_refuses_an_entry_that_is_no_int(one):
+    # 1.0 and True equal the index 1, so only the type tells them apart
+    with pytest.raises(AlgebraError, match="row 0"):
+        from_table([[0, one], [one, 0]])
+
+
+@pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+def test_subgroup_refuses_an_index_that_is_no_int(one):
+    with pytest.raises(NotSubgroupError, match="no int"):
+        cyclic(2).subgroup([0, one])
+
+
 def _c66_with_an_intercalate_swapped():
     """C66 with the 2 x 2 Latin subsquare at rows 1, 34 and columns 2, 35
     swapped: still a Latin square with identity 0, but not associative."""

@@ -6,7 +6,8 @@ read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
 leave the unit test and the unit walks to the base class, each ring kind
-has one product, it asks no ring its kind, and every demo script, README
+has one product, it asks no ring its kind, sums of packed multiples go
+through PackedRows.combination, and every demo script, README
 example and the installed console script run cleanly.
 """
 
@@ -194,6 +195,30 @@ def test_each_ring_kind_has_one_product():
                    if isinstance(n, ast.ClassDef) and n.name == cls]
         calls = {ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
         assert "gr_multiplier" in calls, f"{cls} does not bind its product by gr_multiplier"
+
+
+def _times_readers(node: ast.AST, scope: str) -> set[str]:
+    """The functions and methods under `node` that read an attribute `times`."""
+    readers = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef | ast.ClassDef):
+            readers |= _times_readers(child, f"{scope}.{child.name}")
+        elif any(isinstance(n, ast.Attribute) and n.attr == "times" for n in ast.walk(child)):
+            readers.add(scope)
+    return readers
+
+
+def test_sums_of_packed_multiples_go_through_combination():
+    # PackedRows.combination is the one sum of c * row over packed rows; the
+    # eliminations keep their memoised pivot updates and the walk its levels,
+    # and any other reader of packing.times would be a second such sum
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "ffield.py":
+            readers |= _times_readers(ast.parse(path.read_text()), path.stem)
+    allowed = {"linalg.rows_invertible", "linalg._row_reduce", "oracle.EnumerableRing._walk"}
+    assert readers <= allowed, f"{sorted(readers - allowed)} read packing.times"
+    assert readers == allowed, f"{sorted(allowed - readers)} no longer read packing.times"
 
 
 def test_oracle_asks_rings_rather_than_testing_their_kind():
