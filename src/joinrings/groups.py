@@ -178,8 +178,14 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, elements):
         self.parent = parent
+        try:
+            elements = list(elements)
+        except TypeError:
+            raise NotSubgroupError(f"subgroup elements must be an iterable of ints, "
+                                   f"got {type(elements).__name__}") from None
+        reached = parent._closure(elements)  # refuses a non-index before the set and the sort
         self._eset = set(elements)
-        closed = parent._closure(self._eset) == self._eset  # refuses a non-index before the sort
+        closed = reached == self._eset
         self.elements = tuple(sorted(self._eset))
         self.order = len(self.elements)
         # the closure holds 0 and H, and no more iff H is closed under the product

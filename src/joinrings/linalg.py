@@ -1,8 +1,8 @@
 """Dense matrices over a FieldCtx, stored as lists of rows of raw codes.
 
 Only what the rest of the package needs: multiplication, invertibility
-(also of rows already packed), inversion, and nullspaces, all by Gaussian
-elimination.
+(also of rows already packed), inversion, echelon bases and nullspaces, all
+by Gaussian elimination.
 
 The loops work on rows packed into one integer each
 (:class:`~joinrings.ffield.PackedRows`: the code in whole bytes in
@@ -149,15 +149,25 @@ def inverse(a: Matrix, ctx: FieldCtx) -> Matrix:
     return [packing.unpack(row >> shift, n) for row in rows]
 
 
+def echelon_basis(vectors, ctx: FieldCtx) -> list[tuple[int, ...]]:
+    """The reduced echelon basis of the span of equal-length `vectors`: as
+    many tuples as the span's dimension, each with a leading 1."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    ncols, packing = len(vectors[0]), ctx.packing
+    rows = list(map(packing.pack, vectors))
+    rank = len(_row_reduce(rows, ncols, ctx))
+    return [tuple(packing.unpack(row, ncols)) for row in rows[:rank]]
+
+
 def nullspace(a: Matrix, ctx: FieldCtx) -> list[list[int]]:
     """Basis of the right nullspace {x : a x = 0}."""
     if not a:
         return []
     ncols = len(a[0])
-    packing = ctx.packing
-    rows = list(map(packing.pack, a))
-    pivots = _row_reduce(rows, ncols, ctx)
-    reduced = [packing.unpack(row, ncols) for row in rows[: len(pivots)]]
+    reduced = echelon_basis(a, ctx)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     basis = []
     for fc in range(ncols):
         if fc in pivots:

@@ -18,19 +18,23 @@ walks every index in increasing order (lexicographic n-tuples, as in Knuth,
 TAOCP 4A, 7.2.1.1) and keeps, per coordinate level, the sum of c_i B_i over the
 coordinates from that level up, so a step costs about q/(q - 1) packed
 additions and one elimination.  The unit count tests one element per
-orbit of F_q^x times the ring's `symmetries`, coordinate permutations that
-come from left multiplication by a unit (g in a group ring, diag(g_1..g_d)
-in a join); an orbit is all units or none.  F2[C12] takes 351 eliminations
-where the (q^dim - 1)/(q - 1) scalar classes took 4095, F3[C7] 157 for
-1093 and F5[S3] 684 for 3906.  The radical is {x : 1 + r x is a unit for
-all r}, the quasi-regular 1 - r x with r replaced by -r: U(1 + r x) =
+orbit of F_q^x times the ring's `symmetries`, coordinate permutations
+x -> u x w by units on both sides (g x k in a group ring,
+diag(g_1..g_d) x diag(k_1..k_d) in a join); an orbit is all units or none.
+F2[C12] takes 351 eliminations where the (q^dim - 1)/(q - 1) scalar classes
+took 4095, F3[C7] 157 for 1093 and F5[S3] 178 for 3906 (684 with left
+products alone).  The radical is {x : 1 + r x is a unit for all r}, the
+quasi-regular 1 - r x with r replaced by -r: U(1 + r x) =
 U(1) + sum r_i U(b_i x) is linear in r, so the walk from U(1) over the
-U(b_i x) tests x against every r.  The order questions (exponent, units of
-one order, u^n = 1) read one :func:`unit_orders` list.
+U(b_i x) tests x against every r.  It is then checked on spanning sets: a
+subspace by its size, a two-sided ideal on basis products, nilpotent on
+spans of products.  The order questions (exponent, units of one order,
+u^n = 1) read one :func:`unit_orders` list.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from itertools import chain, product
@@ -59,7 +63,8 @@ class EnumerableRing:
     through `product(u, v)`, the ring product on them.  Elements are hashable
     and compare by value.  Subclasses call ``__init__`` before they build
     anything of the ring's size, and provide `one`, `element(i)`,
-    `coordinates(a)`, `product(u, v)`, `unit_matrix(a)` and `label(a)`.
+    `coordinates(a)`, `product(u, v)`, `unit_matrix(a)` and `label(a)`, a
+    JSON value that names a.
     `element` and `unit_matrix` must be linear in the coefficient vector, and
     `unit_matrix(a)` invertible iff a is a unit.  An adapter whose units some
     coordinate permutations preserve lists them in `symmetries`.
@@ -110,7 +115,8 @@ class EnumerableRing:
         stride = n * self.ctx.packing.entry_bits
         return (1 << stride) - 1, range(0, n * stride, stride)
 
-    def symmetries(self) -> Sequence[Sequence[int]]:
+    @cached_property
+    def symmetries(self) -> list[Sequence[int]]:
         """Coordinate permutations, a group, each of which maps units to units.
 
         perm sends the element with coordinates v to the one whose
@@ -166,11 +172,13 @@ class GroupRingEnum(EnumerableRing):
     def unit_matrix(self, a) -> list[list[int]]:
         return circulant_rows(a)
 
-    def symmetries(self) -> Sequence[Sequence[int]]:
-        """Left multiplication by g, a unit: coefficient h moves to g h."""
-        return self.group.table
+    @cached_property
+    def symmetries(self) -> list[Sequence[int]]:
+        """x -> g x k for the units g and k in G: coefficient h moves to g h k."""
+        return _two_sided(self.group)
 
     def label(self, a) -> str:
+        """The `gr` literal of a."""
         return format_element(a)
 
     def __repr__(self):
@@ -195,21 +203,32 @@ class JoinRingEnum(EnumerableRing):
     def unit_matrix(self, a) -> list[list[int]]:
         return join_embed(a)
 
-    def symmetries(self) -> Sequence[Sequence[int]]:
-        """Left multiplication by the unit diag(g_1..g_d): block i moves as
-        in F_q[G_i], and each a_ij stays, since a permutation matrix times
-        an all-ones block is that block."""
+    @cached_property
+    def symmetries(self) -> list[Sequence[int]]:
+        """x -> diag(g_1..g_d) x diag(k_1..k_d) for the units g_i and k_i in
+        G_i: block i moves as in F_q[G_i], and each a_ij stays, since an
+        all-ones block times a permutation matrix, on either side, is that
+        block."""
         shape = self.shape
-        blocks = [[[lo + h for h in row] for row in g.table]
+        blocks = [[[lo + h for h in perm] for perm in _two_sided(g)]
                   for g, lo in zip(shape.groups, shape.offsets)]
         offdiag = range(shape.n, self.dim)
         return [[*chain.from_iterable(rows), *offdiag] for rows in product(*blocks)]
 
-    def label(self, a) -> str:
-        return a.to_json()
+    def label(self, a) -> dict:
+        """The {"shape", "blocks", "offdiag"} object of a, as `join --op` reports it."""
+        return json.loads(a.to_json())
 
     def __repr__(self):
         return repr(self.shape)
+
+
+def _two_sided(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The distinct permutations h -> g h k of G, for g and k in G: where G
+    is abelian, its |G| left products."""
+    table = group.table
+    return list(dict.fromkeys(tuple(table[x][k] for x in row)
+                              for row in table for k in range(group.order)))
 
 
 class SemimagicRing(EnumerableRing):
@@ -284,8 +303,9 @@ class SemimagicRing(EnumerableRing):
     def unit_matrix(self, a):
         return a
 
-    def label(self, a) -> str:
-        return repr([list(r) for r in a])
+    def label(self, a) -> list[list[int]]:
+        """The rows of a."""
+        return [list(r) for r in a]
 
     def __repr__(self):
         return f"SM{self.n}(F{self.ctx.q})"
@@ -300,7 +320,7 @@ semimagic_ring = SemimagicRing
 
 def enumerate_units(ring: EnumerableRing) -> int:
     """Exact unit count: one elimination per orbit of F_q^x times
-    `ring.symmetries()`, weighted by the orbit's size.
+    `ring.symmetries`, weighted by the orbit's size.
 
     Each map of the orbit is a bijection on units, so an orbit is all units
     or none.  Every orbit is a union of scalar classes; each class of q - 1
@@ -314,7 +334,7 @@ def enumerate_units(ring: EnumerableRing) -> int:
     row_mask, shifts = ring._row_split
     # columns[h][c][k] = c q^perm[h], perm the k-th symmetry: the image of v
     # under perm has index sum_h columns[h][v[h]][k]
-    columns = [_Multiples({1: [q**i for i in images]}) for images in zip(*ring.symmetries())]
+    columns = [_Multiples({1: [q**i for i in images]}) for images in zip(*ring.symmetries)]
     marked = bytearray(ring.size)  # one byte per element, within the ring's cap
     units = 0
     for t in range(dim):
@@ -480,8 +500,9 @@ def jacobson_radical(ring: EnumerableRing) -> list:
     r -> -r makes this the quasi-regular {x : 1 - r x is a unit for all r}.
     The walk from U(1) over the U(b_i x), b_i the basis vectors, tests every
     r and stops at the first singular matrix, packing U(b_i x) only once it
-    reaches coordinate i.  Membership and the ideal check each take up to
-    one step per pair (x, r), so the ring's cap bounds the q^(2 dim) pairs.
+    reaches coordinate i.  Membership takes up to one step per pair (x, r),
+    so the ring's cap bounds the q^(2 dim) pairs; the subspace, ideal and
+    nilpotency checks run on spanning sets.
     """
     return [ring.element(i) for i in _radical(ring)]
 
@@ -501,25 +522,35 @@ def _radical(ring: EnumerableRing) -> list[int]:
         if all(linalg.rows_invertible(rows, ctx)
                for rows in ring._walk(one, (ring._pack(mul(b, x)) for b in basis)))
     ]
-    rad = [elements[i] for i in indices]
-
-    rad_set = set(rad)
-    # two-sided ideal check
-    for x in rad:
-        for r in elements:
-            if mul(r, x) not in rad_set or mul(x, r) not in rad_set:
-                raise InternalConsistencyError("radical is not a two-sided ideal")
-    # nilpotency: rad^k shrinks to {0} within dim steps
-    current = rad_set
-    zero = elements[0]
-    for _ in range(dim):
-        if current == {zero}:
-            break
-        current = {mul(x, y) for x in current for y in rad}
-    else:
-        if current != {zero}:
-            raise InternalConsistencyError("radical failed the nilpotency check")
+    _check_radical(ring, [elements[i] for i in indices])
     return indices
+
+
+def _check_radical(ring: EnumerableRing, rad: Iterable[tuple[int, ...]]) -> None:
+    """Raise InternalConsistencyError unless the coordinate tuples `rad` form
+    a nilpotent two-sided ideal, each property checked on a spanning set.
+
+    Subspace: rad lies in the span of its echelon basis x_1..x_k, so it is
+    that span iff it has q^k elements.  Ideal: b x_j and x_j b in rad for
+    every basis vector b of the ring, 2 k dim products.  Nilpotency: J^(m+1)
+    is spanned by the products of J^m's basis with J's, and must reach 0
+    within dim steps.
+    """
+    ctx, mul = ring.ctx, ring.product
+    rad_set = set(rad)
+    basis = linalg.echelon_basis(rad_set, ctx)
+    if len(rad_set) != ctx.q ** len(basis):
+        raise InternalConsistencyError(
+            f"radical of {len(rad_set)} elements is no subspace: its span has {ctx.q}^{len(basis)}")
+    for b in (ring._vector(ctx.q**i) for i in range(ring.dim)):
+        for x in basis:
+            if mul(b, x) not in rad_set or mul(x, b) not in rad_set:
+                raise InternalConsistencyError("radical is not a two-sided ideal")
+    power = basis
+    for _ in range(ring.dim):
+        power = linalg.echelon_basis((mul(x, y) for x in power for y in basis), ctx)
+    if power:
+        raise InternalConsistencyError("radical failed the nilpotency check")
 
 
 def semisimple_unit_factorization(ring: EnumerableRing):

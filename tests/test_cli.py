@@ -539,18 +539,18 @@ def test_gr_op_agrees_with_element_arithmetic(capsys, op):
     ["--semimagic", "3", "--field", "F3"],
 ], ids=["join", "semimagic"])
 def test_delta_n_witness_has_its_reported_order(capsys, argv):
-    # the power sweep multiplies plain integer matrices mod 3, not ring tuples
-    import ast
-
+    # the power sweep multiplies plain integer matrices mod 3, not ring tuples;
+    # the witness is a nested value, as `join --op` reports a join element
     from joinrings.joinring import JoinElem, join_embed
 
     report = run_json(capsys, "oracle", *argv, "--delta-n", "2")["is_delta"]
     assert report["verdict"] is False
     witness = report["witness"]
     if argv[0] == "--shape":
-        matrix = join_embed(JoinElem.from_json(witness))
+        assert sorted(witness) == ["blocks", "offdiag", "shape"]
+        matrix = join_embed(JoinElem.from_json(json.dumps(witness)))
     else:
-        matrix = ast.literal_eval(witness)
+        matrix = witness
         assert len({sum(r) % 3 for r in matrix} | {sum(c) % 3 for c in zip(*matrix)}) == 1
     n = len(matrix)
     one = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -140,6 +140,15 @@ def test_subgroup_refuses_an_index_that_is_no_int(one):
         cyclic(2).subgroup([0, one])
 
 
+@pytest.mark.parametrize("elements, message", [
+    ([[0]], "no int"),  # unhashable: it must be refused before a set is built
+    (None, "iterable of ints"),
+], ids=["list-entry", "none"])
+def test_subgroup_refuses_input_that_is_no_list_of_indices(elements, message):
+    with pytest.raises(NotSubgroupError, match=message):
+        cyclic(2).subgroup(elements)
+
+
 def _c66_with_an_intercalate_swapped():
     """C66 with the 2 x 2 Latin subsquare at rows 1, 34 and columns 2, 35
     swapped: still a Latin square with identity 0, but not associative."""

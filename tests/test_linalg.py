@@ -141,6 +141,23 @@ def test_nullspace_and_mat_mul(spec):
         assert linalg.mat_mul(a, b, ctx) == _mul_ref(a, b, ctx)
 
 
+@pytest.mark.parametrize("spec", FIELDS)
+def test_echelon_basis_spans_the_rows(spec):
+    ctx = parse_field(spec)
+    rng = random.Random(f"echelon/{spec}")
+    assert linalg.echelon_basis([], ctx) == []
+    for nrows, ncols, rank in ((4, 6, 2), (6, 6, 5), (5, 3, 3), (1, 4, 1), (3, 3, 0)):
+        left, right = _rand(rng, ctx, nrows, rank), _rand(rng, ctx, rank, ncols)
+        a = _mul_ref(left, right, ctx) if rank else [[0] * ncols for _ in range(nrows)]
+        basis = linalg.echelon_basis(map(tuple, a), ctx)
+        assert len(basis) == _rank_ref(a, ctx) == _rank_ref(a + [list(v) for v in basis], ctx)
+        # reduced: each vector's leading entry is 1, and 0 in every other vector
+        leads = [next(c for c, x in enumerate(v) if x) for v in basis]
+        assert leads == sorted(set(leads))
+        for v, c in zip(basis, leads):
+            assert [w[c] for w in basis] == [int(w is v) for w in basis]
+
+
 @pytest.mark.parametrize("spec", [s for s in FIELDS if s not in ("F2048", "F2187", "F1048576")])
 def test_largest_entries_at_n48(spec):
     # every entry q - 1, the code whose digits are all p - 1; the untabled

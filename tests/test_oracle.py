@@ -19,7 +19,9 @@ from joinrings.oracle import (
     GroupRingEnum,
     JoinRingEnum,
     SemimagicRing,
+    _check_radical,
     _orders,
+    _radical,
     enumerate_units,
     exp_U1,
     is_delta_n,
@@ -359,6 +361,69 @@ def test_radical_decides_membership_on_the_walk(monkeypatch):
     assert len(jacobson_radical(RADICAL_RINGS["F2[C6]"])) == 8
 
 
+def _span(ring, vectors):
+    """Every F_q-combination of the coordinate tuples `vectors`."""
+    ctx, out = ring.ctx, set()
+    for coeffs in product(range(ctx.q), repeat=len(vectors)):
+        total = (0,) * ring.dim
+        for c, v in zip(coeffs, vectors):
+            total = tuple(ctx.add(t, ctx.mul(c, x)) for t, x in zip(total, v))
+        out.add(total)
+    return out
+
+
+# F3[S3] is not commutative, and its radical of 81 elements holds one-sided
+# ideals that are not two-sided
+F3_S3 = GroupRingEnum(parse_group_spec("S3"), F3)
+
+
+def _f3_s3_radical():
+    return [F3_S3._vector(i) for i in _radical(F3_S3)]
+
+
+def test_radical_check_refuses_a_set_of_the_wrong_size():
+    rad = _f3_s3_radical()  # checked on its way out of _radical
+    assert len(rad) == 81
+    with pytest.raises(InternalConsistencyError, match="no subspace"):
+        _check_radical(F3_S3, rad[:-1])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_radical_check_refuses_a_one_sided_ideal(side):
+    # R x or x R for one x in the radical: a nilpotent subspace, closed under
+    # products on one side only
+    ring, x = F3_S3, (2, 2, 1, 1, 0, 0)
+    basis = [ring._vector(3**h) for h in range(ring.dim)]
+    products = [ring.product(b, x) if side == "left" else ring.product(x, b) for b in basis]
+    ideal = _span(ring, products)
+    assert len(ideal) == 9 and ideal <= set(_f3_s3_radical())
+    with pytest.raises(InternalConsistencyError, match="two-sided ideal"):
+        _check_radical(ring, ideal)
+
+
+def test_radical_check_refuses_a_subspace_that_is_not_nilpotent():
+    # the whole ring: a subspace and a two-sided ideal, but it holds one
+    everything = [F3_S3._vector(i) for i in range(F3_S3.size)]
+    with pytest.raises(InternalConsistencyError, match="nilpotency"):
+        _check_radical(F3_S3, everything)
+
+
+def test_radical_checks_take_few_products(monkeypatch):
+    # the walk and the checks on spanning sets; the all-pairs ideal check
+    # took 2480 products here
+    ring = JoinRingEnum(parse_shape_spec("join(C2,C2;F2)"))
+    calls = []
+    product_of = ring.product
+
+    def counted(u, v):
+        calls.append(1)
+        return product_of(u, v)
+
+    monkeypatch.setattr(ring, "product", counted)
+    assert len(jacobson_radical(ring)) == 16
+    assert len(calls) <= 300
+
+
 def _unit_count_elementwise(ring):
     """The unit count the long way: is_unit on every element."""
     return sum(ring.is_unit(a) for a in ring.elements())
@@ -376,6 +441,10 @@ COUNT_RINGS = {
     "F9[C4]": GroupRingEnum(cyclic(4), parse_field("F9")),
     "F2[C2xC4]": GroupRingEnum(parse_group_spec("C2xC4"), F2),
     "join(S3,C2;F2)": JoinRingEnum(parse_shape_spec("join(S3,C2;F2)")),
+    # non-abelian groups whose two-sided maps outnumber the left ones: S3
+    # with a trivial centre, Q8 with a centre of order 2
+    "F3[S3]": GroupRingEnum(parse_group_spec("S3"), F3),
+    "F3[Q8]": GroupRingEnum(parse_group_spec("Q8"), F3),
 }
 
 
@@ -390,32 +459,32 @@ def _index_of_one(ring):
 
 
 def _coordinate_units(ring):
-    """Units whose left products permute coordinates, times the scalars:
-    c g in F_q[G], c diag(g_1..g_d) in a join, c one in a semimagic ring."""
-    ctx = ring.ctx
+    """Units whose products on either side permute coordinates: g in
+    F_q[G], diag(g_1..g_d) in a join, one in a semimagic ring."""
     if isinstance(ring, GroupRingEnum):
-        moves = [ring.element(ctx.q**g) for g in range(ring.group.order)]
-    elif isinstance(ring, JoinRingEnum):
+        return [ring.element(ring.ctx.q**g) for g in range(ring.group.order)]
+    if isinstance(ring, JoinRingEnum):
         shape = ring.shape
         zero = [[0] * shape.d for _ in range(shape.d)]
-        moves = [JoinElem(shape, [GroupRingElem(ctx, g, [int(h == k) for h in range(g.order)])
-                                  for g, k in zip(shape.groups, ks)], zero)
-                 for ks in product(*(range(g.order) for g in shape.groups))]
-    else:
-        moves = [ring.one]
-    one = ring._vector(_index_of_one(ring))
-    scalars = [ring.element(sum(ctx.mul(c, x) * ctx.q**h for h, x in enumerate(one)))
-               for c in range(1, ctx.q)]
-    return [_times(ring, s, u) for s in scalars for u in moves]
+        return [JoinElem(shape, [GroupRingElem(ring.ctx, g, [int(h == k) for h in range(g.order)])
+                                 for g, k in zip(shape.groups, ks)], zero)
+                for ks in product(*(range(g.order) for g in shape.groups))]
+    return [ring.one]
 
 
 def _orbit_count(ring):
-    """Orbits of the nonzero elements under left products by _coordinate_units."""
-    movers, seen, orbits = _coordinate_units(ring), set(), 0
+    """Orbits of the nonzero elements under a -> c u a w, for the scalars c
+    and the _coordinate_units u and w."""
+    ctx, moves = ring.ctx, _coordinate_units(ring)
+    one = ring._vector(_index_of_one(ring))
+    scalars = [ring.element(sum(ctx.mul(c, x) * ctx.q**h for h, x in enumerate(one)))
+               for c in range(1, ctx.q)]
+    left = [_times(ring, s, u) for s in scalars for u in moves]
+    seen, orbits = set(), 0
     for a in islice(ring.elements(), 1, None):
         if a not in seen:
             orbits += 1
-            seen.update(_times(ring, w, a) for w in movers)
+            seen.update(_times(ring, _times(ring, u, a), w) for u in left for w in moves)
     return orbits
 
 
@@ -442,6 +511,21 @@ def test_unit_count_tests_one_element_per_orbit(label, monkeypatch):
     assert zero not in tested
 
 
+@pytest.mark.parametrize("label, eliminations", [
+    ("F2[C12]", 351), ("F3[C7]", 157), ("join(C3,C5;F2)", 127),
+    ("F5[S3]", 178), ("join(S3,C2;F2)", 119), ("F3[Q8]", 207),
+])
+def test_unit_count_eliminations_are_pinned(label, eliminations, monkeypatch):
+    # abelian rings gain nothing from the right products; F5[S3] took 684
+    # eliminations with left products alone, join(S3,C2;F2) 191, F3[Q8] 426
+    if label.startswith("join("):
+        ring = JoinRingEnum(parse_shape_spec(label))
+    else:
+        field, group = label.rstrip("]").split("[")
+        ring = GroupRingEnum(parse_group_spec(group), parse_field(field))
+    assert len(_tested_matrices(ring, monkeypatch)) == eliminations
+
+
 def test_unit_count_over_f2_cyclic_tests_one_necklace_per_orbit(monkeypatch):
     # F_2^x is trivial, so the orbits are the nonzero binary necklaces of length n
     tested = {}
@@ -454,18 +538,27 @@ def test_unit_count_over_f2_cyclic_tests_one_necklace_per_orbit(monkeypatch):
 
 @pytest.mark.parametrize("label", COUNT_RINGS)
 def test_symmetries_are_left_products_by_units(label):
-    # each symmetry moves one to some u; it must move every a to u a
+    # each symmetry must be a -> u (a w), the left product by a unit u of the
+    # right product by a unit w, and each such map by _coordinate_units must
+    # be a symmetry, listed once; the basis vectors fix a linear map, and the
+    # random samples check it off the basis
     ring = COUNT_RINGS[label]
     q, rng = ring.ctx.q, random.Random(label)
-    samples = [rng.randrange(ring.size) for _ in range(40)]
-    for perm in ring.symmetries():
-        def image(i):
-            return ring.element(sum(c * q ** perm[h] for h, c in enumerate(ring._vector(i))))
+    samples = [ring.element(i) for i in [q**h for h in range(ring.dim)]
+               + [rng.randrange(ring.size) for _ in range(20)]]
+    moves = _coordinate_units(ring)
+    assert all(ring.is_unit(u) for u in moves)
+    two_sided = {tuple(_times(ring, _times(ring, u, a), w) for a in samples)
+                 for u in moves for w in moves}
+    images = []
+    for perm in ring.symmetries:
+        def image(a):
+            v = ring.coordinates(a)
+            return ring.element(sum(c * q ** perm[h] for h, c in enumerate(v)))
 
-        u = image(_index_of_one(ring))
-        assert ring.is_unit(u)
-        for i in samples:
-            assert image(i) == _times(ring, u, ring.element(i))
+        images.append(tuple(map(image, samples)))
+    assert set(images) == two_sided
+    assert len(images) == len(two_sided)
 
 
 def _unit_orders_by_prime_stripping(ring):
