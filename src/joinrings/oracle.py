@@ -13,23 +13,35 @@ values and labels.  Each ring kind gives one product on the tuples, and
 unit; U(v) is packed as one integer, the sum of c_i B_i over v's nonzero
 coordinates, B_i that of the i-th basis vector: one
 :meth:`~joinrings.ffield.PackedRows.combination`, the one sum of packed
-multiples, which also gives a semimagic element and product.  `list_units`
-walks every index in increasing order (lexicographic n-tuples, as in Knuth,
-TAOCP 4A, 7.2.1.1) and keeps, per coordinate level, the sum of c_i B_i over the
-coordinates from that level up, so a step costs about q/(q - 1) packed
-additions and one elimination.  The unit count tests one element per
-orbit of F_q^x times the ring's `symmetries`, coordinate permutations
-x -> u x w by units on both sides (g x k in a group ring,
-diag(g_1..g_d) x diag(k_1..k_d) in a join); an orbit is all units or none.
-F2[C12] takes 351 eliminations where the (q^dim - 1)/(q - 1) scalar classes
-took 4095, F3[C7] 157 for 1093 and F5[S3] 178 for 3906 (684 with left
-products alone).  The radical is {x : 1 + r x is a unit for all r}, the
-quasi-regular 1 - r x with r replaced by -r: U(1 + r x) =
-U(1) + sum r_i U(b_i x) is linear in r, so the walk from U(1) over the
-U(b_i x) tests x against every r.  It is then checked on spanning sets: a
-subspace by its size, a two-sided ideal on basis products, nilpotent on
-spans of products.  The order questions (exponent, units of one order,
-u^n = 1) read one :func:`unit_orders` list.
+multiples, which also gives a semimagic element and product.
+
+The unit count, the unit listing and the radical share one walk over
+orbits, :func:`_orbits`: one representative per orbit of F_q^x times the
+ring's `symmetries`, coordinate permutations x -> u x w by units on both
+sides (g x k in a group ring, diag(g_1..g_d) x diag(k_1..k_d) in a join),
+with the indices of the orbit's members whose lowest nonzero coordinate
+is 1.  An orbit is all units or none, so the count and the listing take
+one elimination per orbit.  F2[C12] takes 351 eliminations where the
+(q^dim - 1)/(q - 1) scalar classes took 4095, F3[C7] 157 for 1093 and
+F5[S3] 178 for 3906 (684 with left products alone).  `list_units`
+expands the unit orbits and their scalar multiples into sorted indices:
+25 eliminations on F3[C5] and 39 on F2[C2xC4], where one per element took
+243 and 256.  The radical is {x : 1 + r x is a unit for all r}, the
+quasi-regular 1 - r x with r replaced by -r, and it holds all of an orbit
+or none of it, so r is walked for the representatives alone.
+U(1 + r x) = U(1) + sum r_i U(b_i x) is linear in r, so the walk from U(1)
+over the U(b_i x) tests x against every r; it visits the indices in
+increasing order (lexicographic n-tuples, as in Knuth, TAOCP 4A, 7.2.1.1)
+and keeps, per coordinate level, the sum of the terms from that level up,
+so a step costs about q/(q - 1) packed additions and one elimination.
+F2[C6] takes 204 eliminations where walking every r for every x took 648,
+F3[C3] 57 for 288 and F2[S3] 75 for 266.  The radical is then checked on
+spanning sets: a subspace by its size, a two-sided ideal on basis
+products, nilpotent on spans of products.  The order questions (exponent,
+units of one order, u^n = 1) read one :func:`unit_orders` list; its power
+sweep gives each walk's powers and their images under the ring's
+`automorphisms` their orders, so `exp_U1` on F3[C9] takes 1556 ring
+products where the powers alone took 8496.
 """
 
 from __future__ import annotations
@@ -37,8 +49,9 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import linalg
 from .errors import AlgebraError, EnumerationCapError, InternalConsistencyError
@@ -67,7 +80,8 @@ class EnumerableRing:
     JSON value that names a.
     `element` and `unit_matrix` must be linear in the coefficient vector, and
     `unit_matrix(a)` invertible iff a is a unit.  An adapter whose units some
-    coordinate permutations preserve lists them in `symmetries`.
+    coordinate permutations preserve lists them in `symmetries`, and those
+    that are ring automorphisms in `automorphisms`.
     """
 
     def __init__(self, ctx: FieldCtx, dim: int, cap: int):
@@ -85,9 +99,14 @@ class EnumerableRing:
     def elements(self):
         return (self.element(i) for i in range(self.size))
 
+    @cached_property
+    def _places(self) -> list[int]:
+        """q^h, the place value of coordinate h in an index."""
+        return [self.ctx.q**h for h in range(self.dim)]
+
     def _vector(self, index: int) -> tuple[int, ...]:
         q = self.ctx.q
-        return tuple(index // q**h % q for h in range(self.dim))
+        return tuple([index // w % q for w in self._places])
 
     @cached_property
     def _one(self) -> tuple[int, ...]:
@@ -122,6 +141,13 @@ class EnumerableRing:
         perm sends the element with coordinates v to the one whose
         coordinate perm[h] is v[h].  The base class knows the identity alone.
         """
+        return [range(self.dim)]
+
+    @cached_property
+    def automorphisms(self) -> list[Sequence[int]]:
+        """Coordinate permutations, in the layout of `symmetries`, that are
+        ring automorphisms, so that sigma(u) has the order of u.  The base
+        class knows the identity alone."""
         return [range(self.dim)]
 
     def _walk(self, base: int, terms: Iterable[int]):
@@ -177,6 +203,13 @@ class GroupRingEnum(EnumerableRing):
         """x -> g x k for the units g and k in G: coefficient h moves to g h k."""
         return _two_sided(self.group)
 
+    @cached_property
+    def automorphisms(self) -> list[Sequence[int]]:
+        """h -> h^k for k prime to exp(G) where G is abelian, otherwise the
+        identity alone: an automorphism of G, so its linear extension is
+        one of F_q[G]."""
+        return _power_maps(self.group)
+
     def label(self, a) -> str:
         """The `gr` literal of a."""
         return format_element(a)
@@ -209,8 +242,21 @@ class JoinRingEnum(EnumerableRing):
         G_i: block i moves as in F_q[G_i], and each a_ij stays, since an
         all-ones block times a permutation matrix, on either side, is that
         block."""
+        return self._blockwise(_two_sided)
+
+    @cached_property
+    def automorphisms(self) -> list[Sequence[int]]:
+        """An automorphism of each block, as in F_q[G_i], with each a_ij
+        fixed: conjugation of the embedding by diag(P_1..P_d), P_i the
+        permutation matrix of the automorphism of G_i, which maps block i
+        as that automorphism does and fixes every all-ones block."""
+        return self._blockwise(_power_maps)
+
+    def _blockwise(self, maps) -> list[list[int]]:
+        """Every choice of one of `maps(G_i)` per block, moving block i's
+        coordinates alone."""
         shape = self.shape
-        blocks = [[[lo + h for h in perm] for perm in _two_sided(g)]
+        blocks = [[[lo + h for h in perm] for perm in maps(g)]
                   for g, lo in zip(shape.groups, shape.offsets)]
         offdiag = range(shape.n, self.dim)
         return [[*chain.from_iterable(rows), *offdiag] for rows in product(*blocks)]
@@ -229,6 +275,21 @@ def _two_sided(group: FiniteGroup) -> list[tuple[int, ...]]:
     table = group.table
     return list(dict.fromkeys(tuple(table[x][k] for x in row)
                               for row in table for k in range(group.order)))
+
+
+def _power_maps(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The automorphisms h -> h^k of an abelian G, for the k in 1..exp(G)
+    prime to exp(G), each a distinct map; the identity alone otherwise."""
+    table, identity = group.table, tuple(range(group.order))
+    if not group.is_abelian:
+        return [identity]
+    e = group.exponent()
+    maps, power = [], identity  # power[h] = h^k
+    for k in range(1, e + 1):
+        if gcd(k, e) == 1:
+            maps.append(power)
+        power = tuple(table[x][h] for h, x in enumerate(power))
+    return maps
 
 
 class SemimagicRing(EnumerableRing):
@@ -318,37 +379,55 @@ semimagic_ring = SemimagicRing
 # enumeration oracles
 # ---------------------------------------------------------------------------
 
-def enumerate_units(ring: EnumerableRing) -> int:
-    """Exact unit count: one elimination per orbit of F_q^x times
-    `ring.symmetries`, weighted by the orbit's size.
+def _orbits(ring: EnumerableRing):
+    """One (vector, orbit) per orbit of F_q^x times `ring.symmetries` on the
+    nonzero elements: `vector` the coordinates of a representative, `orbit`
+    the set of indices of the orbit's members whose lowest nonzero
+    coordinate is 1.
 
-    Each map of the orbit is a bijection on units, so an orbit is all units
-    or none.  Every orbit is a union of scalar classes; each class of q - 1
-    elements has one member whose lowest nonzero coordinate is 1, at index
+    Every orbit is a union of scalar classes; each class of q - 1 elements
+    has one member whose lowest nonzero coordinate is 1, at index
     q^t (1 + q j) when that coordinate is at position t.  These members are
-    visited by t, then j.  The first one visited in an orbit is tested, its
-    matrix the packed sum of c_h B_h over its nonzero coordinates, and it
-    marks the orbit so that none of the others is tested.
+    visited by t, then j.  The first one visited in an orbit represents it,
+    and it marks the orbit so that none of the others is visited.
     """
     ctx, dim, q = ring.ctx, ring.dim, ring.ctx.q
-    row_mask, shifts = ring._row_split
     # columns[h][c][k] = c q^perm[h], perm the k-th symmetry: the image of v
     # under perm has index sum_h columns[h][v[h]][k]
     columns = [_Multiples({1: [q**i for i in images]}) for images in zip(*ring.symmetries)]
     marked = bytearray(ring.size)  # one byte per element, within the ring's cap
-    units = 0
     for t in range(dim):
-        for index in range(q**t, q**dim, q ** (t + 1)):
+        head = (0,) * t + (1,)
+        # the coordinates above t of the index q^t (1 + q j), lowest first
+        highs = product(range(q), repeat=dim - t - 1)
+        for index, high in zip(range(q**t, q**dim, q ** (t + 1)), highs):
             if marked[index]:
                 continue
-            vector = ring._vector(index)
+            vector = head + high[::-1]
             orbit = _orbit(vector, columns, ctx)
             for image in orbit:
                 marked[image] = 1
-            matrix = ring._pack(vector)
-            if linalg.rows_invertible([matrix >> s & row_mask for s in shifts], ctx):
-                units += len(orbit)
-    return (q - 1) * units
+            yield vector, orbit
+
+
+def _unit_orbits(ring: EnumerableRing):
+    """The orbits of :func:`_orbits` that are units, one elimination each.
+
+    Each map of an orbit is a bijection on units, so an orbit is all units
+    or none.  The representative's matrix is the packed sum of c_h B_h over
+    its nonzero coordinates.
+    """
+    row_mask, shifts = ring._row_split
+    for vector, orbit in _orbits(ring):
+        matrix = ring._pack(vector)
+        if linalg.rows_invertible([matrix >> s & row_mask for s in shifts], ring.ctx):
+            yield orbit
+
+
+def enumerate_units(ring: EnumerableRing) -> int:
+    """Exact unit count: one elimination per orbit of F_q^x times
+    `ring.symmetries`, weighted by the orbit's size."""
+    return (ring.ctx.q - 1) * sum(map(len, _unit_orbits(ring)))
 
 
 def _orbit(vector: tuple[int, ...], columns: list[_Multiples], ctx: FieldCtx) -> set[int]:
@@ -356,18 +435,19 @@ def _orbit(vector: tuple[int, ...], columns: list[_Multiples], ctx: FieldCtx) ->
     each divided by its lowest nonzero coordinate."""
     q = ctx.q
     support = [(h, c) for h, c in enumerate(vector) if c]
-    images = list(map(sum, zip(*[columns[h][c] for h, c in support])))
-    if q > 2:  # over F_2 every lowest nonzero coordinate is 1 already
-        lows = map(min, zip(*[columns[h][1] for h, _ in support]))
-        scaled: dict[int, list[int]] = {}  # c -> the images of vector / c
-        for k, (image, low) in enumerate(zip(images, lows)):
-            c = image // low % q
-            if c != 1:
-                if c not in scaled:
-                    s = ctx.inv(c)
-                    scaled[c] = list(map(sum, zip(*[columns[h][ctx.mul(s, a)]
-                                                    for h, a in support])))
-                images[k] = scaled[c][k]
+    images = map(sum, zip(*[columns[h][c] for h, c in support]))
+    if q == 2:  # every lowest nonzero coordinate is 1 already
+        return set(images)
+    images = list(images)
+    lows = map(min, zip(*[columns[h][1] for h, _ in support]))
+    scaled: dict[int, list[int]] = {}  # c -> the images of vector / c
+    for k, (image, low) in enumerate(zip(images, lows)):
+        c = image // low % q
+        if c != 1:
+            if c not in scaled:
+                s = ctx.inv(c)
+                scaled[c] = list(map(sum, zip(*[columns[h][ctx.mul(s, a)] for h, a in support])))
+            images[k] = scaled[c][k]
     return set(images)
 
 
@@ -379,10 +459,23 @@ class _Multiples(dict):
         return out
 
 
+def _scaled(ring: EnumerableRing, indices: Iterable[int]) -> list[int]:
+    """The index of c x for every c in F_q^x and every x at `indices`."""
+    q, mul = ring.ctx.q, ring.ctx.mul
+    if q == 2:  # F_2^x is {1}
+        return list(indices)
+    scalars, out = range(1, q), []
+    for i in indices:
+        terms = [[mul(c, x) * w for c in scalars]
+                 for w, x in zip(ring._places, ring._vector(i)) if x]
+        out += map(sum, zip(*terms))
+    return out
+
+
 def _unit_indices(ring: EnumerableRing) -> list[int]:
-    """The index of every unit, in increasing order, from the packed walk."""
-    walk = enumerate(ring._walk(0, ring._basis))
-    return [i for i, rows in walk if linalg.rows_invertible(rows, ring.ctx)]
+    """The index of every unit, in increasing order: the unit orbits and
+    their scalar multiples."""
+    return sorted(_scaled(ring, chain.from_iterable(_unit_orbits(ring))))
 
 
 def list_units(ring: EnumerableRing) -> list:
@@ -390,28 +483,42 @@ def list_units(ring: EnumerableRing) -> list:
     return [ring.element(i) for i in _unit_indices(ring)]
 
 
-def _orders(units, product, one) -> dict:
-    """Multiplicative order of every unit, from ring products alone.
+def _orders(ring: EnumerableRing, units) -> dict:
+    """Multiplicative order of every unit, from `ring.product` on coordinate
+    tuples alone.
 
     Each unit u not yet seen is multiplied by u until its power u^t is
-    one; every power u^j met on the way then has order t / gcd(j, t).  A
-    walk that meets one of its own powers again before one has left the
-    unit group, so it raises instead of running on.  `units` may be a
-    generator: only the orders are kept.
+    one; every power u^j met on the way then has order t / gcd(j, t), and
+    so has sigma(u^j) = sigma(u)^j for each of `ring.automorphisms`.  A
+    unit's order is below the ring's size, so a walk that reaches it has
+    left the unit group, and it raises instead of running on.  `units` may
+    be a generator: only the orders are kept.
     """
+    product, one, limit = ring.product, ring._one, ring.size
+    # sigma(v)[i] = v[inverse[i]], sigma moving coordinate h to perm[h]; the
+    # identity is left out, so each getter picks at least two coordinates
+    identity = list(range(ring.dim))
+    sigmas = [itemgetter(*sorted(identity, key=perm.__getitem__))
+              for perm in ring.automorphisms if list(perm) != identity]
     orders = {one: 1}
     for u in units:
         if u in orders:
             continue
-        powers = {}
-        x, t = u, 1
+        powers, x = [u], u
         while x != one:
-            if x in powers:
+            if len(powers) == limit:
                 raise InternalConsistencyError(f"{u!r} is not a unit: its powers never reach one")
-            powers[x] = t
-            x, t = product(x, u), t + 1
-        for x, j in powers.items():
+            x = product(x, u)
+            powers.append(x)
+        t = len(powers)
+        for j, x in enumerate(powers, 1):
             orders[x] = t // gcd(j, t)
+        for sigma in sigmas:
+            # sigma(u) met already, as tau(v^i) for a walk over v, has its
+            # powers tau(v^(i j)) there too
+            if sigma(u) not in orders:
+                for j, x in enumerate(map(sigma, powers), 1):
+                    orders[x] = t // gcd(j, t)
     return orders
 
 
@@ -419,7 +526,7 @@ def unit_orders(ring: EnumerableRing):
     """(unit, multiplicative order) of every unit, in enumeration order, by `ring.product`."""
     indices = _unit_indices(ring)
     units = [ring._vector(i) for i in indices]
-    orders = _orders(units, ring.product, ring._one)
+    orders = _orders(ring, units)
     return [(ring.element(i), orders[u]) for i, u in zip(indices, units)]
 
 
@@ -448,16 +555,16 @@ def is_delta_n(orders, n: int):
 def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     """Exponent of the normalized unit group 1 + Delta(F_q[G]), G a p-group.
 
-    Over F_p with G a p-group the group ring is local, so the normalized
-    units are exactly the elements of coefficient sum 1, and every order is
-    a power of p.  Their orders come from the same power sweep as
-    :func:`unit_orders`, on coefficient tuples.
+    Over F_q of characteristic p with G a p-group the group ring is local,
+    so the normalized units are exactly the elements of coefficient sum 1,
+    and every order is a power of p.  Their orders come from the same power
+    sweep as :func:`unit_orders`, on coefficient tuples.
     """
     p = ctx.p
     if not group.is_p_group(p):
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx, cap)
-    orders = _orders(_augmentation_one(ctx, group.order), ring.product, ring._one)
+    orders = _orders(ring, _augmentation_one(ctx, group.order))
     # every order is a power of p, so their lcm is the largest
     return max(orders.values())
 
@@ -498,10 +605,14 @@ def jacobson_radical(ring: EnumerableRing) -> list:
     """{x : 1 + r x is a unit for all r}, verified two-sided and nilpotent.
 
     r -> -r makes this the quasi-regular {x : 1 - r x is a unit for all r}.
-    The walk from U(1) over the U(b_i x), b_i the basis vectors, tests every
-    r and stops at the first singular matrix, packing U(b_i x) only once it
-    reaches coordinate i.  Membership takes up to one step per pair (x, r),
-    so the ring's cap bounds the q^(2 dim) pairs; the subspace, ideal and
+    x is tested for one representative of each orbit of :func:`_orbits`:
+    for a scalar c and units u, w, 1 + r (c u x w) is a unit for every r iff
+    1 + r x is, since substituting r -> w^-1 r u^-1 c^-1 gives
+    1 + w^-1 r x w, the conjugate of 1 + r x by w.  The walk from U(1)
+    over the U(b_i x), b_i the basis vectors, tests every r and stops at
+    the first singular matrix, packing U(b_i x) only once it reaches
+    coordinate i.  Membership takes up to one step per pair (x, r), so the
+    ring's cap bounds the q^(2 dim) pairs; the subspace, ideal and
     nilpotency checks run on spanning sets.
     """
     return [ring.element(i) for i in _radical(ring)]
@@ -514,15 +625,18 @@ def _radical(ring: EnumerableRing) -> list[int]:
     if q ** (2 * dim) > ring.cap:
         raise EnumerationCapError(
             f"{ring!r} has {q}^{2 * dim} pairs (x, r) for the radical, beyond the cap {ring.cap}")
-    elements = [ring._vector(i) for i in range(ring.size)]
     one = ring._pack(ring._one)
-    basis = [elements[q**i] for i in range(dim)]
-    indices = [
-        i for i, x in enumerate(elements)
-        if all(linalg.rows_invertible(rows, ctx)
-               for rows in ring._walk(one, (ring._pack(mul(b, x)) for b in basis)))
-    ]
-    _check_radical(ring, [elements[i] for i in indices])
+    basis = [ring._vector(q**i) for i in range(dim)]
+
+    def every_r(x) -> bool:
+        """Whether 1 + r x is a unit for every r; r = 0, the walk's first
+        step, gives 1."""
+        walk = ring._walk(one, (ring._pack(mul(b, x)) for b in basis))
+        return all(linalg.rows_invertible(rows, ctx) for rows in islice(walk, 1, None))
+
+    members = [i for x, orbit in _orbits(ring) if every_r(x) for i in orbit]
+    indices = [0, *sorted(_scaled(ring, members))]
+    _check_radical(ring, [ring._vector(i) for i in indices])
     return indices
 
 

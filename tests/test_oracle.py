@@ -1,5 +1,5 @@
-import operator
 import random
+import signal
 import time
 from functools import reduce
 from itertools import islice, product
@@ -7,7 +7,7 @@ from math import lcm, prod
 
 import pytest
 
-from joinrings import linalg
+from joinrings import linalg, oracle
 from joinrings.errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from joinrings.ffield import parse_field
 from joinrings.groupring import GroupRingElem, gr_unit_count
@@ -143,7 +143,7 @@ def _exp_u1_elementwise(group, ctx):
 @pytest.mark.parametrize("spec,field", [
     ("trivial", "F2"), ("C2", "F2"), ("C4", "F2"), ("C8", "F2"), ("C2xC2", "F2"),
     ("C2xC4", "F2"), ("Q8", "F2"), ("C2", "F4"), ("C4", "F4"), ("C2xC2", "F4"),
-    ("C3", "F3"), ("C3", "F9"), ("C9", "F3"),
+    ("C3", "F3"), ("C3", "F9"), ("C9", "F3"), ("C5", "F5"),
 ])
 def test_exp_u1_matches_elementwise_orders(spec, field):
     group, ctx = parse_group_spec(spec), parse_field(field)
@@ -344,6 +344,9 @@ RADICAL_RINGS = {
     "SM3(F2)": semimagic_ring(3, F2),
     "F2[S3]": GroupRingEnum(parse_group_spec("S3"), F2),
     "join(C2,C2;F2)": JoinRingEnum(parse_shape_spec("join(C2,C2;F2)")),
+    # orbits under the rotations of C5, scalar classes of two and of three members
+    "F3[C5]": GroupRingEnum(cyclic(5), F3),
+    "F4[C5]": GroupRingEnum(cyclic(5), parse_field("F4")),
 }
 
 
@@ -488,7 +491,7 @@ def _orbit_count(ring):
     return orbits
 
 
-def _tested_matrices(ring, monkeypatch):
+def _tested_matrices(ring, monkeypatch, sweep=enumerate_units):
     tested = []
     rows_invertible = linalg.rows_invertible
 
@@ -497,9 +500,17 @@ def _tested_matrices(ring, monkeypatch):
         return rows_invertible(rows, ctx)
 
     monkeypatch.setattr(linalg, "rows_invertible", counted)
-    enumerate_units(ring)
+    sweep(ring)
     monkeypatch.undo()
     return tested
+
+
+def _ring(label):
+    """A group ring `F<q>[<group>]` or a join ring `join(...)` by its label."""
+    if label.startswith("join("):
+        return JoinRingEnum(parse_shape_spec(label))
+    field, group = label.rstrip("]").split("[")
+    return GroupRingEnum(parse_group_spec(group), parse_field(field))
 
 
 @pytest.mark.parametrize("label", COUNT_RINGS)
@@ -518,12 +529,21 @@ def test_unit_count_tests_one_element_per_orbit(label, monkeypatch):
 def test_unit_count_eliminations_are_pinned(label, eliminations, monkeypatch):
     # abelian rings gain nothing from the right products; F5[S3] took 684
     # eliminations with left products alone, join(S3,C2;F2) 191, F3[Q8] 426
-    if label.startswith("join("):
-        ring = JoinRingEnum(parse_shape_spec(label))
-    else:
-        field, group = label.rstrip("]").split("[")
-        ring = GroupRingEnum(parse_group_spec(group), parse_field(field))
-    assert len(_tested_matrices(ring, monkeypatch)) == eliminations
+    assert len(_tested_matrices(_ring(label), monkeypatch)) == eliminations
+
+
+@pytest.mark.parametrize("sweep, label, eliminations", [
+    (list_units, "F3[C5]", 25), (list_units, "F2[C2xC4]", 39),
+    (jacobson_radical, "F2[C6]", 204), (jacobson_radical, "F3[C3]", 57),
+    (jacobson_radical, "F2[S3]", 75),
+    (jacobson_radical, "join(C2,C2;F2)", 989),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_listing_and_radical_eliminations_are_pinned(sweep, label, eliminations, monkeypatch):
+    # one elimination per orbit, or per step of a walk over r for each
+    # orbit's representative x; walking every element, and every r for
+    # each x, took 243 and 256 for the listings, 648, 288 and 266 for the
+    # radicals of F2[C6], F3[C3] and F2[S3], and 1168 for join(C2,C2;F2)
+    assert len(_tested_matrices(_ring(label), monkeypatch, sweep)) == eliminations
 
 
 def test_unit_count_over_f2_cyclic_tests_one_necklace_per_orbit(monkeypatch):
@@ -582,6 +602,9 @@ ORDER_RINGS = {
     "F2[C6]": GroupRingEnum(cyclic(6), F2),
     "F4[C3]": GroupRingEnum(cyclic(3), parse_field("F4")),
     "F2[S3]": GroupRingEnum(parse_group_spec("S3"), F2),
+    # power maps of C5 over a prime field and over F4
+    "F3[C5]": RADICAL_RINGS["F3[C5]"],
+    "F4[C5]": RADICAL_RINGS["F4[C5]"],
 }
 
 
@@ -631,11 +654,84 @@ def test_unit_orders_match_prime_stripping(label):
     assert unit_orders(ring) == _unit_orders_by_prime_stripping(ring)
 
 
+AUTOMORPHISM_RINGS = {
+    **ORDER_RINGS,
+    "F3[C9]": GroupRingEnum(cyclic(9), F3),
+    "join(C3,C5;F2)": JoinRingEnum(parse_shape_spec("join(C3,C5;F2)")),
+}
+
+
+@pytest.mark.parametrize("label", AUTOMORPHISM_RINGS)
+def test_automorphisms_are_ring_automorphisms(label):
+    # each listed permutation must fix one and carry products to products,
+    # listed once; it is linear, so the basis pairs decide, and the random
+    # pairs check that off the basis
+    ring = AUTOMORPHISM_RINGS[label]
+    q, rng = ring.ctx.q, random.Random(label)
+    basis = [ring.element(q**h) for h in range(ring.dim)]
+    samples = [ring.element(rng.randrange(ring.size)) for _ in range(40)]
+    pairs = [(a, b) for a in basis for b in basis] + list(zip(samples[::2], samples[1::2]))
+    perms = [tuple(perm) for perm in ring.automorphisms]
+    assert len(set(perms)) == len(perms)
+    for perm in perms:
+        assert sorted(perm) == list(range(ring.dim))
+
+        def sigma(a):
+            v = ring.coordinates(a)
+            return ring.element(sum(c * q ** perm[h] for h, c in enumerate(v)))
+
+        assert sigma(ring.one) == ring.one
+        for a, b in pairs:
+            assert sigma(_times(ring, a, b)) == _times(ring, sigma(a), sigma(b))
+
+
+@pytest.mark.parametrize("label, count", [
+    # phi(exp G) power maps of an abelian G, their products over the blocks
+    # of a join, and the identity alone for S3 and for semimagic rings
+    ("F3[C9]", 6), ("F3[C5]", 4), ("F2[C6]", 2), ("join(C3,C5;F2)", 8),
+    ("join(C2,C2;F3)", 1), ("F2[S3]", 1), ("SM3(F2)", 1),
+])
+def test_automorphisms_are_the_power_maps(label, count):
+    assert len(AUTOMORPHISM_RINGS[label].automorphisms) == count
+
+
+def test_exp_u1_products_are_pinned(monkeypatch):
+    # a walk also gives the orders of the images of its powers under the
+    # six power maps of C9; without them the sweep took 8496 products
+    calls = []
+    multiplier = oracle.gr_multiplier
+
+    def counted(ctx, group):
+        product = multiplier(ctx, group)
+
+        def count(u, v):
+            calls.append(1)
+            return product(u, v)
+
+        return count
+
+    monkeypatch.setattr(oracle, "gr_multiplier", counted)
+    assert exp_U1(cyclic(9), F3) == 9
+    assert len(calls) == 1556
+
+
 def test_orders_refuses_a_non_unit():
+    # the walk stops at the ring's size; without that bound the powers of a
+    # non-unit would run on, and the alarm would fail the test after a second
     ring = GroupRingEnum(cyclic(2), F2)
-    nilpotent = ring.element(3)  # 1 + g, whose square is 0
-    with pytest.raises(InternalConsistencyError):
-        _orders([nilpotent], operator.mul, ring.one)
+    nilpotent = ring._vector(3)  # 1 + g, whose square is 0
+
+    def timeout(signum, frame):
+        raise TimeoutError("the order sweep ran on for a second")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(InternalConsistencyError):
+            _orders(ring, [nilpotent])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 PRODUCT_RINGS = {

@@ -6,9 +6,10 @@ read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
 leave the unit test and the unit walks to the base class, each ring kind
-has one product, it asks no ring its kind, sums of packed multiples go
-through PackedRows.combination, and every demo script, README
-example and the installed console script run cleanly.
+has one product, it asks no ring its kind, its sweeps share one orbit
+walk, sums of packed multiples go through PackedRows.combination, and
+every demo script, README example and the installed console script run
+cleanly.
 """
 
 import ast
@@ -197,28 +198,56 @@ def test_each_ring_kind_has_one_product():
         assert "gr_multiplier" in calls, f"{cls} does not bind its product by gr_multiplier"
 
 
-def _times_readers(node: ast.AST, scope: str) -> set[str]:
-    """The functions and methods under `node` that read an attribute `times`."""
+def _scopes_with(node: ast.AST, scope: str, found) -> set[str]:
+    """The functions and methods under `node` holding a node for which
+    `found` is true."""
     readers = set()
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.FunctionDef | ast.ClassDef):
-            readers |= _times_readers(child, f"{scope}.{child.name}")
-        elif any(isinstance(n, ast.Attribute) and n.attr == "times" for n in ast.walk(child)):
+            readers |= _scopes_with(child, f"{scope}.{child.name}", found)
+        elif any(map(found, ast.walk(child))):
             readers.add(scope)
     return readers
+
+
+def _package_scopes(found) -> set[str]:
+    """The functions and methods of the package, prefixed by their module,
+    holding a node for which `found` is true."""
+    return set().union(*(_scopes_with(ast.parse(path.read_text()), path.stem, found)
+                         for path in sorted(SRC.glob("*.py"))))
+
+
+def _reads(attr: str):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
 
 
 def test_sums_of_packed_multiples_go_through_combination():
     # PackedRows.combination is the one sum of c * row over packed rows; the
     # eliminations keep their memoised pivot updates and the walk its levels,
     # and any other reader of packing.times would be a second such sum
-    readers = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "ffield.py":
-            readers |= _times_readers(ast.parse(path.read_text()), path.stem)
+    readers = {scope for scope in _package_scopes(_reads("times"))
+               if not scope.startswith("ffield.")}
     allowed = {"linalg.rows_invertible", "linalg._row_reduce", "oracle.EnumerableRing._walk"}
     assert readers <= allowed, f"{sorted(readers - allowed)} read packing.times"
     assert readers == allowed, f"{sorted(allowed - readers)} no longer read packing.times"
+
+
+def _steps_by_a_power(node: ast.AST) -> bool:
+    """A range stepping by a power, as the walk over the scalar classes'
+    members of lowest nonzero coordinate 1 steps by q^(t+1)."""
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "range"
+            and len(node.args) == 3 and isinstance(node.args[2], ast.BinOp)
+            and isinstance(node.args[2].op, ast.Pow))
+
+
+def test_oracle_sweeps_share_one_orbit_walk():
+    # the unit count, the unit listing and the radical take their orbits of
+    # F_q^x times the symmetries from one helper, and the order sweep alone
+    # applies the automorphisms, so that no sweep can walk other orbits
+    walks = _package_scopes(_steps_by_a_power)
+    assert walks == {"oracle._orbits"}, f"scalar classes walked in {sorted(walks)}"
+    assert _package_scopes(_reads("symmetries")) == {"oracle._orbits"}
+    assert _package_scopes(_reads("automorphisms")) == {"oracle._orders"}
 
 
 def test_oracle_asks_rings_rather_than_testing_their_kind():
