@@ -97,6 +97,8 @@ def rooted_equivalence_report(primes, q: int) -> RootedReport:
         prod(q^{p_i - 1} - 1) * prod_{i<d}(q^d - q^i).
     """
     primes = tuple(primes)
+    if not primes:
+        raise AlgebraError("the rooted conditions need at least one prime")
     if len(set(primes)) != len(primes):
         raise AlgebraError(f"primes must be distinct, got {primes}")
     pp = prime_power(q)

@@ -464,7 +464,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        oracle.check_positive(args.cap, "cap")
+        oracle.check_cap(args.cap)
         report = _HANDLERS[args.command](args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ Every closed-form claim elsewhere in the package can be replayed here by
 exhaustive enumeration: unit counts, unit orders, Jacobson radicals via
 quasi-regularity, and the u^n = 1 property.  Enumeration order is
 lexicographic over coefficient vectors, so failing witnesses are
-reproducible.  A ring refuses to be built with more elements than its cap;
-the radical, which pairs elements, refuses more than cap pairs.
+reproducible.  A ring refuses to be built with more elements than its cap,
+and a cap above 2^24; the radical, which pairs elements, refuses more than
+cap pairs.
 
 The oracles run on coefficient tuples and build elements only for return
 values and labels.  Each ring kind gives one product on the tuples, and
@@ -21,27 +22,20 @@ ring's `symmetries`, coordinate permutations x -> u x w by units on both
 sides (g x k in a group ring, diag(g_1..g_d) x diag(k_1..k_d) in a join),
 with the indices of the orbit's members whose lowest nonzero coordinate
 is 1.  An orbit is all units or none, so the count and the listing take
-one elimination per orbit.  F2[C12] takes 351 eliminations where the
-(q^dim - 1)/(q - 1) scalar classes took 4095, F3[C7] 157 for 1093 and
-F5[S3] 178 for 3906 (684 with left products alone).  `list_units`
-expands the unit orbits and their scalar multiples into sorted indices:
-25 eliminations on F3[C5] and 39 on F2[C2xC4], where one per element took
-243 and 256.  The radical is {x : 1 + r x is a unit for all r}, the
-quasi-regular 1 - r x with r replaced by -r, and it holds all of an orbit
-or none of it, so r is walked for the representatives alone.
-U(1 + r x) = U(1) + sum r_i U(b_i x) is linear in r, so the walk from U(1)
-over the U(b_i x) tests x against every r; it visits the indices in
-increasing order (lexicographic n-tuples, as in Knuth, TAOCP 4A, 7.2.1.1)
-and keeps, per coordinate level, the sum of the terms from that level up,
-so a step costs about q/(q - 1) packed additions and one elimination.
-F2[C6] takes 204 eliminations where walking every r for every x took 648,
-F3[C3] 57 for 288 and F2[S3] 75 for 266.  The radical is then checked on
-spanning sets: a subspace by its size, a two-sided ideal on basis
-products, nilpotent on spans of products.  The order questions (exponent,
-units of one order, u^n = 1) read one :func:`unit_orders` list; its power
-sweep gives each walk's powers and their images under the ring's
-`automorphisms` their orders, so `exp_U1` on F3[C9] takes 1556 ring
-products where the powers alone took 8496.
+one elimination per orbit (351 on F2[C12], 157 on F3[C7]); `list_units`
+expands the unit orbits and their scalar multiples into sorted indices.
+The radical is {x : 1 + r x is a unit for all r}, the quasi-regular
+1 - r x with r replaced by -r, and it holds all of an orbit or none of
+it, so r runs for the representatives alone: U(1 + r x) =
+U(1) + sum r_i U(b_i x) is one packed combination per r, in increasing
+index order up to the first singular matrix (204 eliminations on F2[C6],
+989 on join(C2,C2;F2)).  The radical is then checked on spanning sets: a
+subspace by its size, a two-sided ideal on basis products, nilpotent on
+spans of products.  1 + J is then the kernel of R^x -> R/J, so the
+factorization reads the image's size as |R^x| / |J|.  The order questions
+(exponent, units of one order, u^n = 1) read one :func:`unit_orders`
+list; its power sweep gives each walk's powers and their images under the
+ring's `automorphisms` their orders (1556 products for `exp_U1` on F3[C9]).
 """
 
 from __future__ import annotations
@@ -61,6 +55,7 @@ from .groups import FiniteGroup
 from .joinring import JoinElem, JoinShape, join_embed
 
 DEFAULT_CAP = 2**20
+CAP_CEILING = 2**24  # the sweeps allocate one byte per element up to the cap
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +80,8 @@ class EnumerableRing:
     """
 
     def __init__(self, ctx: FieldCtx, dim: int, cap: int):
-        """Refuse a ring of more than `cap` elements; `repr` must work already."""
+        """Refuse a cap out of range and a ring beyond it; `repr` must work already."""
+        check_cap(cap)
         self.ctx, self.dim, self.cap = ctx, dim, cap
         # q^dim > cap once dim reaches cap's bit length, so no such power is
         # built; nor printed, as it can pass the 4300-digit int-to-str limit
@@ -134,6 +130,11 @@ class EnumerableRing:
         stride = n * self.ctx.packing.entry_bits
         return (1 << stride) - 1, range(0, n * stride, stride)
 
+    def _invertible(self, matrix: int) -> bool:
+        """Whether the unit matrix packed as `matrix` is invertible."""
+        row_mask, shifts = self._row_split
+        return linalg.rows_invertible([matrix >> s & row_mask for s in shifts], self.ctx)
+
     @cached_property
     def symmetries(self) -> list[Sequence[int]]:
         """Coordinate permutations, a group, each of which maps units to units.
@@ -149,35 +150,6 @@ class EnumerableRing:
         ring automorphisms, so that sigma(u) has the order of u.  The base
         class knows the identity alone."""
         return [range(self.dim)]
-
-    def _walk(self, base: int, terms: Iterable[int]):
-        """Packed rows of base + sum_{j < dim} c_j T_j, T_j the j-th of
-        `terms`, for every choice of the codes c_j, in increasing index order.
-
-        levels[j] is base plus the terms of coordinates j and up.  A step
-        raises the lowest coordinate below q - 1 and zeroes those under it,
-        whose levels then equal their parent.  Each multiple c T_j is built
-        when its coordinate changes, so nothing here grows with q.  T_j is
-        drawn when coordinate j first steps up, at index q^j.
-        """
-        combine, times = self.ctx.packing.combine, self.ctx.packing.times
-        row_mask, shifts = self._row_split
-        top, dim = self.ctx.q - 1, self.dim
-        terms, codes, drawn = iter(terms), [0] * dim, []
-        levels = [base] * (dim + 1)
-        while True:
-            matrix = levels[0]
-            yield [matrix >> s & row_mask for s in shifts]
-            j = 0  # the coordinate that steps up: the lowest one below q - 1
-            while j < dim and codes[j] == top:
-                j += 1
-            if j == dim:
-                return
-            if j == len(drawn):
-                drawn.append(next(terms))
-            c = codes[j] = codes[j] + 1
-            codes[:j] = [0] * j
-            levels[: j + 1] = [combine(levels[j + 1], times(drawn[j], c))] * (j + 1)
 
 
 class GroupRingEnum(EnumerableRing):
@@ -417,10 +389,8 @@ def _unit_orbits(ring: EnumerableRing):
     or none.  The representative's matrix is the packed sum of c_h B_h over
     its nonzero coordinates.
     """
-    row_mask, shifts = ring._row_split
     for vector, orbit in _orbits(ring):
-        matrix = ring._pack(vector)
-        if linalg.rows_invertible([matrix >> s & row_mask for s in shifts], ring.ctx):
+        if ring._invertible(ring._pack(vector)):
             yield orbit
 
 
@@ -597,6 +567,13 @@ def check_positive(n: int, what: str) -> None:
         raise AlgebraError(f"{what} must be positive, got {n}")
 
 
+def check_cap(cap: int) -> None:
+    """Refuse a cap below 1 or above CAP_CEILING, before anything is allocated."""
+    check_positive(cap, "cap")
+    if cap > CAP_CEILING:
+        raise AlgebraError(f"cap must be at most 2^24, got {cap}")
+
+
 # ---------------------------------------------------------------------------
 # Jacobson radical by quasi-regularity
 # ---------------------------------------------------------------------------
@@ -608,12 +585,10 @@ def jacobson_radical(ring: EnumerableRing) -> list:
     x is tested for one representative of each orbit of :func:`_orbits`:
     for a scalar c and units u, w, 1 + r (c u x w) is a unit for every r iff
     1 + r x is, since substituting r -> w^-1 r u^-1 c^-1 gives
-    1 + w^-1 r x w, the conjugate of 1 + r x by w.  The walk from U(1)
-    over the U(b_i x), b_i the basis vectors, tests every r and stops at
-    the first singular matrix, packing U(b_i x) only once it reaches
-    coordinate i.  Membership takes up to one step per pair (x, r), so the
-    ring's cap bounds the q^(2 dim) pairs; the subspace, ideal and
-    nilpotency checks run on spanning sets.
+    1 + w^-1 r x w, the conjugate of 1 + r x by w.  Membership takes up to
+    one elimination per pair (x, r), so the ring's cap bounds the
+    q^(2 dim) pairs; the subspace, ideal and nilpotency checks run on
+    spanning sets.
     """
     return [ring.element(i) for i in _radical(ring)]
 
@@ -621,18 +596,26 @@ def jacobson_radical(ring: EnumerableRing) -> list:
 def _radical(ring: EnumerableRing) -> list[int]:
     """The indices of :func:`jacobson_radical`, in increasing order; every
     product and check runs on coordinate tuples."""
-    q, dim, ctx, mul = ring.ctx.q, ring.dim, ring.ctx, ring.product
+    q, dim, mul = ring.ctx.q, ring.dim, ring.product
     if q ** (2 * dim) > ring.cap:
         raise EnumerationCapError(
             f"{ring!r} has {q}^{2 * dim} pairs (x, r) for the radical, beyond the cap {ring.cap}")
+    combination = ring.ctx.packing.combination
     one = ring._pack(ring._one)
     basis = [ring._vector(q**i) for i in range(dim)]
 
     def every_r(x) -> bool:
-        """Whether 1 + r x is a unit for every r; r = 0, the walk's first
-        step, gives 1."""
-        walk = ring._walk(one, (ring._pack(mul(b, x)) for b in basis))
-        return all(linalg.rows_invertible(rows, ctx) for rows in islice(walk, 1, None))
+        """Whether U(1 + r x) = U(1) + sum r_i U(b_i x) is invertible for
+        every nonzero r, in increasing index order up to the first singular
+        one; U(b_i x) is packed when r first reaches coordinate i, at q^i.
+        `product` varies its last place fastest: r[::-1] is r lowest first."""
+        terms = [one]  # U(1), then U(b_i x) for the coordinates reached so far
+        for index, r in enumerate(islice(product(range(q), repeat=dim), 1, None), 1):
+            if index == q ** (len(terms) - 1):
+                terms.append(ring._pack(mul(basis[len(terms) - 1], x)))
+            if not ring._invertible(combination((1, *r[::-1]), terms)):
+                return False
+        return True
 
     members = [i for x, orbit in _orbits(ring) if every_r(x) for i in orbit]
     indices = [0, *sorted(_scaled(ring, members))]
@@ -668,16 +651,15 @@ def _check_radical(ring: EnumerableRing, rad: Iterable[tuple[int, ...]]) -> None
 
 
 def semisimple_unit_factorization(ring: EnumerableRing):
-    """Check |R^x| = |Rad(R)| * |image of R^x in R/Rad(R)|.
+    """(|R^x|, |Rad(R)|, |R^x| / |Rad(R)|): the unit count, the radical's size
+    and that of the image of R^x in R/Rad(R).
 
-    Returns (unit_count, radical_size, image_size).  The image is counted
-    as the number of distinct cosets u(1 + Rad) = {u y : y in 1 + Rad}, each
-    taken as a set of coordinate tuples, which is an independent count of
-    the semisimplification's units.
+    Once the radical J has passed its checks, 1 + J is a subgroup of R^x:
+    r = 1 puts 1 + x among the units for every x in J, and J is an ideal, so
+    (1 + x)(1 + y) = 1 + (x + y + x y).  It is the kernel of R^x -> R/J, so by
+    Lagrange's theorem the image has |R^x| / |J| elements; this is no
+    independent count of the units of R/J.
     """
-    rad = [ring._vector(i) for i in _radical(ring)]
-    units = [ring._vector(i) for i in _unit_indices(ring)]
-    add, mul = ring.ctx.add, ring.product
-    shifted = [tuple(map(add, ring._one, x)) for x in rad]  # 1 + Rad
-    image = {frozenset(mul(u, y) for y in shifted) for u in units}
-    return len(units), len(rad), len(image)
+    rad = len(_radical(ring))
+    units = enumerate_units(ring)
+    return units, rad, units // rad

@@ -150,6 +150,35 @@ def test_cap_below_one_is_refused_before_any_command(capsys, cap, argv):
     assert captured.err == f"error: cap must be positive, got {cap}\n"
 
 
+# caps far beyond any ring the sweeps could allocate for: each command
+# refuses before it builds anything
+@pytest.mark.parametrize("argv", [["field", "F2"],
+                                  ["oracle", "--group", "C100", "--field", "F2", "--units"],
+                                  ["oracle", "--group", "C256", "--field", "F2", "--exponent"],
+                                  ["oracle", "--group", "C60", "--field", "F2", "--radical"]],
+                         ids=["field", "units", "exponent", "radical"])
+@pytest.mark.parametrize("cap", [str(2**63), str(10**30), str(10**100)],
+                         ids=["2^63", "10^30", "10^100"])
+def test_cap_above_the_ceiling_is_refused_before_any_command(capsys, cap, argv):
+    assert run(["--cap", cap, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cap must be at most 2^24, got {cap}\n"
+
+
+def test_cap_at_the_ceiling_is_accepted(capsys):
+    assert run_json(capsys, "--cap", str(2**24), "oracle", "--group", "C3", "--field", "F2",
+                    "--units")["unit_count"] == 3
+
+
+@pytest.mark.parametrize("primes", ["", ","])
+def test_rooted_refuses_an_empty_prime_list(capsys, primes):
+    assert run(["rooted", "--primes", primes, "--base", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the rooted conditions need at least one prime\n"
+
+
 def test_oracle_radical_cap_counts_pairs(capsys):
     # F2[C6] has 64 elements and 2^12 pairs (x, r)
     argv = ["oracle", "--group", "C6", "--field", "F2", "--radical"]

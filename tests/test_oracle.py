@@ -72,6 +72,15 @@ def test_cap_enforced():
     assert GroupRingEnum(cyclic(7), F2, cap=128).size == 128
 
 
+@pytest.mark.parametrize("cap", [2**63, 10**30], ids=["2^63", "10^30"])
+def test_cap_above_the_ceiling_is_refused(cap):
+    # an invalid argument, not a ring beyond its cap
+    with pytest.raises(AlgebraError, match=f"cap must be at most 2\\^24, got {cap}") as exc:
+        GroupRingEnum(cyclic(100), F2, cap=cap)
+    assert exc.type is AlgebraError
+    assert GroupRingEnum(cyclic(24), F2, cap=2**24).size == 2**24
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: JoinRingEnum(parse_shape_spec("join(C2,C3,C2;F3)")), r"3\^13 elements"),
     (lambda: SemimagicRing(200, F2), r"SM200\(F2\) has 2\^39602 elements"),
@@ -411,10 +420,8 @@ def test_radical_check_refuses_a_subspace_that_is_not_nilpotent():
         _check_radical(F3_S3, everything)
 
 
-def test_radical_checks_take_few_products(monkeypatch):
-    # the walk and the checks on spanning sets; the all-pairs ideal check
-    # took 2480 products here
-    ring = JoinRingEnum(parse_shape_spec("join(C2,C2;F2)"))
+def _product_calls(ring, monkeypatch, sweep) -> tuple[int, object]:
+    """(ring.product calls made by sweep(ring), its result)."""
     calls = []
     product_of = ring.product
 
@@ -423,8 +430,18 @@ def test_radical_checks_take_few_products(monkeypatch):
         return product_of(u, v)
 
     monkeypatch.setattr(ring, "product", counted)
-    assert len(jacobson_radical(ring)) == 16
-    assert len(calls) <= 300
+    result = sweep(ring)
+    monkeypatch.undo()
+    return len(calls), result
+
+
+def test_radical_checks_take_few_products(monkeypatch):
+    # membership and the checks on spanning sets; the all-pairs ideal check
+    # took 2480 products here
+    ring = JoinRingEnum(parse_shape_spec("join(C2,C2;F2)"))
+    calls, radical = _product_calls(ring, monkeypatch, jacobson_radical)
+    assert len(radical) == 16
+    assert calls <= 300
 
 
 def _unit_count_elementwise(ring):
@@ -544,6 +561,20 @@ def test_listing_and_radical_eliminations_are_pinned(sweep, label, eliminations,
     # each x, took 243 and 256 for the listings, 648, 288 and 266 for the
     # radicals of F2[C6], F3[C3] and F2[S3], and 1168 for join(C2,C2;F2)
     assert len(_tested_matrices(_ring(label), monkeypatch, sweep)) == eliminations
+
+
+@pytest.mark.parametrize("sweep, label, products", [
+    (jacobson_radical, "SM3(F2)", 54), (jacobson_radical, "F2[C6]", 76),
+    (jacobson_radical, "F3[C3]", 27), (jacobson_radical, "F2[S3]", 30),
+    (jacobson_radical, "join(C2,C2;F2)", 190),
+    (semisimple_unit_factorization, "F2[S3]", 30),
+    (semisimple_unit_factorization, "join(C2,C2;F2)", 190),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_radical_products_are_pinned(sweep, label, products, monkeypatch):
+    # b_i x is multiplied out only once r reaches coordinate i, so an x that
+    # fails early costs few products; the factorization adds none to the
+    # radical's, where counting the cosets u(1 + J) took 446 and 54
+    assert _product_calls(RADICAL_RINGS[label], monkeypatch, sweep)[0] == products
 
 
 def test_unit_count_over_f2_cyclic_tests_one_necklace_per_orbit(monkeypatch):

@@ -139,8 +139,9 @@ def test_zeta_shares_no_code_with_the_unit_counts():
 
 
 def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
-    # every adapter gives unit_matrix; a copy of is_unit or of the walk and
-    # its packed basis could test a different matrix from the one the walk sums
+    # every adapter gives unit_matrix; a copy of is_unit or of the packed
+    # basis and its eliminations could test a different matrix from the one
+    # the sweeps sum
     own = [
         f"{path.name}:{item.lineno} {node.name}.{item.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -149,7 +150,7 @@ def test_ring_adapters_leave_the_unit_walk_to_the_base_class():
         and any(ast.unparse(base).endswith("EnumerableRing") for base in node.bases)
         for item in node.body
         if isinstance(item, ast.FunctionDef)
-        and item.name in {"is_unit", "_walk", "_basis", "_pack"}
+        and item.name in {"is_unit", "_invertible", "_basis", "_pack"}
     ]
     assert not own, f"EnumerableRing subclasses define {own}"
 
@@ -223,11 +224,11 @@ def _reads(attr: str):
 
 def test_sums_of_packed_multiples_go_through_combination():
     # PackedRows.combination is the one sum of c * row over packed rows; the
-    # eliminations keep their memoised pivot updates and the walk its levels,
-    # and any other reader of packing.times would be a second such sum
+    # eliminations keep their memoised pivot updates, and any other reader
+    # of packing.times would be a second such sum
     readers = {scope for scope in _package_scopes(_reads("times"))
                if not scope.startswith("ffield.")}
-    allowed = {"linalg.rows_invertible", "linalg._row_reduce", "oracle.EnumerableRing._walk"}
+    allowed = {"linalg.rows_invertible", "linalg._row_reduce"}
     assert readers <= allowed, f"{sorted(readers - allowed)} read packing.times"
     assert readers == allowed, f"{sorted(allowed - readers)} no longer read packing.times"
 
