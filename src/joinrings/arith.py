@@ -340,9 +340,22 @@ def classify_join_delta(
     """Decide whether a join ring with d >= 2 blocks is a Delta_{p^r} ring.
 
     Conjunction of four conditions over the shape's field F_q: p = q = 2;
-    every block group a 2-group; at most one trivial block; 2^r at least the
-    largest normalized-unit exponent among the block group rings.  d = 1
-    delegates to the group algebra classifier.
+    every block group a 2-group; at most one trivial block; 2^r divisible
+    by the unit-group exponent E, which is computed only under the first
+    three.  d = 1 delegates to the group algebra classifier.
+
+    E is the largest exp_U1(G_i) over the nontrivial blocks, raised to 4
+    when a trivial block t is present.  Under the first three conditions,
+    x -> (x_t, eps(x_i)) is a ring map onto F_2^d, since every |G_k| other
+    than 1 is even, so the radical J is its kernel, U = 1 + J, and
+    (1 + x)^(2^m) = 1 + x^(2^m) in characteristic 2.  For x in J, x^2 has
+    diagonal blocks x_i^2 + a_it a_ti (all-ones) and off-diagonal scalars
+    a_it a_tj, and x^3 is diagonal with blocks x_i^3; without a trivial
+    block x^2 is already diagonal.  So the largest nilpotency index in J
+    is the blocks' largest, and at least 3 when a trivial block is
+    present: the unit whose embedding is [[1,1,1],[1,1,0],[1,0,1]] in
+    join(trivial,C2;F2) has order 4.  Each exp_U1 is exp(G) for abelian G
+    and enumerated otherwise; the join itself is never enumerated.
     """
     q = shape.ctx.q
     _check_delta_args(q, p, r)
@@ -355,7 +368,7 @@ def classify_join_delta(
     trivial_count = sum(1 for g in shape.groups if g.order == 1)
     conditions["at_most_one_trivial"] = trivial_count <= 1
 
-    exponents = None
+    exponents = exponent = None
     if conditions["p_q_both_2"] and conditions["blocks_2_groups"]:
         blocks = [classify_group_algebra_delta(2, g, 2, r, cap) for g in shape.groups]
         if any(block.verdict is None for block in blocks):
@@ -365,9 +378,11 @@ def classify_join_delta(
                 evidence={"conditions": conditions},
             )
         exponents = [block.evidence["exp_U1"] for block in blocks]
-        conditions["exponent_bound"] = all(block.verdict for block in blocks)
-    else:
-        conditions["exponent_bound"] = False
+        if conditions["at_most_one_trivial"]:  # else E is not the unit exponent
+            exponent = max(exponents)  # powers of 2, so also their lcm; a trivial block's is 1
+            if trivial_count:
+                exponent = max(exponent, 4)
+    conditions["exponent_bound"] = exponent is not None and pow(2, r, exponent) == 0
 
     verdict = all(conditions.values())
     if verdict:
@@ -378,7 +393,9 @@ def classify_join_delta(
     evidence = {"conditions": conditions, "trivial_blocks": trivial_count}
     if exponents is not None:
         evidence["block_U1_exponents"] = exponents
-    return DeltaClassification(subject, p, r, verdict, label, None, evidence)
+    if exponent is not None:
+        evidence["unit_group_exponent"] = exponent
+    return DeltaClassification(subject, p, r, verdict, label, exponent if verdict else None, evidence)
 
 
 def _check_delta_args(q: int, p: int, r: int) -> None:

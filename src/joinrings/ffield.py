@@ -218,7 +218,7 @@ class PackedRows:
     def __init__(self, ctx: "FieldCtx"):
         p, k, q, mul = ctx.p, ctx.k, ctx.q, ctx.mul
         if p == 2:
-            lane, size = 1, (k + 7) // 8
+            size = (k + 7) // 8
 
             def encode(c: int) -> bytes:
                 return c.to_bytes(size, "little")

@@ -282,7 +282,7 @@ def gr_unit_count(group: FiniteGroup, ctx: FieldCtx) -> int:
 # element literals: "1+g1+2*g2"
 # ---------------------------------------------------------------------------
 
-_ELEM_TERM = re.compile(r"^(?:(\d+)\*?)?(?:g(\d+))?$")
+_ELEM_TERM = re.compile(r"^(?:(\d+)(?:\*(?=g))?)?(?:g(\d+))?$")  # a "*" only before a g
 
 
 def parse_element(text: str, group: FiniteGroup, ctx: FieldCtx) -> GroupRingElem:

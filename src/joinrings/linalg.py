@@ -8,12 +8,13 @@ The loops work on rows packed into one integer each
 (:class:`~joinrings.ffield.PackedRows`: the code in whole bytes in
 characteristic 2, F_2 included, otherwise one lane per base-p digit).  The
 update x - f*y of a whole row is one integer addition of a multiple of the
-pivot row (XOR in characteristic 2), reduced lane by lane in one step, and
-that multiple is built once per distinct factor f within a column (over
-F_2, rows_invertible ranks the byte rows by their leading set bits instead).
-Single entries are decoded only where they are read: the pivot column (to
-find the pivot and the factors) and the output.  Each row of a product is
-one :meth:`~joinrings.ffield.PackedRows.combination`, the one sum of packed multiples.
+pivot row (XOR in characteristic 2), reduced lane by lane in one step.
+rows_invertible reduces each row by the pivot of its leading (highest
+nonzero) entry, which ``bit_length`` finds.  _row_reduce goes column by
+column, to the reduced echelon form, and that multiple is built once per
+distinct factor f within a column.  Single entries are decoded only where
+they are read: the leading entry or pivot column, and the output.  Each row
+of a product is one :meth:`~joinrings.ffield.PackedRows.combination`.
 """
 
 from __future__ import annotations
@@ -47,60 +48,39 @@ def is_invertible(a: Matrix, ctx: FieldCtx) -> bool:
 def rows_invertible(rows: list[int], ctx: FieldCtx) -> bool:
     """Whether the square matrix of reduced packed rows is invertible.
 
-    The rows are those of ``ctx.packing``; the list passed in is left as it is.
+    Each row is reduced by the pivot of its leading entry until it is zero,
+    or leads at an entry no pivot holds and becomes its pivot: the entries
+    below, with -1/entry.  The rows are those of ``ctx.packing``, left as they are.
     """
-    n = len(rows)
-    if ctx.q == 2:
-        return _rank_gf2(rows) == n
+    if ctx.q == 2:  # entries are bytes 0 and 1: a pivot is a row, keyed by its top bit
+        rows_at: dict[int, int] = {}
+        for r in rows:
+            while (pivot := rows_at.get(r.bit_length())) is not None:
+                r ^= pivot
+            if not r:
+                return False
+            rows_at[r.bit_length()] = r
+        return True
     packing = ctx.packing
-    code_of, mask, width = packing.code_of, packing.entry_mask, packing.entry_bits
+    code_of, width = packing.code_of, packing.entry_bits
     combine, times = packing.combine, packing.times
     mul, neg, inv = ctx.mul, ctx.neg, ctx.inv
-    rows = list(rows)  # eliminated in place
-    for col in range(n):
-        # rows[col:] hold their entries from column col on
-        for r in range(col, n):
-            if rows[r] & mask:
-                break
-        else:
-            return False
-        if col == n - 1:
-            return True
-        prow, rows[r] = rows[r], rows[col]
-        neg_inv = neg(inv(code_of[prow & mask]))
-        tail = prow >> width
-        scaled: dict[int, int] = {}  # factor -> -factor/pivot * tail
-        for r in range(col + 1, n):
-            row = rows[r]
-            f = code_of[row & mask]
-            if f:
-                s = scaled.get(f)
-                if s is None:
-                    s = scaled[f] = times(tail, mul(f, neg_inv))
-                rows[r] = combine(row >> width, s)
-            else:
-                rows[r] = row >> width
-    return True  # n == 0
-
-
-def _rank_gf2(rows: list[int]) -> int:
-    """Rank of byte-packed F_2 rows, each reduced by the pivots of its leading bits.
-
-    2-3x faster than the column loop of rows_invertible: F2[C12] circulants take
-    14 us against 48 us, join(C3,C5;F2) embeddings 10 us against 22 us.
-    """
-    pivots: dict[int, int] = {}  # leading-bit position -> pivot row
-    rank = 0
+    pivots: dict[int, tuple[int, int]] = {}  # shift of an entry -> (entries below, -1/entry)
     for r in rows:
         while r:
-            lead = r.bit_length() - 1
-            if lead in pivots:
-                r ^= pivots[lead]
-            else:
-                pivots[lead] = r
-                rank += 1
+            shift = (r.bit_length() - 1) // width * width
+            lead = r >> shift  # the leading entry
+            below = r - (lead << shift)
+            f = code_of[lead]
+            if (pivot := pivots.get(shift)) is None:
                 break
-    return rank
+            tail, c = pivot
+            r = combine(below, times(tail, mul(f, c)))
+        if not r:
+            return False
+        if len(pivots) < len(rows) - 1:  # the last pivot would reduce nothing
+            pivots[shift] = below, neg(inv(f))
+    return True
 
 
 def _row_reduce(rows: list[int], ncols: int, ctx: FieldCtx) -> list[int]:

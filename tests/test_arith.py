@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -26,6 +27,7 @@ from joinrings.ntheory import (
     power,
     prime_power,
 )
+from joinrings.oracle import JoinRingEnum, unit_group_exponent, unit_orders
 
 
 def test_ord_mod():
@@ -35,6 +37,8 @@ def test_ord_mod():
     assert euler_phi(7) % ord_mod(7, 2) == 0
     with pytest.raises(AlgebraError):
         ord_mod(6, 2)
+    with pytest.raises(AlgebraError, match="modulus must be positive"):
+        ord_mod(0, 2)
 
 
 def test_power_matches_builtin_pow():
@@ -124,6 +128,10 @@ def test_trivial_unit_counts():
     # p | q - 1 branch; expected count disagrees since 7 is not 3-rooted
     assert trivial_unit_count_of_order_p(3, 7) == 8
     assert units_of_order_p_expected(3, 7) == 26
+    with pytest.raises(AlgebraError, match="expected distinct primes"):
+        trivial_unit_count_of_order_p(4, 3)
+    with pytest.raises(AlgebraError, match="must differ from the characteristic"):
+        trivial_unit_count_of_order_p(3, 3)
 
 
 def test_classify_field_delta_cases():
@@ -183,6 +191,8 @@ def test_classify_group_algebra_examples():
     assert not classify_group_algebra_delta(2, parse_group_spec("C9"), 3, 1).verdict
     assert not classify_group_algebra_delta(2, parse_group_spec("S3"), 2, 1).verdict
     assert not classify_group_algebra_delta(4, parse_group_spec("C2"), 2, 5).verdict
+    c = classify_group_algebra_delta(3, parse_group_spec("Q8"), 2, 3)
+    assert c.verdict is False and c.case == "no case (G non-abelian, (p, q) != (2, 2))"
 
 
 def test_classify_group_algebra_modular_nonabelian_uses_enumeration():
@@ -205,13 +215,35 @@ def test_classify_join_delta():
     sh = parse_shape_spec("join(trivial,trivial;F2)")
     c = classify_join_delta(sh, 2, 4)
     assert not c.verdict and "at_most_one_trivial" in c.case
+    assert "unit_group_exponent" not in c.evidence  # M_2(F_2) has units of order 3
     sh = parse_shape_spec("join(C2,C2;F3)")
     assert not classify_join_delta(sh, 2, 1).verdict
     sh = parse_shape_spec("join(C2,C4;F2)")
     assert not classify_join_delta(sh, 2, 1).verdict
     assert classify_join_delta(sh, 2, 2).verdict
+    # the unit embedded as [[1,1,1],[1,1,0],[1,0,1]] has order 4
     sh = parse_shape_spec("join(trivial,C2;F2)")
-    assert classify_join_delta(sh, 2, 1).verdict
+    assert not classify_join_delta(sh, 2, 1).verdict
+    c = classify_join_delta(sh, 2, 2)
+    assert c.verdict and c.strict_n == 4
+
+
+# every d = 2 or 3 join over F2 of these blocks with dimension at most 12
+SWEEP_SHAPES = [
+    shape
+    for d in (2, 3)
+    for blocks in combinations_with_replacement(["trivial", "C2", "C4", "C2xC2", "Q8"], d)
+    if (shape := parse_shape_spec(f"join({','.join(blocks)};F2)")).dimension() <= 12
+]
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=repr)
+def test_classify_join_delta_agrees_with_the_unit_orders(shape):
+    exponent = unit_group_exponent(unit_orders(JoinRingEnum(shape)))
+    for r in (1, 2, 3):
+        c = classify_join_delta(shape, 2, r)
+        assert c.verdict == (2**r % exponent == 0), (r, exponent)
+        assert c.strict_n == (exponent if c.verdict else None)
 
 
 def test_classify_join_delta_d1_delegates():
@@ -278,6 +310,8 @@ def test_factorize_stops_trial_division_at_its_bound(monkeypatch):
         factorize((2**31 - 1) ** 2)  # both factors above the bound
     with pytest.raises(AlgebraError):
         factorize(2**89 - 1)  # prime, but past the proven range of is_prime
+    with pytest.raises(AlgebraError, match="cannot factor 0"):
+        factorize(0)
 
     # below the bound squared trial division ends the search, as it always did
     def refuse(n):

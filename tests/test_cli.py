@@ -513,8 +513,10 @@ def test_wedderburn_self_checks_exit_3(capsys, monkeypatch):
     ["join", "--shape", "join(C2;F3)", "--op", "add", "--a", "1"],
     ["gr", "--field", "F3", "--group", "C2", "--inverse"],
     ["zeta", "--group", "C3"],
+    # a "*" with no element after it
+    ["gr", "--field", "F3", "--group", "C3", "--a", "2*"],
 ], ids=["join-non-abelian", "join-modular", "gr-non-abelian", "field-op-no-b", "gr-op-no-b",
-        "join-op-no-b", "inverse-no-a", "zeta-group-no-field"])
+        "join-op-no-b", "inverse-no-a", "zeta-group-no-field", "gr-dangling-star"])
 def test_refused_requests_exit_1_with_one_error_line(capsys, argv):
     assert run(argv) == 1
     captured = capsys.readouterr()

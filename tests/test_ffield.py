@@ -60,6 +60,10 @@ def test_parse_field_rejects_non_prime_power():
         parse_field("F6")
     with pytest.raises(ParseError):
         parse_field("G7")
+    with pytest.raises(AlgebraError, match="not prime"):
+        FieldCtx(4)
+    with pytest.raises(AlgebraError, match="extension degree"):
+        FieldCtx(2, 0)
 
 
 def test_mult_order_generator_exists():

@@ -143,7 +143,7 @@ def test_wedderburn_rejects_modular_case():
 
 def test_parse_and_format_roundtrip():
     g = cyclic(4)
-    for text in ("1+g1+2*g2", "g3", "2"):
+    for text in ("1+g1+2*g2", "g3", "2", "2g1"):
         a = parse_element(text, g, F3)
         assert parse_element(format_element(a), g, F3) == a
 
@@ -151,6 +151,8 @@ def test_parse_and_format_roundtrip():
 def test_parse_rejects_out_of_range_generator():
     with pytest.raises(AlgebraError):
         parse_element("g9", cyclic(3), F2)
+    with pytest.raises(AlgebraError, match="length 2, expected 3"):
+        GroupRingElem(F2, cyclic(3), [1, 0])
 
 
 def test_hash_agrees_with_equality_across_equal_groups():

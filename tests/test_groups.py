@@ -24,6 +24,8 @@ def test_cyclic_basic():
     assert g.exponent() == 6
     assert g.inverse[2] == 4
     assert g.table[2][5] == 1
+    with pytest.raises(AlgebraError, match="order must be >= 1"):
+        cyclic(0)
 
 
 def test_identity_is_index_zero():
@@ -237,6 +239,8 @@ def test_trivial_group():
     assert t.order == 1
     assert t.exponent() == 1
     assert t.is_p_group(2) and t.is_p_group(3)
+    with pytest.raises(AlgebraError, match="not prime"):
+        t.is_p_group(4)
 
 
 def _reference_abelian_table(invariants):

@@ -40,6 +40,8 @@ def test_parse_shape_spec():
     assert [g.order for g in shape.groups] == [3, 5]
     with pytest.raises(AlgebraError):
         parse_shape_spec("join(;F2)")
+    with pytest.raises(AlgebraError, match="at least one block"):
+        JoinShape([], F2)
 
 
 def test_from_vector_layout():
@@ -146,6 +148,10 @@ def test_gen_augmentation_is_hom():
         lhs = gen_augmentation(a * b, subs)
         rhs = gen_augmentation(a, subs) * gen_augmentation(b, subs)
         assert lhs == rhs
+    with pytest.raises(AlgebraError, match="one subgroup per block"):
+        gen_augmentation(a, subs[:1])
+    with pytest.raises(AlgebraError, match="does not belong"):
+        gen_augmentation(a, [subs[0], cyclic(4).subgroup([0, 2])])
 
 
 def test_aug_matrix_example():
@@ -264,6 +270,19 @@ def test_parse_join_element_literals():
     assert a.offdiag[0][1] == 1 and a.offdiag[1][0] == 1
     with pytest.raises(AlgebraError):
         parse_join_element("1;1;a[1][1]=1", shape)  # diagonal scalar forbidden
+    with pytest.raises(ParseError, match="too many block literals"):
+        parse_join_element("1;1;1", shape)
+
+
+def test_join_elem_refuses_a_family_that_does_not_fit_its_shape():
+    shape = parse_shape_spec("join(C3,C5;F2)")
+    one = shape.one()
+    with pytest.raises(AlgebraError, match="block count"):
+        JoinElem(shape, one.blocks[:1], one.offdiag)
+    with pytest.raises(ContextMismatchError, match="its slot's group ring"):
+        JoinElem(shape, one.blocks[::-1], one.offdiag)
+    with pytest.raises(AlgebraError, match="diagonal entries"):
+        JoinElem(shape, one.blocks, [[1, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("field", ["F4", "F5"])
@@ -289,6 +308,11 @@ def test_from_json_rejects_malformed_elements(blocks, offdiag):
     text = json.dumps({"shape": repr(shape), "blocks": blocks, "offdiag": offdiag})
     with pytest.raises(ParseError):
         JoinElem.from_json(text)
+
+
+def test_from_json_needs_an_object():
+    with pytest.raises(ParseError, match="must be an object"):
+        JoinElem.from_json("[]")
 
 
 def test_trivial_blocks_give_full_matrix_ring():

@@ -7,9 +7,9 @@ nothing they do not use and no private name of a sibling, the brute-force
 oracle imports none of the closed-form modules or routes, its ring adapters
 leave the unit test and the unit walks to the base class, each ring kind
 has one product, it asks no ring its kind, its sweeps share one orbit
-walk, sums of packed multiples go through PackedRows.combination, and
-every demo script, README example and the installed console script run
-cleanly.
+walk, sums of packed multiples go through PackedRows.combination, one
+linalg routine tests invertibility by leading entries, and every demo
+script, README example and the installed console script run cleanly.
 """
 
 import ast
@@ -231,6 +231,17 @@ def test_sums_of_packed_multiples_go_through_combination():
     allowed = {"linalg.rows_invertible", "linalg._row_reduce"}
     assert readers <= allowed, f"{sorted(readers - allowed)} read packing.times"
     assert readers == allowed, f"{sorted(allowed - readers)} no longer read packing.times"
+
+
+def test_one_invertibility_test_reduces_by_leading_entries():
+    # rows_invertible finds each row's leading entry by bit_length for every
+    # field; a second reader in linalg.py would be a second invertibility test
+    def calls_bit_length(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".bit_length")
+
+    readers = _scopes_with(ast.parse((SRC / "linalg.py").read_text()), "linalg",
+                           calls_bit_length)
+    assert readers == {"linalg.rows_invertible"}, f"bit_length called in {sorted(readers)}"
 
 
 def _steps_by_a_power(node: ast.AST) -> bool:

@@ -31,6 +31,10 @@ def test_zeta_field_and_matrix_ring():
     assert zeta_field(5).factors == {1: -1}
     assert zeta_matrix_ring(4, 2).factors == {1: -1}
     assert zeta_field(5).pole_order_at_zero() == 1
+    with pytest.raises(AlgebraError, match="matrix size"):
+        zeta_matrix_ring(0, 2)
+    with pytest.raises(AlgebraError, match="factor degree"):
+        ZetaFunction(2, {0: 1})
 
 
 def test_zeta_abelian_split_cases():
@@ -76,6 +80,8 @@ def test_zeta_semimagic_cases():
 def test_zeta_product_and_pretty():
     z = zeta_field(2) * zeta_matrix_ring(2, 2)
     assert z.factors == {1: -2}
+    with pytest.raises(AlgebraError, match="base mismatch"):
+        zeta_field(2) * zeta_field(3)
     assert zeta_join(parse_shape_spec("join(C3;F2)")).pretty() == "(1-2^-s)^-1 (1-2^-2s)^-1"
 
 
