@@ -370,7 +370,10 @@ def classify_join_delta(
 
     exponents = exponent = None
     if conditions["p_q_both_2"] and conditions["blocks_2_groups"]:
-        blocks = [classify_group_algebra_delta(2, g, 2, r, cap) for g in shape.groups]
+        # a group met in several blocks is classified, and enumerated, once
+        classified = {g: classify_group_algebra_delta(2, g, 2, r, cap)
+                      for g in dict.fromkeys(shape.groups)}
+        blocks = [classified[g] for g in shape.groups]
         if any(block.verdict is None for block in blocks):
             return DeltaClassification(
                 subject, p, r, None,

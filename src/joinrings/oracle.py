@@ -18,17 +18,19 @@ multiples, which also gives a semimagic element and product.
 
 The unit count, the unit listing and the radical share one walk over
 orbits, :func:`_orbits`: one representative per orbit of F_q^x times the
-ring's `symmetries`, coordinate permutations x -> u x w by units on both
-sides (g x k in a group ring, diag(g_1..g_d) x diag(k_1..k_d) in a join),
-with the indices of the orbit's members whose lowest nonzero coordinate
-is 1.  An orbit is all units or none, so the count and the listing take
-one elimination per orbit (351 on F2[C12], 157 on F3[C7]); `list_units`
-expands the unit orbits and their scalar multiples into sorted indices.
+ring's `symmetries`, coordinate permutations that map units to units
+(g sigma(x) k in a group ring, sigma an automorphism h -> h^k, and
+diag(g_1..g_d) x diag(k_1..k_d) in a join), with the indices of the
+orbit's members whose lowest nonzero coordinate is 1.  One big-integer sum
+of 4-byte lanes per nonzero coordinate gives the images under every
+symmetry at once.  An orbit is all units or none, so the count and the
+listing take one elimination per orbit (157 on F2[C12], 41 on F3[C7]);
+`list_units` expands the unit orbits and their scalar multiples.
 The radical is {x : 1 + r x is a unit for all r}, the quasi-regular
 1 - r x with r replaced by -r, and it holds all of an orbit or none of
 it, so r runs for the representatives alone: U(1 + r x) =
 U(1) + sum r_i U(b_i x) is one packed combination per r, in increasing
-index order up to the first singular matrix (204 eliminations on F2[C6],
+index order up to the first singular matrix (203 eliminations on F2[C6],
 989 on join(C2,C2;F2)).  The radical is then checked on spanning sets: a
 subspace by its size, a two-sided ideal on basis products, nilpotent on
 spans of products.  1 + J is then the kernel of R^x -> R/J, so the
@@ -41,9 +43,11 @@ ring's `automorphisms` their orders (1556 products for `exp_U1` on F3[C9]).
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -172,8 +176,12 @@ class GroupRingEnum(EnumerableRing):
 
     @cached_property
     def symmetries(self) -> list[Sequence[int]]:
-        """x -> g x k for the units g and k in G: coefficient h moves to g h k."""
-        return _two_sided(self.group)
+        """x -> g sigma(x) k for the units g and k in G and sigma among the
+        `automorphisms`: coefficient h moves to g sigma(h) k.  They form a
+        group, since sigma(g h k) = sigma(g) sigma(h) sigma(k)."""
+        powers = _power_maps(self.group)
+        return [tuple(map(perm.__getitem__, power)) for perm in _two_sided(self.group)
+                for power in powers]
 
     @cached_property
     def automorphisms(self) -> list[Sequence[int]]:
@@ -213,7 +221,8 @@ class JoinRingEnum(EnumerableRing):
         """x -> diag(g_1..g_d) x diag(k_1..k_d) for the units g_i and k_i in
         G_i: block i moves as in F_q[G_i], and each a_ij stays, since an
         all-ones block times a permutation matrix, on either side, is that
-        block."""
+        block.  The `automorphisms` are left out: their product over the
+        blocks costs more images per orbit than the orbits they merge save."""
         return self._blockwise(_two_sided)
 
     @cached_property
@@ -359,26 +368,41 @@ def _orbits(ring: EnumerableRing):
 
     Every orbit is a union of scalar classes; each class of q - 1 elements
     has one member whose lowest nonzero coordinate is 1, at index
-    q^t (1 + q j) when that coordinate is at position t.  These members are
-    visited by t, then j.  The first one visited in an orbit represents it,
-    and it marks the orbit so that none of the others is visited.
+    q^t (1 + q j) when that coordinate is at position t.  `fresh` marks
+    these members until their orbit is visited; they are visited by t, then
+    j, and the first one visited in an orbit represents it.
+
+    The image of v under the k-th symmetry perm has index
+    sum_h v_h q^perm[h], so with q^perm[h] in lane k of lanes[h], for every
+    k, the sum of v_h lanes[h] over v's support holds the images under
+    every symmetry at once.  A lane of 4 bytes holds every index, and no
+    lane carries, since an index is below the cap, at most
+    CAP_CEILING = 2^24 < 2^32.  Each member of the orbit is an image of v
+    divided by its lowest nonzero coordinate c, one of v's nonzero values:
+    the images of v / c whose lowest nonzero coordinate is 1, the fresh
+    ones, for each such c.  Over F_2 that is every image of v.
     """
-    ctx, dim, q = ring.ctx, ring.dim, ring.ctx.q
-    # columns[h][c][k] = c q^perm[h], perm the k-th symmetry: the image of v
-    # under perm has index sum_h columns[h][v[h]][k]
-    columns = [_Multiples({1: [q**i for i in images]}) for images in zip(*ring.symmetries)]
-    marked = bytearray(ring.size)  # one byte per element, within the ring's cap
+    ctx, dim, q, size, order = ring.ctx, ring.dim, ring.ctx.q, ring.size, sys.byteorder
+    symmetries, places = ring.symmetries, ring._places
+    width = 4 * len(symmetries)
+    lanes = [int.from_bytes(array("I", map(places.__getitem__, images)).tobytes(), order)
+             for images in zip(*symmetries)]
+    fresh = bytearray(size)  # one byte per element, within the ring's cap
     for t in range(dim):
-        head = (0,) * t + (1,)
-        # the coordinates above t of the index q^t (1 + q j), lowest first
-        highs = product(range(q), repeat=dim - t - 1)
-        for index, high in zip(range(q**t, q**dim, q ** (t + 1)), highs):
-            if marked[index]:
-                continue
-            vector = head + high[::-1]
-            orbit = _orbit(vector, columns, ctx)
-            for image in orbit:
-                marked[image] = 1
+        fresh[q**t :: q ** (t + 1)] = b"\1" * q ** (dim - t - 1)
+    marks = memoryview(fresh)  # compress reads the marks as the walk clears them
+    for t in range(dim):
+        for index in compress(range(q**t, size, q ** (t + 1)), marks[q**t :: q ** (t + 1)]):
+            vector = ring._vector(index)
+            orbit = {index}  # all of it where the identity is the only symmetry
+            support = [(h, a) for h, a in enumerate(vector) if a] if len(symmetries) > 1 else []
+            for c in {a for _, a in support}:
+                s = ctx.inv(c)
+                terms = [ctx.mul(s, a) * lanes[h] for h, a in support]
+                images = memoryview(sum(terms).to_bytes(width, order)).cast("I")
+                orbit.update(images if q == 2 else compress(images, map(fresh.__getitem__, images)))
+            for i in orbit:
+                fresh[i] = 0
             yield vector, orbit
 
 
@@ -398,35 +422,6 @@ def enumerate_units(ring: EnumerableRing) -> int:
     """Exact unit count: one elimination per orbit of F_q^x times
     `ring.symmetries`, weighted by the orbit's size."""
     return (ring.ctx.q - 1) * sum(map(len, _unit_orbits(ring)))
-
-
-def _orbit(vector: tuple[int, ...], columns: list[_Multiples], ctx: FieldCtx) -> set[int]:
-    """Indices of the images of `vector` under the symmetries of `columns`,
-    each divided by its lowest nonzero coordinate."""
-    q = ctx.q
-    support = [(h, c) for h, c in enumerate(vector) if c]
-    images = map(sum, zip(*[columns[h][c] for h, c in support]))
-    if q == 2:  # every lowest nonzero coordinate is 1 already
-        return set(images)
-    images = list(images)
-    lows = map(min, zip(*[columns[h][1] for h, _ in support]))
-    scaled: dict[int, list[int]] = {}  # c -> the images of vector / c
-    for k, (image, low) in enumerate(zip(images, lows)):
-        c = image // low % q
-        if c != 1:
-            if c not in scaled:
-                s = ctx.inv(c)
-                scaled[c] = list(map(sum, zip(*[columns[h][ctx.mul(s, a)] for h, a in support])))
-            images[k] = scaled[c][k]
-    return set(images)
-
-
-class _Multiples(dict):
-    """c -> c times the column at key 1, each built on first use."""
-
-    def __missing__(self, c: int) -> list[int]:
-        out = self[c] = [c * w for w in self[1]]
-        return out
 
 
 def _scaled(ring: EnumerableRing, indices: Iterable[int]) -> list[int]:
@@ -481,14 +476,13 @@ def _orders(ring: EnumerableRing, units) -> dict:
             x = product(x, u)
             powers.append(x)
         t = len(powers)
-        for j, x in enumerate(powers, 1):
-            orders[x] = t // gcd(j, t)
+        walk = [t // gcd(j, t) for j in range(1, t + 1)]  # the order of u^j
+        orders.update(zip(powers, walk))
         for sigma in sigmas:
             # sigma(u) met already, as tau(v^i) for a walk over v, has its
             # powers tau(v^(i j)) there too
             if sigma(u) not in orders:
-                for j, x in enumerate(map(sigma, powers), 1):
-                    orders[x] = t // gcd(j, t)
+                orders.update(zip(map(sigma, powers), walk))
     return orders
 
 
@@ -585,7 +579,8 @@ def jacobson_radical(ring: EnumerableRing) -> list:
     x is tested for one representative of each orbit of :func:`_orbits`:
     for a scalar c and units u, w, 1 + r (c u x w) is a unit for every r iff
     1 + r x is, since substituting r -> w^-1 r u^-1 c^-1 gives
-    1 + w^-1 r x w, the conjugate of 1 + r x by w.  Membership takes up to
+    1 + w^-1 r x w, the conjugate of 1 + r x by w; and an automorphism
+    sigma maps 1 + r x to 1 + sigma(r) sigma(x).  Membership takes up to
     one elimination per pair (x, r), so the ring's cap bounds the
     q^(2 dim) pairs; the subspace, ideal and nilpotency checks run on
     spanning sets.

@@ -1,8 +1,10 @@
+import json
 from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
+from joinrings import oracle
 from joinrings.arith import (
     classify_field_delta,
     classify_group_algebra_delta,
@@ -244,6 +246,28 @@ def test_classify_join_delta_agrees_with_the_unit_orders(shape):
         c = classify_join_delta(shape, 2, r)
         assert c.verdict == (2**r % exponent == 0), (r, exponent)
         assert c.strict_n == (exponent if c.verdict else None)
+
+
+def test_classify_join_delta_enumerates_each_block_group_once(monkeypatch):
+    # both blocks are Q8, so F2[Q8] is enumerated once; the report is the
+    # one given when each block was enumerated on its own
+    calls = []
+    exp_u1 = oracle.exp_U1
+
+    def counted(group, ctx, cap):
+        calls.append(group.name)
+        return exp_u1(group, ctx, cap)
+
+    monkeypatch.setattr(oracle, "exp_U1", counted)
+    c = classify_join_delta(parse_shape_spec("join(Q8,Q8;F2)"), 2, 2)
+    assert calls == ["Q8"]
+    conditions = {"p_q_both_2": True, "blocks_2_groups": True,
+                  "at_most_one_trivial": True, "exponent_bound": True}
+    assert json.dumps(c.to_json()) == json.dumps({
+        "subject": "join(Q8,Q8;F2)", "p": 2, "r": 2, "verdict": True,
+        "case": "q = p = 2 join of 2-groups", "strict_n": 4,
+        "evidence": {"conditions": conditions, "trivial_blocks": 0,
+                     "block_U1_exponents": [4, 4], "unit_group_exponent": 4}})
 
 
 def test_classify_join_delta_d1_delegates():

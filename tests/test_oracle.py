@@ -1,9 +1,10 @@
 import random
 import signal
 import time
+from array import array
 from functools import reduce
-from itertools import islice, product
-from math import lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -474,10 +475,6 @@ def test_unit_count_matches_elementwise(label):
     assert enumerate_units(ring) == _unit_count_elementwise(ring)
 
 
-def _index_of_one(ring):
-    return next(i for i in range(ring.size) if ring.element(i) == ring.one)
-
-
 def _coordinate_units(ring):
     """Units whose products on either side permute coordinates: g in
     F_q[G], diag(g_1..g_d) in a join, one in a semimagic ring."""
@@ -492,20 +489,36 @@ def _coordinate_units(ring):
     return [ring.one]
 
 
+def _cycle_lengths(perm):
+    """The length of each cycle of the permutation h -> perm[h]."""
+    seen, lengths = set(), []
+    for h in range(len(perm)):
+        length = 0
+        while h not in seen:
+            seen.add(h)
+            h, length = perm[h], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _burnside(q, perms) -> int:
+    """Orbits of the nonzero vectors of F_q^n under x -> c sigma(x), for c
+    in F_q^x and sigma in the group `perms`, by Burnside's lemma: x is
+    fixed iff x_sigma(h) = c x_h, so along a cycle of length L its
+    coordinates are multiples of one of q values when c^L = 1, and 0
+    otherwise.  F_q^x is cyclic: it has phi(m) scalars of each order m
+    dividing q - 1, and c^L = 1 iff the order of c divides L."""
+    orders = [m for m in range(1, q) if (q - 1) % m == 0]
+    fixed = sum(euler_phi(m) * prod(q if length % m == 0 else 1 for length in _cycle_lengths(perm))
+                for m in orders for perm in perms)
+    assert fixed % ((q - 1) * len(perms)) == 0, "the maps are not a group"
+    return fixed // ((q - 1) * len(perms)) - 1  # less the zero orbit
+
+
 def _orbit_count(ring):
-    """Orbits of the nonzero elements under a -> c u a w, for the scalars c
-    and the _coordinate_units u and w."""
-    ctx, moves = ring.ctx, _coordinate_units(ring)
-    one = ring._vector(_index_of_one(ring))
-    scalars = [ring.element(sum(ctx.mul(c, x) * ctx.q**h for h, x in enumerate(one)))
-               for c in range(1, ctx.q)]
-    left = [_times(ring, s, u) for s in scalars for u in moves]
-    seen, orbits = set(), 0
-    for a in islice(ring.elements(), 1, None):
-        if a not in seen:
-            orbits += 1
-            seen.update(_times(ring, _times(ring, u, a), w) for u in left for w in moves)
-    return orbits
+    """Orbits of the nonzero elements under F_q^x times `ring.symmetries`."""
+    return _burnside(ring.ctx.q, ring.symmetries)
 
 
 def _tested_matrices(ring, monkeypatch, sweep=enumerate_units):
@@ -540,18 +553,20 @@ def test_unit_count_tests_one_element_per_orbit(label, monkeypatch):
 
 
 @pytest.mark.parametrize("label, eliminations", [
-    ("F2[C12]", 351), ("F3[C7]", 157), ("join(C3,C5;F2)", 127),
+    ("F2[C12]", 157), ("F3[C7]", 41), ("join(C3,C5;F2)", 127),
     ("F5[S3]", 178), ("join(S3,C2;F2)", 119), ("F3[Q8]", 207),
 ])
 def test_unit_count_eliminations_are_pinned(label, eliminations, monkeypatch):
-    # abelian rings gain nothing from the right products; F5[S3] took 684
-    # eliminations with left products alone, join(S3,C2;F2) 191, F3[Q8] 426
+    # abelian rings gain nothing from the right products but do from the
+    # power maps: F2[C12] took 351 eliminations and F3[C7] 157 with
+    # translations alone; F5[S3] took 684 with left products alone,
+    # join(S3,C2;F2) 191, F3[Q8] 426
     assert len(_tested_matrices(_ring(label), monkeypatch)) == eliminations
 
 
 @pytest.mark.parametrize("sweep, label, eliminations", [
-    (list_units, "F3[C5]", 25), (list_units, "F2[C2xC4]", 39),
-    (jacobson_radical, "F2[C6]", 204), (jacobson_radical, "F3[C3]", 57),
+    (list_units, "F3[C5]", 13), (list_units, "F2[C2xC4]", 33),
+    (jacobson_radical, "F2[C6]", 203), (jacobson_radical, "F3[C3]", 57),
     (jacobson_radical, "F2[S3]", 75),
     (jacobson_radical, "join(C2,C2;F2)", 989),
 ], ids=lambda v: getattr(v, "__name__", None))
@@ -559,12 +574,14 @@ def test_listing_and_radical_eliminations_are_pinned(sweep, label, eliminations,
     # one elimination per orbit, or per step of a walk over r for each
     # orbit's representative x; walking every element, and every r for
     # each x, took 243 and 256 for the listings, 648, 288 and 266 for the
-    # radicals of F2[C6], F3[C3] and F2[S3], and 1168 for join(C2,C2;F2)
+    # radicals of F2[C6], F3[C3] and F2[S3], and 1168 for join(C2,C2;F2);
+    # orbits of translations alone took 25, 39 and 204 on F3[C5],
+    # F2[C2xC4] and F2[C6]
     assert len(_tested_matrices(_ring(label), monkeypatch, sweep)) == eliminations
 
 
 @pytest.mark.parametrize("sweep, label, products", [
-    (jacobson_radical, "SM3(F2)", 54), (jacobson_radical, "F2[C6]", 76),
+    (jacobson_radical, "SM3(F2)", 54), (jacobson_radical, "F2[C6]", 75),
     (jacobson_radical, "F3[C3]", 27), (jacobson_radical, "F2[S3]", 30),
     (jacobson_radical, "join(C2,C2;F2)", 190),
     (semisimple_unit_factorization, "F2[S3]", 30),
@@ -578,38 +595,45 @@ def test_radical_products_are_pinned(sweep, label, products, monkeypatch):
 
 
 def test_unit_count_over_f2_cyclic_tests_one_necklace_per_orbit(monkeypatch):
-    # F_2^x is trivial, so the orbits are the nonzero binary necklaces of length n
+    # F_2^x is trivial, so the orbits are the classes of nonzero binary
+    # necklaces of length n under the maps h -> g + k h of Z/n, k a unit
+    # mod n: the rotations composed with the power maps
     tested = {}
     for n in range(1, 13):
-        necklaces = sum(euler_phi(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        affine = [[(g + k * h) % n for h in range(n)]
+                  for g in range(n) for k in range(1, n + 1) if gcd(k, n) == 1]
         tested[n] = len(_tested_matrices(GroupRingEnum(cyclic(n), F2), monkeypatch))
-        assert tested[n] == necklaces - 1, n
-    assert (tested[7], tested[12]) == (19, 351)
+        assert tested[n] == _burnside(2, affine), n
+    # rotations alone gave 19 and 351, the nonzero necklaces
+    assert (tested[7], tested[12]) == (9, 157)
+
+
+def _moved(ring, perm, a):
+    """The element whose coordinate perm[h] is a's coordinate h."""
+    q = ring.ctx.q
+    return ring.element(sum(c * q ** perm[h] for h, c in enumerate(ring.coordinates(a))))
 
 
 @pytest.mark.parametrize("label", COUNT_RINGS)
 def test_symmetries_are_left_products_by_units(label):
-    # each symmetry must be a -> u (a w), the left product by a unit u of the
-    # right product by a unit w, and each such map by _coordinate_units must
-    # be a symmetry, listed once; the basis vectors fix a linear map, and the
-    # random samples check it off the basis
+    # each symmetry must be a -> u sigma(a) w, the left product by a unit u
+    # of the right product by a unit w of sigma(a), sigma one of the
+    # automorphisms in a group ring and the identity elsewhere, and each
+    # such map by _coordinate_units must be a symmetry, listed once; the
+    # basis vectors fix a linear map, and the random samples check it off
+    # the basis
     ring = COUNT_RINGS[label]
     q, rng = ring.ctx.q, random.Random(label)
     samples = [ring.element(i) for i in [q**h for h in range(ring.dim)]
                + [rng.randrange(ring.size) for _ in range(20)]]
     moves = _coordinate_units(ring)
     assert all(ring.is_unit(u) for u in moves)
-    two_sided = {tuple(_times(ring, _times(ring, u, a), w) for a in samples)
-                 for u in moves for w in moves}
-    images = []
-    for perm in ring.symmetries:
-        def image(a):
-            v = ring.coordinates(a)
-            return ring.element(sum(c * q ** perm[h] for h, c in enumerate(v)))
-
-        images.append(tuple(map(image, samples)))
-    assert set(images) == two_sided
-    assert len(images) == len(two_sided)
+    sigmas = ring.automorphisms if isinstance(ring, GroupRingEnum) else [range(ring.dim)]
+    expected = {tuple(_times(ring, _times(ring, u, _moved(ring, sigma, a)), w) for a in samples)
+                for sigma in sigmas for u in moves for w in moves}
+    images = [tuple(_moved(ring, perm, a) for a in samples) for perm in ring.symmetries]
+    assert set(images) == expected
+    assert len(images) == len(expected)
 
 
 def _unit_orders_by_prime_stripping(ring):
@@ -652,6 +676,47 @@ def test_list_units_keeps_enumeration_order(label):
     # join(C2,C2;F3), among the adapters, has off-diagonal coordinates
     ring = LIST_RINGS[label]
     assert list_units(ring) == [a for a in ring.elements() if ring.is_unit(a)]
+
+
+PARTITION_RINGS = {
+    **LIST_RINGS,
+    "F1048576[C1]": GroupRingEnum(cyclic(1), parse_field("F1048576")),
+    # indices up to 1031^2, beyond two bytes
+    "F1031[C2]": GroupRingEnum(cyclic(2), parse_field("F1031"), cap=1031**2),
+}
+
+
+@pytest.mark.parametrize("label", PARTITION_RINGS)
+def test_orbits_partition_the_nonzero_elements(label):
+    # disjoint orbits whose scalar multiples are every nonzero element once,
+    # each the images of its representative under the symmetries, divided
+    # by their lowest nonzero coordinate
+    ring = PARTITION_RINGS[label]
+    ctx, q, dim = ring.ctx, ring.ctx.q, ring.dim
+
+    def normalised(vector):
+        s = ctx.inv(next(c for c in vector if c))
+        return sum(ctx.mul(s, c) * q**h for h, c in enumerate(vector))
+
+    seen = set()
+    for vector, orbit in oracle._orbits(ring):
+        images = set()
+        for perm in ring.symmetries:
+            image = [0] * dim
+            for h, c in enumerate(vector):
+                image[perm[h]] = c
+            images.add(normalised(image))
+        assert orbit == images
+        assert seen.isdisjoint(orbit)
+        seen |= orbit
+    assert (q - 1) * len(seen) == q**dim - 1
+
+
+def test_orbit_lanes_hold_every_index():
+    # _orbits reads the images of every index below the cap from 4-byte
+    # lanes, cast as unsigned ints
+    assert oracle.CAP_CEILING < 2**32
+    assert array("I").itemsize == 4
 
 
 @pytest.mark.parametrize(
@@ -706,14 +771,10 @@ def test_automorphisms_are_ring_automorphisms(label):
     assert len(set(perms)) == len(perms)
     for perm in perms:
         assert sorted(perm) == list(range(ring.dim))
-
-        def sigma(a):
-            v = ring.coordinates(a)
-            return ring.element(sum(c * q ** perm[h] for h, c in enumerate(v)))
-
-        assert sigma(ring.one) == ring.one
+        assert _moved(ring, perm, ring.one) == ring.one
         for a, b in pairs:
-            assert sigma(_times(ring, a, b)) == _times(ring, sigma(a), sigma(b))
+            assert (_moved(ring, perm, _times(ring, a, b))
+                    == _times(ring, _moved(ring, perm, a), _moved(ring, perm, b)))
 
 
 @pytest.mark.parametrize("label, count", [
