@@ -29,7 +29,7 @@ from .errors import (
 from .ffield import FieldCtx, parse_field
 from .groupring import (
     GroupRingElem,
-    WedderburnData,
+    Structure,
     augmentation,
     circulant_rows,
     format_element,

@@ -9,7 +9,7 @@ unit u satisfies u^(p^r) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import lcm
+from math import gcd, prod
 
 from . import oracle
 from .errors import (
@@ -17,7 +17,7 @@ from .errors import (
     EnumerationCapError,
     InternalConsistencyError,
 )
-from .ffield import FieldCtx, parse_field
+from .ffield import parse_field
 from .groups import FiniteGroup, cyclic
 from .groupring import wedderburn_abelian
 from .joinring import JoinShape, join_unit_count, thm_unit_count_rooted
@@ -26,7 +26,6 @@ from .ntheory import (
     is_mersenne_prime,
     is_prime,
     is_q_rooted,
-    ord_mod,
     prime_power,
 )
 from .zeta import zeta_join
@@ -153,15 +152,13 @@ def trivial_unit_count_of_order_p(p: int, q: int) -> int:
 def units_of_order_p_expected(p: int, q: int) -> int:
     """Count of units u != 1 with u^p = 1 in F_q[Z/p], from the group structure.
 
-    The unit group is Z/(q-1) x (Z/(q^n - 1))^m with n = ord_p(q) and
-    m = (p-1)/n, giving p^m - 1 such units when p does not divide q - 1 and
-    p^{m+1} - 1 when it does.
+    The unit group is the product over the components (1, t, a) of
+    :func:`wedderburn_abelian` of (F_{q^t}^x)^a, cyclic groups of order
+    q^t - 1, each with gcd(p, q^t - 1) elements u with u^p = 1.
     """
     _check_prime_pair(p, q)
-    n = ord_mod(p, q)
-    m = (p - 1) // n
-    scalar_part = p if (q - 1) % p == 0 else 1
-    return scalar_part * p**m - 1
+    structure = wedderburn_abelian(cyclic(p), parse_field(f"F{q}"))
+    return prod(gcd(p, q**t - 1) ** a for _, t, a in structure.components) - 1
 
 
 def _check_prime_pair(p: int, q: int) -> None:
@@ -237,12 +234,6 @@ def classify_field_delta(q: int, p: int, r: int) -> DeltaClassification:
     )
 
 
-def _abelian_unit_exponent(group: FiniteGroup, ctx: FieldCtx) -> int:
-    """Exponent of F_q[G]^x for abelian G with gcd(|G|, q) = 1."""
-    data = wedderburn_abelian(group, ctx)
-    return lcm(*(ctx.q**deg - 1 for _, _, deg in data.triples))
-
-
 def classify_group_algebra_delta(
     q: int, group: FiniteGroup, p: int, r: int, cap: int = oracle.DEFAULT_CAP
 ) -> DeltaClassification:
@@ -296,8 +287,7 @@ def classify_group_algebra_delta(
             subject, p, r, False, "no case (G non-abelian, (p, q) != (2, 2))",
         )
 
-    ctx = parse_field(f"F{q}")
-    unit_exp = _abelian_unit_exponent(group, ctx)
+    unit_exp = wedderburn_abelian(group, parse_field(f"F{q}")).exponent()
     reference = pow(p, r, unit_exp) == 0
 
     verdict, label = _group_algebra_case(q, p, r, exp_g)

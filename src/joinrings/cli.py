@@ -14,7 +14,7 @@ import argparse
 import json
 import random
 import sys
-from functools import cache
+from functools import cache, partial
 
 from . import arith, linalg, ntheory, oracle
 from .errors import AlgebraError, InternalConsistencyError, ParseError
@@ -26,6 +26,7 @@ from .groupring import (
     gr_is_unit,
     gr_unit_count,
     parse_element,
+    wedderburn_abelian,
 )
 from .groups import ORDER_CAP, parse_group_spec
 from .joinring import (
@@ -33,6 +34,7 @@ from .joinring import (
     join_idempotents,
     join_inverse,
     join_is_unit,
+    join_structure,
     join_unit_count,
     parse_join_element,
     parse_shape_spec,
@@ -270,17 +272,20 @@ def _cmd_delta(args) -> dict:
     return c.to_json()
 
 
-def _oracle_ring(args) -> oracle.EnumerableRing:
+def _oracle_ring(args):
+    """The ring to enumerate, and its Structure record's producer (None for a semimagic ring)."""
     kind = _subject(args, ("group", "shape", "semimagic"))
     if kind == "shape":
-        return oracle.JoinRingEnum(parse_shape_spec(args.shape), args.cap)
+        shape = parse_shape_spec(args.shape)
+        return oracle.JoinRingEnum(shape, args.cap), partial(join_structure, shape)
     if kind == "semimagic":
-        return oracle.SemimagicRing(args.semimagic, parse_field(args.field), args.cap)
-    return oracle.GroupRingEnum(parse_group_spec(args.group), parse_field(args.field), args.cap)
+        return oracle.SemimagicRing(args.semimagic, parse_field(args.field), args.cap), None
+    group, ctx = parse_group_spec(args.group), parse_field(args.field)
+    return oracle.GroupRingEnum(group, ctx, args.cap), partial(wedderburn_abelian, group, ctx)
 
 
 def _cmd_oracle(args) -> dict:
-    ring = _oracle_ring(args)  # refuses a ring above the cap, whose size may not render
+    ring, producer = _oracle_ring(args)  # refuses a ring above the cap, whose size may not render
     report = {"ring": repr(ring), "size": ring.size}
     if args.delta_n is not None:
         oracle.check_positive(args.delta_n, "exponent")
@@ -294,10 +299,16 @@ def _cmd_oracle(args) -> dict:
         report["unit_group_exponent"] = oracle.unit_group_exponent(orders)
     if args.radical:
         units, rsize, image = oracle.semisimple_unit_factorization(ring)
+        try:
+            record = producer and producer()
+        except AlgebraError:  # a modular or non-abelian block: no producer answers
+            record = None
+        if record is not None and (units, rsize) != (record.unit_count(), 1):
+            raise InternalConsistencyError(f"oracle (|U|, |J|) = ({units}, {rsize}) but {record}")
         report["radical_size"] = rsize
         report["unit_factorization"] = {
             "units": units, "radical": rsize, "image": image,
-            "holds": units == rsize * image,
+            "holds": None if record is None else True,
         }
     if args.delta_n is not None:
         ok, witness, order = oracle.is_delta_n(orders, args.delta_n)

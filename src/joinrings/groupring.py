@@ -14,7 +14,8 @@ inverse.  Every other group decides units through the regular
 representation: the element is a unit iff its circulant image is an
 invertible matrix, and inverses are pulled back through the first row.
 The circulant route stays the independent check of the Euclidean one (the
-oracle adapters and the tests use it).
+oracle adapters and the tests use it).  :func:`wedderburn_abelian` gives the
+:class:`Structure` record of a semisimple abelian F_q[G]: its unit count and exponent.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from math import lcm, prod
 
 from . import linalg, poly
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .ffield import FamilyProduct, FieldCtx
 from .groups import FiniteGroup, Subgroup
-from .ntheory import ord_mod, power
+from .ntheory import ord_mod, power, prime_power
 
 
 class GroupRingElem:
@@ -229,52 +231,57 @@ def gr_inverse(a: GroupRingElem) -> GroupRingElem:
 
 
 # ---------------------------------------------------------------------------
-# Wedderburn data for abelian group algebras (semisimple case)
+# structure records and the abelian Wedderburn data (semisimple case)
 # ---------------------------------------------------------------------------
 
+def gl_order(n: int, q: int) -> int:
+    """|GL_n(F_q)| = prod over i < n of (q^n - q^i)."""
+    return prod(q**n - q**i for i in range(n))
+
+
 @dataclass(frozen=True)
-class WedderburnData:
-    """Factorization data F_q[G] = prod_d  F_{q^{ord_d(q)}} ^ {a_d}.
+class Structure:
+    """The semisimple ring prod M_n(F_{q^t})^a, over the sorted (n, t, a) of `components`."""
 
-    `triples` lists (d, a_d, ord_d(q)) over divisors d of |G| with a_d > 0.
-    """
-
-    triples: tuple[tuple[int, int, int], ...]
     q: int
-    group: FiniteGroup
-
-    def dimension(self) -> int:
-        return sum(a * deg for _, a, deg in self.triples)
+    components: tuple[tuple[int, int, int], ...]
 
     def unit_count(self) -> int:
-        total = 1
-        for _, a, deg in self.triples:
-            total *= (self.q**deg - 1) ** a
-        return total
+        """prod |GL_n(F_{q^t})|^a."""
+        return prod(gl_order(n, self.q**t) ** a for n, t, a in self.components)
+
+    def exponent(self) -> int:
+        """The lcm over the components of exp GL_n(F_Q) = p^e lcm(Q - 1, ..., Q^n - 1),
+        Q = q^t, with p^e the least power of p >= n: a unipotent Jordan block's order."""
+        p, out = prime_power(self.q)[0], 1
+        for n, t, _ in self.components:
+            unipotent = next(p**e for e in range(n) if p**e >= n)
+            out = lcm(out, unipotent, *(self.q ** (t * i) - 1 for i in range(1, n + 1)))
+        return out
 
 
-def wedderburn_abelian(group: FiniteGroup, ctx: FieldCtx) -> WedderburnData:
-    """Simple-component data of F_q[G] for abelian G with gcd(|G|, p) = 1."""
+def wedderburn_abelian(group: FiniteGroup, ctx: FieldCtx) -> Structure:
+    """F_q[G] = prod_d F_{q^t}^(n_d / t), G abelian with gcd(|G|, p) = 1, n_d elements of
+    order d and t = ord_d(q)."""
     if not group.is_abelian:
         raise AlgebraError("Wedderburn data implemented for abelian groups only")
     if group.order % ctx.p == 0:
         raise AlgebraError(
             f"characteristic {ctx.p} divides |G| = {group.order}; not semisimple"
         )
-    triples = []
+    copies: dict[int, int] = {}  # t -> the copies of F_{q^t}
     for d, n_d in sorted(group.order_counts().items()):
-        deg = ord_mod(d, ctx.q)
-        if n_d % deg != 0:
-            raise InternalConsistencyError(f"n_{d} = {n_d} not divisible by ord_{d}(q) = {deg}")
-        triples.append((d, n_d // deg, deg))
-    data = WedderburnData(tuple(triples), ctx.q, group)
-    if data.dimension() != group.order:
+        t = ord_mod(d, ctx.q)
+        if n_d % t != 0:
+            raise InternalConsistencyError(f"n_{d} = {n_d} not divisible by ord_{d}(q) = {t}")
+        copies[t] = copies.get(t, 0) + n_d // t
+    if sum(t * a for t, a in copies.items()) != group.order:
         raise InternalConsistencyError("Wedderburn dimensions do not add up")
-    return data
+    return Structure(ctx.q, tuple((1, t, a) for t, a in sorted(copies.items())))
 
 
 def gr_unit_count(group: FiniteGroup, ctx: FieldCtx) -> int:
-    """|F_q[G]^x| via the simple-component data (abelian semisimple case)."""
+    """|F_q[G]^x| read from :func:`wedderburn_abelian` (abelian semisimple case)."""
     return wedderburn_abelian(group, ctx).unit_count()
 
 

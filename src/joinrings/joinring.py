@@ -13,7 +13,8 @@ Units and inverses come from the join decomposition: shifted blocks b_i in
 F_q[G_i] and one d x d matrix, by the matrix determinant lemma and
 Woodbury's identity (see :func:`_woodbury_split`).  The full matrix
 embedding (:func:`join_embed`, :func:`join_unembed`) stays available as an
-independent oracle; nothing in the unit routes builds it.
+independent oracle; nothing in the unit routes builds it.  The unit count
+reads the Structure record of :func:`join_structure`: J = M_d(F_q) x prod Delta(G_i).
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from .errors import (
 from .ffield import FamilyProduct, FieldCtx, parse_field
 from .groupring import (
     GroupRingElem,
+    Structure,
     augmentation,
     circulant_rows,
+    gl_order,
     gr_inverse,
     gr_is_unit,
     gr_multiplier,
@@ -490,42 +493,34 @@ def join_inverse(a: JoinElem) -> JoinElem:
     return result
 
 
-def join_unit_count(shape: JoinShape) -> int:
-    """|J^x| for abelian blocks with orders invertible in F_q.
-
-    Computed through the decomposition J = M_d(F_q) x prod Delta(G_i):
-    |GL_d(F_q)| times the product of the Delta(G_i) unit-group orders, which
-    :func:`wedderburn_abelian` refuses for any other block.
-    """
-    q = shape.ctx.q
-    total = _gl_order(shape.d, q)
+def join_structure(shape: JoinShape) -> Structure:
+    """J = M_d(F_q) x prod Delta(G_i), Delta(G_i) being F_q[G_i] without its trivial
+    component F_q, from :func:`wedderburn_abelian`, which refuses any other block."""
+    copies = {(shape.d, 1): 1}  # (n, t) -> the copies of M_n(F_{q^t})
     for g in shape.groups:
-        # Delta(G)^x: drop one copy of the trivial-character factor F_q^x.
-        wd = wedderburn_abelian(g, shape.ctx)
-        total *= wd.unit_count() // (q - 1)
-    return total
+        for n, t, a in wedderburn_abelian(g, shape.ctx).components:
+            copies[n, t] = copies.get((n, t), 0) + a
+        copies[1, 1] -= 1
+    return Structure(shape.ctx.q, tuple(sorted((n, t, a) for (n, t), a in copies.items() if a)))
+
+
+def join_unit_count(shape: JoinShape) -> int:
+    """|J^x| read from :func:`join_structure`."""
+    return join_structure(shape).unit_count()
 
 
 def thm_unit_count_rooted(shape: JoinShape) -> int:
     """The all-rooted closed form prod(q^{p_i-1} - 1) * |GL_d(F_q)|."""
     q = shape.ctx.q
-    total = _gl_order(shape.d, q)
+    total = gl_order(shape.d, q)
     for g in shape.groups:
         total *= q ** (g.order - 1) - 1
     return total
 
 
-def _gl_order(d: int, q: int) -> int:
-    """|GL_d(F_q)| = prod over i < d of (q^d - q^i)."""
-    return prod(q**d - q**i for i in range(d))
-
-
 def diagonal_unit_count(shape: JoinShape) -> int:
     """Order of the subgroup of diagonal units: prod |F_q[G_i]^x|."""
-    total = 1
-    for g in shape.groups:
-        total *= gr_unit_count(g, shape.ctx)
-    return total
+    return prod(gr_unit_count(g, shape.ctx) for g in shape.groups)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
-    add = ctx.add
-    return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
     packing = ctx.packing
     brows = list(map(packing.pack, b))

@@ -34,10 +34,11 @@ index order up to the first singular matrix (203 eliminations on F2[C6],
 989 on join(C2,C2;F2)).  The radical is then checked on spanning sets: a
 subspace by its size, a two-sided ideal on basis products, nilpotent on
 spans of products.  1 + J is then the kernel of R^x -> R/J, so the
-factorization reads the image's size as |R^x| / |J|.  The order questions
-(exponent, units of one order, u^n = 1) read one :func:`unit_orders`
-list; its power sweep gives each walk's powers and their images under the
-ring's `automorphisms` their orders (1556 products for `exp_U1` on F3[C9]).
+factorization reads the image's size as |R^x| / |J|; the CLI compares
+(|R^x|, |J|) with a Structure record.  The order questions (exponent,
+units of one order, u^n = 1) read one :func:`unit_orders` list; its
+power sweep gives each walk's powers and their images under the ring's
+`automorphisms` their orders (1556 products for `exp_U1` on F3[C9]).
 """
 
 from __future__ import annotations

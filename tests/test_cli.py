@@ -460,7 +460,7 @@ def test_oracle_radical_enumerates_the_radical_once(capsys, monkeypatch):
     assert len(calls) == 1
     assert capsys.readouterr().out == (
         "ring: F2[S3]\nsize: 64\nradical_size: 2\nunit_factorization:\n"
-        "  units: 12\n  radical: 2\n  image: 6\n  holds: True\n"
+        "  units: 12\n  radical: 2\n  image: 6\n  holds: None\n"
     )
 
 
@@ -489,6 +489,21 @@ def test_oracle_enumerates_the_unit_orders_once(capsys, monkeypatch):
         '{"n": 2, "verdict": false, "witness": "g3", "witness_order": 3}, '
         '"units_of_order": {"m": 2, "count": 7}}\n'
     )
+
+
+@pytest.mark.parametrize("subject", [["--group", "C3", "--field", "F4"],
+                                     ["--shape", "join(trivial,C3;F2)"]])
+def test_oracle_radical_exits_3_on_a_record_off_by_one(capsys, monkeypatch, subject):
+    # the factorization compares the oracle's (|U|, |J|) with the ring's
+    # Structure record wherever a producer answers
+    from joinrings.groupring import Structure
+
+    unit_count = Structure.unit_count
+    monkeypatch.setattr(Structure, "unit_count", lambda self: unit_count(self) + 1)
+    assert run(["oracle", *subject, "--radical"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure: oracle (|U|, |J|)")
 
 
 def test_wedderburn_self_checks_exit_3(capsys, monkeypatch):

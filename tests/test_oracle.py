@@ -11,9 +11,9 @@ import pytest
 from joinrings import linalg, oracle
 from joinrings.errors import AlgebraError, EnumerationCapError, InternalConsistencyError
 from joinrings.ffield import parse_field
-from joinrings.groupring import GroupRingElem, gr_unit_count
-from joinrings.groups import cyclic, parse_group_spec
-from joinrings.joinring import JoinElem, join_unit_count, parse_shape_spec
+from joinrings.groupring import GroupRingElem, gr_unit_count, wedderburn_abelian
+from joinrings.groups import abelian_groups_of_order, cyclic, parse_group_spec
+from joinrings.joinring import JoinElem, join_structure, join_unit_count, parse_shape_spec
 from joinrings.ntheory import euler_phi, factorize
 from joinrings.oracle import (
     EnumerableRing,
@@ -330,6 +330,55 @@ def test_radical_on_every_adapter(label):
     ring, count, _ = ADAPTERS[label]
     assert jacobson_radical(ring) == [ring.element(0)]
     assert semisimple_unit_factorization(ring) == (count, 1, count)
+
+
+def _abelian_rings(limit):
+    """Every abelian group of order <= 8 over F2, F3, F4, F5, F7, F8 and F9,
+    where p does not divide |G| and q^|G| <= limit."""
+    fields = map(parse_field, ("F2", "F3", "F4", "F5", "F7", "F8", "F9"))
+    return {f"F{ctx.q}[{g.name}]": (g, ctx) for ctx in fields for n in range(1, 9)
+            for g in abelian_groups_of_order(n) if n % ctx.p and ctx.q**n <= limit}
+
+
+RECORD_UNITS = _abelian_rings(2**16)
+RECORD_EXPONENTS = _abelian_rings(2**14)
+# M_n(F_q) is the join of n trivial blocks
+JOIN_EXPONENTS = {
+    "join(trivial,trivial;F3)": 24,
+    "join(trivial,trivial,trivial;F2)": 84,
+    "join(trivial,trivial,trivial,trivial;F2)": 420,
+    "join(C2,C3;F5)": 120,
+    "join(C3,C5;F2)": 30,
+    "join(C3,C3;F2)": 6,
+    "join(C2,C2;F3)": 24,
+    "join(C2,C4;F3)": 24,
+}
+
+
+def test_record_check_sets_have_their_sizes():
+    assert (len(RECORD_UNITS), len(RECORD_EXPONENTS)) == (37, 34)
+
+
+@pytest.mark.parametrize("label", RECORD_UNITS)
+def test_structure_unit_count_matches_the_oracle(label):
+    group, ctx = RECORD_UNITS[label]
+    assert wedderburn_abelian(group, ctx).unit_count() == enumerate_units(GroupRingEnum(group, ctx))
+
+
+@pytest.mark.parametrize("label", RECORD_EXPONENTS)
+def test_structure_exponent_matches_the_oracle(label):
+    group, ctx = RECORD_EXPONENTS[label]
+    orders = unit_orders(GroupRingEnum(group, ctx))
+    assert wedderburn_abelian(group, ctx).exponent() == unit_group_exponent(orders)
+
+
+@pytest.mark.parametrize("spec", JOIN_EXPONENTS)
+def test_join_structure_matches_the_oracle(spec):
+    shape = parse_shape_spec(spec)
+    orders = unit_orders(JoinRingEnum(shape))
+    structure = join_structure(shape)
+    assert structure.unit_count() == len(orders)
+    assert structure.exponent() == unit_group_exponent(orders) == JOIN_EXPONENTS[spec]
 
 
 def _difference(ring, a, b):

@@ -116,6 +116,7 @@ def _imported_modules(source: str) -> set[str]:
 
 CLOSED_FORM_ROUTES = {
     "gr_unit_count", "join_unit_count", "wedderburn_abelian",
+    "Structure", "join_structure", "gl_order",
     "gr_is_unit", "gr_inverse", "join_is_unit", "join_inverse",
 }
 
@@ -131,10 +132,12 @@ def test_oracle_shares_no_code_with_the_closed_forms():
 
 def test_zeta_shares_no_code_with_the_unit_counts():
     # rooted_equivalence_report compares the zeta pole order with
-    # join_unit_count, which reaches ord_mod through wedderburn_abelian;
-    # zeta must find its orbits from the group table alone
+    # join_unit_count, which reads the Structure record of join_structure and
+    # reaches ord_mod through wedderburn_abelian; zeta must find its orbits
+    # from the group table alone
     imported = _imported_modules((SRC / "zeta.py").read_text())
-    shared = imported & {"ord_mod", "wedderburn_abelian", "groupring"}
+    shared = imported & {"ord_mod", "wedderburn_abelian", "groupring", "joinring",
+                         "Structure", "join_structure", "gl_order"}
     assert not shared, f"zeta.py imports {sorted(shared)}"
 
 

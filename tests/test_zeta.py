@@ -226,7 +226,7 @@ def test_zeta_modular_values(group, field, factors):
 
 def test_zeta_matches_wedderburn_data_of_the_abelian_reductions():
     # where the p-elements form a normal subgroup P with G/P abelian,
-    # zeta(F_q[G]) = zeta(F_q[G/P]) = prod (1 - q^{-deg s})^{-a_d}
+    # zeta(F_q[G]) = zeta(F_q[G/P]) = prod (1 - q^{-ts})^{-a} over the components (1, t, a)
     fields = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16",
               "F25", "F27", "F32", "F49", "F64"]
     groups = [parse_group_spec(s) for s in ("trivial", "S3", "S4", "Q8")] + [
@@ -244,8 +244,8 @@ def test_zeta_matches_wedderburn_data_of_the_abelian_reductions():
             if not quotient.is_abelian:
                 continue
             want = {}
-            for _, a_d, deg in wedderburn_abelian(quotient, ctx).triples:
-                want[deg] = want.get(deg, 0) - a_d
+            for _, t, a in wedderburn_abelian(quotient, ctx).components:
+                want[t] = want.get(t, 0) - a
             assert zeta_group_ring(g, ctx).factors == want, (g.name, field)
             compared += 1
     assert compared == 834
