@@ -23,7 +23,7 @@ from joinrings import cli
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
 
-J25 = "join(C2,C3;F5)"
+C2_C3_F5 = "join(C2,C3;F5)"
 
 CASES = [
     # field: every --op, --order, and the refusals
@@ -66,24 +66,24 @@ CASES = [
     ["gr", "--group", "C3"],
     # join: element operations, idempotents, unit counts
     ["join", "--shape", "join(C3,C5;F2)", "--unit-count"],
-    ["join", "--shape", J25, "--unit-count"],
+    ["join", "--shape", C2_C3_F5, "--unit-count"],
     ["join", "--shape", "join(trivial,C2;F3)", "--unit-count"],
     ["join", "--shape", "join(C3,C3,C3;F2)", "--unit-count"],
     ["join", "--shape", "join(C4,C2xC2;F3)", "--unit-count"],
     ["join", "--shape", "join(S3,C2;F5)", "--unit-count"],
     ["join", "--shape", "join(C3,C2;F3)", "--unit-count"],
-    ["join", "--shape", J25, "--a", "1;2+g1;a[1][2]=3", "--is-unit", "--inverse"],
-    ["join", "--shape", J25, "--a", "1+g1;2;a[1][2]=3", "--is-unit", "--inverse"],
+    ["join", "--shape", C2_C3_F5, "--a", "1;2+g1;a[1][2]=3", "--is-unit", "--inverse"],
+    ["join", "--shape", C2_C3_F5, "--a", "1+g1;2;a[1][2]=3", "--is-unit", "--inverse"],
     ["join", "--shape", "join(C2,C2;F3)", "--a", "1;g1;a[1][2]=1", "--b", "g1;1;a[2][1]=2",
      "--op", "mul"],
     ["join", "--shape", "join(C2,C2;F3)", "--a", "1;g1;a[1][2]=1", "--b", "g1;1;a[2][1]=2",
      "--op", "add"],
     ["join", "--shape", "join(C2,C3;F2)", "--a", "1+g1;1;a[1][2]=1", "--embed"],
-    ["join", "--shape", J25, "--idempotents"],
+    ["join", "--shape", C2_C3_F5, "--idempotents"],
     ["join", "--shape", "join(C2,C2;F2)", "--a", "1;1", "--inverse"],
     ["join", "--shape", "join(C3;F6)"],
     ["join", "--shape", "join(C2;F3)", "--inverse"],
-    ["join", "--shape", J25, "--a", "1;1;a[1][1]=1", "--is-unit"],
+    ["join", "--shape", C2_C3_F5, "--a", "1;1;a[1][1]=1", "--is-unit"],
     ["join", "--op", "add"],
     # zeta of every ring kind
     ["zeta", "--shape", "join(C3,C5;F2)"],
@@ -162,10 +162,6 @@ CASES = [
 ]
 
 
-def _first_line(text: str) -> str:
-    return text.split("\n", 1)[0]
-
-
 def record(argv: list[str]) -> dict:
     """Run argv through cli.run in-process and return its corpus entry.
 
@@ -180,7 +176,7 @@ def record(argv: list[str]) -> dict:
             code = cli.run(list(argv))
         except SystemExit as exc:
             code = exc.code
-    stderr = _first_line(err.getvalue())
+    stderr = err.getvalue().split("\n", 1)[0]
     if code == 2:
         stderr = stderr.split(" [", 1)[0]
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": stderr}
