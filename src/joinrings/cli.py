@@ -291,14 +291,15 @@ def _cmd_oracle(args) -> dict:
         oracle.check_positive(args.delta_n, "exponent")
     if args.order is not None:
         oracle.check_positive(args.order, "order")
+    if args.radical:  # its unit count answers --units too
+        units, rsize, image = oracle.semisimple_unit_factorization(ring)
     if args.units:
-        report["unit_count"] = oracle.enumerate_units(ring)
+        report["unit_count"] = units if args.radical else oracle.enumerate_units(ring)
     if args.exponent or args.delta_n is not None or args.order is not None:
         orders = oracle.unit_orders(ring)  # one enumeration for all three
     if args.exponent:
         report["unit_group_exponent"] = oracle.unit_group_exponent(orders)
     if args.radical:
-        units, rsize, image = oracle.semisimple_unit_factorization(ring)
         try:
             record = producer and producer()
         except AlgebraError:  # a modular or non-abelian block: no producer answers

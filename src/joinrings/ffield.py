@@ -20,7 +20,7 @@ Rabin's irreducibility test run on :mod:`joinrings.poly` over F_p.
 Sums of many products run on plain integers and are reduced once:
 
 - The ``convolve`` of a prime field sums integer products and reduces them
-  mod p at the end (in characteristic 2 it sums by XOR).  A tabled
+  mod p at the end, in characteristic 2 too.  A tabled
   extension field sums the *lifts* of ``exp[log a + log b]``:
   :class:`_Lanes` puts digit i of a code in a lane from bit ``i * w`` up,
   w the bit length of ``ORDER_CAP * (p - 1)``: no group has more than
@@ -52,6 +52,7 @@ Sums of many products run on plain integers and are reduced once:
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections.abc import Callable, Sequence
@@ -208,7 +209,9 @@ class PackedRows:
     :meth:`pack` and :meth:`combine` return is reduced, so an entry
     ``x & entry_mask`` is read back as ``code_of[x & entry_mask]``.
     ``times(x, c)`` is c times the reduced row x, lane by lane but not
-    reduced: only :meth:`combine` reduces.
+    reduced: only :meth:`combine` reduces.  For odd p a lane holds
+    ``room`` >= 1 such multiples added to a reduced row as plain integers
+    before it must be reduced; XOR never carries.
 
     Up to ``_TABLE_LIMIT`` the entries of all q codes are built once; above
     it each entry is encoded and decoded on its own, so that nothing here
@@ -223,7 +226,8 @@ class PackedRows:
             def encode(c: int) -> bytes:
                 return c.to_bytes(size, "little")
 
-            self.combine = operator.xor
+            self.combine = self._add = operator.xor
+            self.room = math.inf  # XOR never carries
         else:
             top = (p - 1) * (1 + k * (p - 1))  # largest lane value before a reduction
             width = 1
@@ -236,6 +240,9 @@ class PackedRows:
                 return lanes.lift(c).to_bytes(size, "little")
 
             self.combine = _lane_adder(p, width)
+            self._add = operator.add
+            # a multiple of a reduced row adds at most k (p - 1)^2 to a lane
+            self.room = ((1 << lane) - p) // (k * (p - 1) ** 2)
         self.entry_bits = 8 * size
         self.entry_mask = (1 << self.entry_bits) - 1
         if q <= _TABLE_LIMIT:
@@ -310,13 +317,16 @@ class PackedRows:
         return int.from_bytes(b"".join(map(self._encode, codes)), "little")
 
     def combination(self, coeffs, rows) -> int:
-        """The reduced sum of c * row over the pairs of `coeffs` and `rows` with c nonzero."""
+        """The reduced sum of c * row over the pairs of `coeffs` and the list
+        `rows` with c nonzero.  For odd p, where the lanes hold `room`
+        multiples, the multiples add as integers and the sum is reduced once."""
         combine, times = self.combine, self.times
+        add = self._add if len(rows) <= self.room else combine
         acc = 0
         for c, row in zip(coeffs, rows):
             if c:
-                acc = combine(acc, times(row, c))
-        return acc
+                acc = add(acc, times(row, c))
+        return acc if add is combine else combine(acc, 0)
 
     def unpack(self, x: int, n: int) -> list[int]:
         """The n codes of the reduced row x."""
@@ -411,7 +421,7 @@ def _kronecker(p: int, n: int) -> FamilyProduct | None:
     residues = _byte_residues(p)
 
     def product(a, b) -> tuple[int, ...]:
-        x = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        x = int.from_bytes(a, "little") * int.from_bytes(b, "little")
         return tuple(((x & mask) + (x >> bits)).to_bytes(n, "little").translate(residues))
 
     return product
@@ -438,8 +448,39 @@ def _convolver(add, mul, reduce=None):
     return convolve
 
 
-def _lifted_convolver(lane_exp, log, add, reduce=None):
-    """convolve(a, b, table) on lifted products: lane_exp[i] is the lift of g^i."""
+def _prime_convolver(p: int):
+    """convolve(a, b, table) over F_p, its arithmetic inline: in F_2 each
+    product of nonzero codes is 1 and flips its sum; otherwise the products
+    are summed as plain integers and each sum reduced mod p once at the end."""
+    reduce = p.__rmod__
+
+    def convolve(a, b, table) -> list[int]:
+        out = [0] * len(a)
+        for h, ah in enumerate(a):
+            if ah:
+                row = table[h]
+                for k, bk in enumerate(b):
+                    if bk:
+                        out[row[k]] += ah * bk
+        return list(map(reduce, out))
+
+    def convolve_f2(a, b, table) -> list[int]:
+        out = [0] * len(a)
+        for h, ah in enumerate(a):
+            if ah:
+                row = table[h]
+                for k, bk in enumerate(b):
+                    if bk:
+                        out[row[k]] ^= 1
+        return out
+
+    return convolve_f2 if p == 2 else convolve
+
+
+def _lifted_convolver(lane_exp, log, reduce=None):
+    """convolve(a, b, table) on lifted products, lane_exp[i] the lift of g^i:
+    summed inline by XOR in characteristic 2 (reduce None), where a lift is
+    its code, else as plain integers, each sum read back by reduce."""
 
     def convolve(a, b, table) -> list[int]:
         out = [0] * len(a)
@@ -448,11 +489,20 @@ def _lifted_convolver(lane_exp, log, add, reduce=None):
                 la, row = log[ah], table[h]
                 for k, bk in enumerate(b):
                     if bk:
-                        g = row[k]
-                        out[g] = add(out[g], lane_exp[la + log[bk]])
-        return out if reduce is None else list(map(reduce, out))
+                        out[row[k]] += lane_exp[la + log[bk]]
+        return list(map(reduce, out))
 
-    return convolve
+    def convolve_xor(a, b, table) -> list[int]:
+        out = [0] * len(a)
+        for h, ah in enumerate(a):
+            if ah:
+                la, row = log[ah], table[h]
+                for k, bk in enumerate(b):
+                    if bk:
+                        out[row[k]] ^= lane_exp[la + log[bk]]
+        return out
+
+    return convolve_xor if reduce is None else convolve
 
 
 class FieldCtx:
@@ -506,10 +556,7 @@ class FieldCtx:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p
-            # product sums stay plain integers until one final mod p
-            self.convolve = _convolver(operator.add, operator.mul, p.__rmod__)
-        else:
-            self.convolve = _convolver(operator.xor, operator.mul)
+        self.convolve = _prime_convolver(p)
         self.mul = lambda a, b: a * b % p
 
         def inv(a: int) -> int:
@@ -535,14 +582,14 @@ class FieldCtx:
 
         self.mul, self.inv = mul, inv
         if p == 2:  # a code is its own lift, and lifts add by XOR
-            self.convolve = _lifted_convolver(exp, log, operator.xor)
+            self.convolve = _lifted_convolver(exp, log)
             return
         self._bind_zech(exp, log, _zech_table(p, exp, log))
         # no lane carries: an output coefficient sums at most ORDER_CAP lifts
         lanes = _Lanes(p, k, (ORDER_CAP * (p - 1)).bit_length())
         lift = list(map(lanes.lift, range(self.q)))  # q lifts, not one per entry of exp
         lane_exp = [lift[c] for c in exp]
-        self.convolve = _lifted_convolver(lane_exp, log, operator.add, lanes.__getitem__)
+        self.convolve = _lifted_convolver(lane_exp, log, lanes.__getitem__)
 
     @cached_property
     def packing(self) -> PackedRows:

@@ -10,7 +10,8 @@ characteristic 2, F_2 included, otherwise one lane per base-p digit).  The
 update x - f*y of a whole row is one integer addition of a multiple of the
 pivot row (XOR in characteristic 2), reduced lane by lane in one step.
 rows_invertible reduces each row by the pivot of its leading (highest
-nonzero) entry, which ``bit_length`` finds.  _row_reduce goes column by
+nonzero) entry, which ``bit_length`` finds; over a prime field it adds the
+multiples unreduced until a lane could overflow.  _row_reduce goes column by
 column, to the reduced echelon form, and that multiple is built once per
 distinct factor f within a column.  Single entries are decoded only where
 they are read: the leading entry or pivot column, and the output.  Each row
@@ -46,6 +47,11 @@ def rows_invertible(rows: list[int], ctx: FieldCtx) -> bool:
     Each row is reduced by the pivot of its leading entry until it is zero,
     or leads at an entry no pivot holds and becomes its pivot: the entries
     below, with -1/entry.  The rows are those of ``ctx.packing``, left as they are.
+
+    Over a prime field an entry is one lane, whose code is its value mod p.
+    A row then takes ``packing.room`` multiples of reduced pivots as plain
+    integer additions before it is reduced, and a leading lane that is 0
+    mod p is dropped; a row is reduced when it becomes a pivot.
     """
     if ctx.q == 2:  # entries are bytes 0 and 1: a pivot is a row, keyed by its top bit
         rows_at: dict[int, int] = {}
@@ -61,6 +67,30 @@ def rows_invertible(rows: list[int], ctx: FieldCtx) -> bool:
     combine, times = packing.combine, packing.times
     mul, neg, inv = ctx.mul, ctx.neg, ctx.inv
     pivots: dict[int, tuple[int, int]] = {}  # shift of an entry -> (entries below, -1/entry)
+    if ctx.k == 1:  # an entry is one lane, its code mod p
+        p, room = ctx.p, packing.room
+        for r in rows:
+            left = room
+            while r:
+                shift = (r.bit_length() - 1) // width * width
+                lead = r >> shift
+                below = r - (lead << shift)
+                f = lead % p
+                if not f:  # a lane that is 0 mod p: drop it
+                    r = below
+                    continue
+                if (pivot := pivots.get(shift)) is None:
+                    break
+                tail, c = pivot
+                r = below + tail * (f * c % p)
+                left -= 1
+                if not left:
+                    r, left = combine(r, 0), room
+            if not r:
+                return False
+            if len(pivots) < len(rows) - 1:
+                pivots[shift] = combine(below, 0), -pow(f, -1, p) % p
+        return True
     for r in rows:
         while r:
             shift = (r.bit_length() - 1) // width * width

@@ -20,25 +20,34 @@ The unit count, the unit listing and the radical share one walk over
 orbits, :func:`_orbits`: one representative per orbit of F_q^x times the
 ring's `symmetries`, coordinate permutations that map units to units
 (g sigma(x) k in a group ring, sigma an automorphism h -> h^k, and
-diag(g_1..g_d) x diag(k_1..k_d) in a join), with the indices of the
-orbit's members whose lowest nonzero coordinate is 1.  One big-integer sum
-of 4-byte lanes per nonzero coordinate gives the images under every
-symmetry at once.  An orbit is all units or none, so the count and the
-listing take one elimination per orbit (157 on F2[C12], 41 on F3[C7]);
-`list_units` expands the unit orbits and their scalar multiples.
+diag(g_1..g_d) x diag(k_1..k_d) in a join, also followed by the transpose
+of the embedding), with the indices of the orbit's members whose lowest
+nonzero coordinate is 1.  The walk keeps one byte of marks per element.
+Each coordinate's 4-byte lanes, one per symmetry, are scaled by every
+code once per walk, so one sum of them gives an element's images under
+every symmetry at once, and the walk clears their marks as it lists them,
+with no set per orbit.  An orbit is all units or none, so the count and
+the listing take one elimination per orbit (157 on F2[C12], 41 on
+F3[C7]); `list_units` expands the unit orbits and their scalar multiples.
 The radical is {x : 1 + r x is a unit for all r}, the quasi-regular
 1 - r x with r replaced by -r, and it holds all of an orbit or none of
 it, so r runs for the representatives alone: U(1 + r x) =
 U(1) + sum r_i U(b_i x) is one packed combination per r, in increasing
 index order up to the first singular matrix (203 eliminations on F2[C6],
-989 on join(C2,C2;F2)).  The radical is then checked on spanning sets: a
+726 on join(C2,C2;F2)).  The radical is then checked on spanning sets: a
 subspace by its size, a two-sided ideal on basis products, nilpotent on
 spans of products.  1 + J is then the kernel of R^x -> R/J, so the
 factorization reads the image's size as |R^x| / |J|; the CLI compares
-(|R^x|, |J|) with a Structure record.  The order questions (exponent,
-units of one order, u^n = 1) read one :func:`unit_orders` list; its
-power sweep gives each walk's powers and their images under the ring's
-`automorphisms` their orders (1556 products for `exp_U1` on F3[C9]).
+(|R^x|, |J|) with a Structure record.
+
+The order questions (exponent, units of one order, u^n = 1) read one
+:func:`unit_orders` list, and `exp_U1` only the largest order.  Both walk
+the powers of the elements still marked, units or units of coefficient
+sum 1, in :func:`_orders`, on the same marks and lanes: one lane sum per
+power gives the indices of the power and of its images under the ring's
+`automorphisms`, which have the same order, and the walk clears their
+marks, so that no element they reach is walked again (1556 products for
+`exp_U1` on F3[C9]).
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ class EnumerableRing:
     `element` and `unit_matrix` must be linear in the coefficient vector, and
     `unit_matrix(a)` invertible iff a is a unit.  An adapter whose units some
     coordinate permutations preserve lists them in `symmetries`, and those
-    that are ring automorphisms in `automorphisms`.
+    that are ring automorphisms or anti-automorphisms in `automorphisms`.
     """
 
     def __init__(self, ctx: FieldCtx, dim: int, cap: int):
@@ -152,8 +161,9 @@ class EnumerableRing:
     @cached_property
     def automorphisms(self) -> list[Sequence[int]]:
         """Coordinate permutations, in the layout of `symmetries`, that are
-        ring automorphisms, so that sigma(u) has the order of u.  The base
-        class knows the identity alone."""
+        ring automorphisms or anti-automorphisms, sigma(u v) = sigma(v)
+        sigma(u), so that sigma(u) has the order of u.  The base class knows
+        the identity alone."""
         return [range(self.dim)]
 
 
@@ -220,19 +230,41 @@ class JoinRingEnum(EnumerableRing):
     @cached_property
     def symmetries(self) -> list[Sequence[int]]:
         """x -> diag(g_1..g_d) x diag(k_1..k_d) for the units g_i and k_i in
-        G_i: block i moves as in F_q[G_i], and each a_ij stays, since an
-        all-ones block times a permutation matrix, on either side, is that
-        block.  The `automorphisms` are left out: their product over the
-        blocks costs more images per orbit than the orbits they merge save."""
-        return self._blockwise(_two_sided)
+        G_i, each also followed by the transpose x -> x^T of the embedding.
+
+        Block i moves as in F_q[G_i], and each a_ij stays, since an all-ones
+        block times a permutation matrix, on either side, is that block.
+        The transpose is an anti-automorphism: it maps units to units, and
+        conjugates each translation into another, so the maps form a
+        group.  The `automorphisms` are left out: their product over the
+        blocks costs more images per orbit than the orbits they merge save.
+        """
+        return self._transposed(self._blockwise(_two_sided))
 
     @cached_property
     def automorphisms(self) -> list[Sequence[int]]:
         """An automorphism of each block, as in F_q[G_i], with each a_ij
-        fixed: conjugation of the embedding by diag(P_1..P_d), P_i the
-        permutation matrix of the automorphism of G_i, which maps block i
-        as that automorphism does and fixes every all-ones block."""
-        return self._blockwise(_power_maps)
+        fixed, each also followed by the transpose.
+
+        The first is conjugation of the embedding by diag(P_1..P_d), P_i the
+        permutation matrix of the automorphism of G_i, which maps block i as
+        that automorphism does and fixes every all-ones block.  The
+        transpose reverses products, (x y)^T = y^T x^T, so it too keeps the
+        order of every unit; it took 34 products against 46 for the orders
+        of join(C2,C3;F2).
+        """
+        return self._transposed(self._blockwise(_power_maps))
+
+    def _transposed(self, perms) -> list[tuple[int, ...]]:
+        """`perms`, then each of them followed by x -> x^T, each map once:
+        the circulant of block i transposed is that of the element with h
+        moved to h^-1, and a_ij moves to a_ji."""
+        shape = self.shape
+        at = {pair: shape.n + h for h, pair in enumerate(shape._pairs)}
+        transpose = [lo + h for g, lo in zip(shape.groups, shape.offsets) for h in g.inverse]
+        transpose += [at[j, i] for i, j in shape._pairs]
+        return list(dict.fromkeys(perm for t in perms
+                                  for perm in (tuple(t), tuple(map(transpose.__getitem__, t)))))
 
     def _blockwise(self, maps) -> list[list[int]]:
         """Every choice of one of `maps(G_i)` per block, moving block i's
@@ -361,33 +393,46 @@ semimagic_ring = SemimagicRing
 # enumeration oracles
 # ---------------------------------------------------------------------------
 
+def _scaled_lanes(perms: Sequence[Sequence[int]], places: Sequence[int], q: int) -> list[list[int]]:
+    """[h][c]: c places[perm[h]] in lane k, 4 bytes from byte 4 k, for the
+    k-th of `perms`, `places` the place value of each coordinate in an
+    index and c each of the q codes.
+
+    The image of v under perm has index sum_h v_h places[perm[h]], so the
+    sum of [h][v_h] over the coordinates holds the index of every image of
+    v at once.  No lane carries, since an index is below the cap, at most
+    CAP_CEILING = 2^24 < 2^32.
+    """
+    lanes = [int.from_bytes(array("I", map(places.__getitem__, images)).tobytes(), sys.byteorder)
+             for images in zip(*perms)]
+    return [[c * lane for c in range(q)] for lane in lanes]
+
+
 def _orbits(ring: EnumerableRing):
     """One (vector, orbit) per orbit of F_q^x times `ring.symmetries` on the
     nonzero elements: `vector` the coordinates of a representative, `orbit`
-    the set of indices of the orbit's members whose lowest nonzero
+    the list of indices of the orbit's members whose lowest nonzero
     coordinate is 1.
 
     Every orbit is a union of scalar classes; each class of q - 1 elements
     has one member whose lowest nonzero coordinate is 1, at index
-    q^t (1 + q j) when that coordinate is at position t.  `fresh` marks
-    these members until their orbit is visited; they are visited by t, then
-    j, and the first one visited in an orbit represents it.
+    q^t (1 + q j) when that coordinate is at position t.  The bytearray
+    `fresh` marks these members until their orbit is visited; they are
+    visited by t, then j, and the first one visited in an orbit represents
+    it.
 
-    The image of v under the k-th symmetry perm has index
-    sum_h v_h q^perm[h], so with q^perm[h] in lane k of lanes[h], for every
-    k, the sum of v_h lanes[h] over v's support holds the images under
-    every symmetry at once.  A lane of 4 bytes holds every index, and no
-    lane carries, since an index is below the cap, at most
-    CAP_CEILING = 2^24 < 2^32.  Each member of the orbit is an image of v
-    divided by its lowest nonzero coordinate c, one of v's nonzero values:
-    the images of v / c whose lowest nonzero coordinate is 1, the fresh
-    ones, for each such c.  Over F_2 that is every image of v.
+    Each member of the orbit is an image of v divided by its lowest nonzero
+    coordinate c, one of v's nonzero values: the images of v / c whose
+    lowest nonzero coordinate is 1, the fresh ones, for each such c.  One
+    sum of the lanes of :func:`_scaled_lanes`, scaled once per walk, gives
+    the images of v / c under every symmetry.  The walk clears each fresh
+    image's mark as it lists it, so an image met twice is listed once.
     """
-    ctx, dim, q, size, order = ring.ctx, ring.dim, ring.ctx.q, ring.size, sys.byteorder
-    symmetries, places = ring.symmetries, ring._places
+    ctx, dim, q, size = ring.ctx, ring.dim, ring.ctx.q, ring.size
+    symmetries = ring.symmetries
     width = 4 * len(symmetries)
-    lanes = [int.from_bytes(array("I", map(places.__getitem__, images)).tobytes(), order)
-             for images in zip(*symmetries)]
+    # the identity alone moves nothing: an orbit is its representative
+    scaled = _scaled_lanes(symmetries, ring._places, q) if len(symmetries) > 1 else None
     fresh = bytearray(size)  # one byte per element, within the ring's cap
     for t in range(dim):
         fresh[q**t :: q ** (t + 1)] = b"\1" * q ** (dim - t - 1)
@@ -395,15 +440,18 @@ def _orbits(ring: EnumerableRing):
     for t in range(dim):
         for index in compress(range(q**t, size, q ** (t + 1)), marks[q**t :: q ** (t + 1)]):
             vector = ring._vector(index)
-            orbit = {index}  # all of it where the identity is the only symmetry
-            support = [(h, a) for h, a in enumerate(vector) if a] if len(symmetries) > 1 else []
-            for c in {a for _, a in support}:
+            if scaled is None:
+                yield vector, [index]
+                continue
+            orbit = []
+            for c in set(vector) - {0}:
                 s = ctx.inv(c)
-                terms = [ctx.mul(s, a) * lanes[h] for h, a in support]
-                images = memoryview(sum(terms).to_bytes(width, order)).cast("I")
-                orbit.update(images if q == 2 else compress(images, map(fresh.__getitem__, images)))
-            for i in orbit:
-                fresh[i] = 0
+                divided = vector if s == 1 else [ctx.mul(s, a) for a in vector]
+                images = sum(map(list.__getitem__, scaled, divided)).to_bytes(width, sys.byteorder)
+                for i in memoryview(images).cast("I"):
+                    if fresh[i]:
+                        fresh[i] = 0
+                        orbit.append(i)
             yield vector, orbit
 
 
@@ -449,50 +497,63 @@ def list_units(ring: EnumerableRing) -> list:
     return [ring.element(i) for i in _unit_indices(ring)]
 
 
-def _orders(ring: EnumerableRing, units) -> dict:
-    """Multiplicative order of every unit, from `ring.product` on coordinate
-    tuples alone.
+def _orders(ring: EnumerableRing, marks: bytearray, places: Sequence[int]):
+    """Walk the powers of every element whose index is marked, by `ring.product`
+    on coordinate tuples: one (t, lanes) per walk, t the order of its
+    element u and each lane the indices of sigma(u^j) for j = 1..t, for
+    one of `ring.automorphisms` sigma, those whose sigma(u) was marked.
 
-    Each unit u not yet seen is multiplied by u until its power u^t is
-    one; every power u^j met on the way then has order t / gcd(j, t), and
-    so has sigma(u^j) = sigma(u)^j for each of `ring.automorphisms`.  A
-    unit's order is below the ring's size, so a walk that reaches it has
-    left the unit group, and it raises instead of running on.  `units` may
-    be a generator: only the orders are kept.
+    An index here is sum_h v_h places[h]: `ring._places`, or any order of
+    them, in which `marks` is laid out and the elements are walked, in
+    increasing index order.  The walk multiplies by u until it reaches one;
+    every power u^j then has order t / gcd(j, t), and so has sigma(u^j) =
+    sigma(u)^j for each sigma.  One sum of the lanes of
+    :func:`_scaled_lanes` gives the index of a power and of its images at
+    once, and the walk clears the mark of every index it yields: the
+    marked elements left are those no walk has met.  A sigma(u) met
+    already, as tau(v^i) for a walk over v, has its powers tau(v^(i j)) met
+    too, so its lane is left out.  A unit's order is below the ring's size,
+    so a walk that reaches it has left the unit group, and it raises
+    instead of running on.
     """
-    product, one, limit = ring.product, ring._one, ring.size
-    # sigma(v)[i] = v[inverse[i]], sigma moving coordinate h to perm[h]; the
-    # identity is left out, so each getter picks at least two coordinates
-    identity = list(range(ring.dim))
-    sigmas = [itemgetter(*sorted(identity, key=perm.__getitem__))
-              for perm in ring.automorphisms if list(perm) != identity]
-    orders = {one: 1}
-    for u in units:
-        if u in orders:
-            continue
-        powers, x = [u], u
+    product, size, q, one = ring.product, ring.size, ring.ctx.q, ring._one
+    automorphisms = ring.automorphisms
+    scaled, getter = _scaled_lanes(automorphisms, places, q), list.__getitem__
+    lanes, width, order = range(len(automorphisms)), 4 * len(automorphisms), sys.byteorder
+    ones = sum(map(getter, scaled, one)).to_bytes(width, order)
+    index = marks.find(1)
+    while index >= 0:
+        u = x = tuple([index // w % q for w in places])
+        t, images = 1, b""
         while x != one:
-            if len(powers) == limit:
+            if t == size:
                 raise InternalConsistencyError(f"{u!r} is not a unit: its powers never reach one")
+            images += sum(map(getter, scaled, x)).to_bytes(width, order)
             x = product(x, u)
-            powers.append(x)
-        t = len(powers)
-        walk = [t // gcd(j, t) for j in range(1, t + 1)]  # the order of u^j
-        orders.update(zip(powers, walk))
-        for sigma in sigmas:
-            # sigma(u) met already, as tau(v^i) for a walk over v, has its
-            # powers tau(v^(i j)) there too
-            if sigma(u) not in orders:
-                orders.update(zip(map(sigma, powers), walk))
-    return orders
+            t += 1
+        images, met = memoryview(images + ones).cast("I"), []
+        for k in lanes:
+            if marks[images[k]]:
+                met.append(images[k :: len(lanes)])
+                for i in met[-1]:
+                    marks[i] = 0
+        yield t, met
+        index = marks.find(1, index + 1)
 
 
 def unit_orders(ring: EnumerableRing):
-    """(unit, multiplicative order) of every unit, in enumeration order, by `ring.product`."""
+    """(unit, multiplicative order) of every unit, in enumeration order, by
+    `ring.product`; the orders are kept by index."""
     indices = _unit_indices(ring)
-    units = [ring._vector(i) for i in indices]
-    orders = _orders(ring, units)
-    return [(ring.element(i), orders[u]) for i, u in zip(indices, units)]
+    marks = bytearray(ring.size)
+    for i in indices:
+        marks[i] = 1
+    orders = {}
+    for t, lanes in _orders(ring, marks, ring._places):
+        walk = [t // gcd(j, t) for j in range(1, t + 1)]  # the order of u^j
+        for lane in lanes:
+            orders.update(zip(lane, walk))
+    return [(ring.element(i), orders[i]) for i in indices]
 
 
 def unit_group_exponent(orders) -> int:
@@ -529,31 +590,35 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
     if not group.is_p_group(p):
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx, cap)
-    orders = _orders(ring, _augmentation_one(ctx, group.order))
-    # every order is a power of p, so their lcm is the largest
-    return max(orders.values())
+    # every order is a power of p, so their lcm is the largest, and the
+    # powers a walk meets need no walk of their own.  The units are walked
+    # lexicographically, coordinate 0 first (place q^(n-1)), which took
+    # fewer products than increasing index order: 178 against 181 on F2[Q8]
+    marks = _augmentation_marks(ctx, group.order)  # the same in either order
+    return max(map(itemgetter(0), _orders(ring, marks, ring._places[::-1])))
 
 
-def _augmentation_one(ctx: FieldCtx, n: int):
-    """Every n-tuple of codes with sum 1, lexicographic in the first n - 1.
+def _augmentation_marks(ctx: FieldCtx, n: int) -> bytearray:
+    """One byte per index of F_q^n: 1 where the n coordinates sum to 1.
 
-    The last coordinate makes the sum 1.  The last r come from a table of
-    the r-tuples of each sum, built once with about one field operation per
-    entry, r the least with q^(r-1) >= n (at most n - 1); the sum of the
-    first n - r is taken once per q^(r-1) tuples, so a tuple costs less
-    than one field addition.
+    sums[t] marks the indices below q^h whose coordinates sum to t.  For
+    h = 1 that is index t alone.  Below q^(h+1) the top coordinate c splits
+    the indices into q blocks in order of c, so the marks for t are the
+    blocks sums[t - c]; the last step builds t = 1 alone.  The steps before
+    it take q^2 subtractions each, and come only where n >= 3, so that
+    q^3 <= CAP_CEILING.
     """
-    q, add, sub = ctx.q, ctx.add, ctx.sub
-    r = 1
-    while q ** (r - 1) < n and r < n - 1:
-        r += 1
-    heads = [((), 0)]  # every (r - 1)-tuple with its sum
-    for _ in range(r - 1):
-        heads = [(h + (c,), add(s, c)) for h, s in heads for c in range(q)]
-    tails = [[h + (sub(t, s),) for h, s in heads] for t in range(q)]  # the r-tuples of sum t
-    return (high + tail
-            for high in product(range(q), repeat=n - r)
-            for tail in tails[sub(1, reduce(add, high, 0))])
+    q, sub = ctx.q, ctx.sub
+
+    def single(t: int) -> bytes:
+        return bytes(t) + b"\1" + bytes(q - 1 - t)
+
+    if n == 1:
+        return bytearray(single(1))
+    sums = list(map(single, range(q)))
+    for _ in range(n - 2):
+        sums = [b"".join([sums[sub(t, c)] for c in range(q)]) for t in range(q)]
+    return bytearray(b"".join([sums[sub(1, c)] for c in range(q)]))
 
 
 def check_positive(n: int, what: str) -> None:

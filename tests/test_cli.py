@@ -464,6 +464,24 @@ def test_oracle_radical_enumerates_the_radical_once(capsys, monkeypatch):
     )
 
 
+def test_oracle_units_and_radical_count_the_units_once(capsys, monkeypatch):
+    # --units reads the factorization's count, which enumerate_units gives
+    calls = []
+    enumerate_units = oracle.enumerate_units
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_units(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_units", counted)
+    assert run(["oracle", "--group", "S3", "--field", "F2", "--units", "--radical"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "ring: F2[S3]\nsize: 64\nunit_count: 12\nradical_size: 2\nunit_factorization:\n"
+        "  units: 12\n  radical: 2\n  image: 6\n  holds: None\n"
+    )
+
+
 def test_oracle_enumerates_the_unit_orders_once(capsys, monkeypatch):
     calls = []
     unit_orders = oracle.unit_orders

@@ -111,6 +111,23 @@ def test_invertibility_and_inverse(spec):
         assert _mul_ref(linalg.inverse(a, ctx), a, ctx) == ident(9)
 
 
+@pytest.mark.parametrize("spec, room", [("F3", 63), ("F5", 15), ("F7", 6), ("F13", 1),
+                                         ("F17", 255)])
+def test_prime_field_rows_add_unreduced_within_their_room(spec, room):
+    # rows_invertible and combination add up to `room` multiples of reduced
+    # rows before a reduction; rows of 24 entries take more than 6 of them
+    ctx = parse_field(spec)
+    assert ctx.packing.room == room
+    rng = random.Random(f"linalg/room/{spec}")
+    for n in (12, 24):
+        for _ in range(3):
+            a, b = _rand(rng, ctx, n, n), _rand(rng, ctx, n, n)
+            assert linalg.is_invertible(a, ctx) == (_rank_ref(a, ctx) == n)
+            assert linalg.mat_mul(a, b, ctx) == _mul_ref(a, b, ctx)
+        a[-1] = [ctx.sub(x, y) for x, y in zip(a[0], a[1])]
+        assert not linalg.is_invertible(a, ctx)
+
+
 @pytest.mark.parametrize("spec", FIELDS)
 def test_packed_rows_invertibility_leaves_its_rows(spec):
     ctx = parse_field(spec)

@@ -13,7 +13,14 @@ from joinrings.errors import AlgebraError, EnumerationCapError, InternalConsiste
 from joinrings.ffield import parse_field
 from joinrings.groupring import GroupRingElem, gr_unit_count, wedderburn_abelian
 from joinrings.groups import abelian_groups_of_order, cyclic, parse_group_spec
-from joinrings.joinring import JoinElem, join_structure, join_unit_count, parse_shape_spec
+from joinrings.joinring import (
+    JoinElem,
+    join_embed,
+    join_structure,
+    join_unembed,
+    join_unit_count,
+    parse_shape_spec,
+)
 from joinrings.ntheory import euler_phi, factorize
 from joinrings.oracle import (
     EnumerableRing,
@@ -602,14 +609,15 @@ def test_unit_count_tests_one_element_per_orbit(label, monkeypatch):
 
 
 @pytest.mark.parametrize("label, eliminations", [
-    ("F2[C12]", 157), ("F3[C7]", 41), ("join(C3,C5;F2)", 127),
-    ("F5[S3]", 178), ("join(S3,C2;F2)", 119), ("F3[Q8]", 207),
+    ("F2[C12]", 157), ("F3[C7]", 41), ("join(C3,C5;F2)", 95),
+    ("F5[S3]", 178), ("join(S3,C2;F2)", 89), ("F3[Q8]", 207),
 ])
 def test_unit_count_eliminations_are_pinned(label, eliminations, monkeypatch):
     # abelian rings gain nothing from the right products but do from the
     # power maps: F2[C12] took 351 eliminations and F3[C7] 157 with
     # translations alone; F5[S3] took 684 with left products alone,
-    # join(S3,C2;F2) 191, F3[Q8] 426
+    # join(S3,C2;F2) 191, F3[Q8] 426; joins took 127 and 119 without the
+    # transpose, join(C3,C5;F2) and join(S3,C2;F2)
     assert len(_tested_matrices(_ring(label), monkeypatch)) == eliminations
 
 
@@ -617,7 +625,7 @@ def test_unit_count_eliminations_are_pinned(label, eliminations, monkeypatch):
     (list_units, "F3[C5]", 13), (list_units, "F2[C2xC4]", 33),
     (jacobson_radical, "F2[C6]", 203), (jacobson_radical, "F3[C3]", 57),
     (jacobson_radical, "F2[S3]", 75),
-    (jacobson_radical, "join(C2,C2;F2)", 989),
+    (jacobson_radical, "join(C2,C2;F2)", 726),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_listing_and_radical_eliminations_are_pinned(sweep, label, eliminations, monkeypatch):
     # one elimination per orbit, or per step of a walk over r for each
@@ -625,21 +633,22 @@ def test_listing_and_radical_eliminations_are_pinned(sweep, label, eliminations,
     # each x, took 243 and 256 for the listings, 648, 288 and 266 for the
     # radicals of F2[C6], F3[C3] and F2[S3], and 1168 for join(C2,C2;F2);
     # orbits of translations alone took 25, 39 and 204 on F3[C5],
-    # F2[C2xC4] and F2[C6]
+    # F2[C2xC4] and F2[C6]; join(C2,C2;F2) took 989 without the transpose
     assert len(_tested_matrices(_ring(label), monkeypatch, sweep)) == eliminations
 
 
 @pytest.mark.parametrize("sweep, label, products", [
     (jacobson_radical, "SM3(F2)", 54), (jacobson_radical, "F2[C6]", 75),
     (jacobson_radical, "F3[C3]", 27), (jacobson_radical, "F2[S3]", 30),
-    (jacobson_radical, "join(C2,C2;F2)", 190),
+    (jacobson_radical, "join(C2,C2;F2)", 157),
     (semisimple_unit_factorization, "F2[S3]", 30),
-    (semisimple_unit_factorization, "join(C2,C2;F2)", 190),
+    (semisimple_unit_factorization, "join(C2,C2;F2)", 157),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_radical_products_are_pinned(sweep, label, products, monkeypatch):
     # b_i x is multiplied out only once r reaches coordinate i, so an x that
     # fails early costs few products; the factorization adds none to the
-    # radical's, where counting the cosets u(1 + J) took 446 and 54
+    # radical's, where counting the cosets u(1 + J) took 446 and 54;
+    # join(C2,C2;F2) took 190 without the transpose
     assert _product_calls(RADICAL_RINGS[label], monkeypatch, sweep)[0] == products
 
 
@@ -663,22 +672,32 @@ def _moved(ring, perm, a):
     return ring.element(sum(c * q ** perm[h] for h, c in enumerate(ring.coordinates(a))))
 
 
+def _transposed(ring, a):
+    """a^T, by the matrix embedding of a join element."""
+    return join_unembed(ring.shape, [list(col) for col in zip(*join_embed(a))])
+
+
 @pytest.mark.parametrize("label", COUNT_RINGS)
 def test_symmetries_are_left_products_by_units(label):
     # each symmetry must be a -> u sigma(a) w, the left product by a unit u
     # of the right product by a unit w of sigma(a), sigma one of the
-    # automorphisms in a group ring and the identity elsewhere, and each
-    # such map by _coordinate_units must be a symmetry, listed once; the
-    # basis vectors fix a linear map, and the random samples check it off
-    # the basis
+    # automorphisms in a group ring, the identity or the transpose of the
+    # embedding in a join and the identity elsewhere, and each such map by
+    # _coordinate_units must be a symmetry, listed once; the basis vectors
+    # fix a linear map, and the random samples check it off the basis
     ring = COUNT_RINGS[label]
     q, rng = ring.ctx.q, random.Random(label)
     samples = [ring.element(i) for i in [q**h for h in range(ring.dim)]
                + [rng.randrange(ring.size) for _ in range(20)]]
     moves = _coordinate_units(ring)
     assert all(ring.is_unit(u) for u in moves)
-    sigmas = ring.automorphisms if isinstance(ring, GroupRingEnum) else [range(ring.dim)]
-    expected = {tuple(_times(ring, _times(ring, u, _moved(ring, sigma, a)), w) for a in samples)
+    if isinstance(ring, GroupRingEnum):
+        sigmas = [lambda a, perm=perm: _moved(ring, perm, a) for perm in ring.automorphisms]
+    elif isinstance(ring, JoinRingEnum):
+        sigmas = [lambda a: a, lambda a: _transposed(ring, a)]
+    else:
+        sigmas = [lambda a: a]
+    expected = {tuple(_times(ring, _times(ring, u, sigma(a)), w) for a in samples)
                 for sigma in sigmas for u in moves for w in moves}
     images = [tuple(_moved(ring, perm, a) for a in samples) for perm in ring.symmetries]
     assert set(images) == expected
@@ -755,9 +774,10 @@ def test_orbits_partition_the_nonzero_elements(label):
             for h, c in enumerate(vector):
                 image[perm[h]] = c
             images.add(normalised(image))
-        assert orbit == images
+        # listed once each: the walk clears a mark as it lists the index
+        assert len(orbit) == len(images) and set(orbit) == images
         assert seen.isdisjoint(orbit)
-        seen |= orbit
+        seen.update(orbit)
     assert (q - 1) * len(seen) == q**dim - 1
 
 
@@ -809,8 +829,9 @@ AUTOMORPHISM_RINGS = {
 @pytest.mark.parametrize("label", AUTOMORPHISM_RINGS)
 def test_automorphisms_are_ring_automorphisms(label):
     # each listed permutation must fix one and carry products to products,
-    # listed once; it is linear, so the basis pairs decide, and the random
-    # pairs check that off the basis
+    # or reverse them all, as the transpose of a join does, listed once; it
+    # is linear, so the basis pairs decide, and the random pairs check that
+    # off the basis
     ring = AUTOMORPHISM_RINGS[label]
     q, rng = ring.ctx.q, random.Random(label)
     basis = [ring.element(q**h) for h in range(ring.dim)]
@@ -821,24 +842,25 @@ def test_automorphisms_are_ring_automorphisms(label):
     for perm in perms:
         assert sorted(perm) == list(range(ring.dim))
         assert _moved(ring, perm, ring.one) == ring.one
-        for a, b in pairs:
-            assert (_moved(ring, perm, _times(ring, a, b))
-                    == _times(ring, _moved(ring, perm, a), _moved(ring, perm, b)))
+        images = [(_moved(ring, perm, _times(ring, a, b)), _moved(ring, perm, a),
+                   _moved(ring, perm, b)) for a, b in pairs]
+        assert (all(ab == _times(ring, x, y) for ab, x, y in images)
+                or all(ab == _times(ring, y, x) for ab, x, y in images))
 
 
 @pytest.mark.parametrize("label, count", [
     # phi(exp G) power maps of an abelian G, their products over the blocks
-    # of a join, and the identity alone for S3 and for semimagic rings
-    ("F3[C9]", 6), ("F3[C5]", 4), ("F2[C6]", 2), ("join(C3,C5;F2)", 8),
-    ("join(C2,C2;F3)", 1), ("F2[S3]", 1), ("SM3(F2)", 1),
+    # of a join, each there also followed by the transpose, and the identity
+    # alone for S3 and for semimagic rings
+    ("F3[C9]", 6), ("F3[C5]", 4), ("F2[C6]", 2), ("join(C3,C5;F2)", 16),
+    ("join(C2,C2;F3)", 2), ("F2[S3]", 1), ("SM3(F2)", 1),
 ])
 def test_automorphisms_are_the_power_maps(label, count):
     assert len(AUTOMORPHISM_RINGS[label].automorphisms) == count
 
 
-def test_exp_u1_products_are_pinned(monkeypatch):
-    # a walk also gives the orders of the images of its powers under the
-    # six power maps of C9; without them the sweep took 8496 products
+def _exp_u1_products(group, ctx, monkeypatch):
+    """(exp_U1, the ring products it took)."""
     calls = []
     multiplier = oracle.gr_multiplier
 
@@ -852,15 +874,42 @@ def test_exp_u1_products_are_pinned(monkeypatch):
         return count
 
     monkeypatch.setattr(oracle, "gr_multiplier", counted)
-    assert exp_U1(cyclic(9), F3) == 9
-    assert len(calls) == 1556
+    exponent = exp_U1(group, ctx)
+    monkeypatch.undo()
+    return exponent, len(calls)
+
+
+def test_exp_u1_products_are_pinned(monkeypatch):
+    # a walk also gives the orders of the images of its powers under the
+    # six power maps of C9; without them the sweep took 8496 products
+    assert _exp_u1_products(cyclic(9), F3, monkeypatch) == (9, 1556)
+
+
+@pytest.mark.parametrize("spec, field, exponent, products", [
+    ("Q8", "F2", 4, 178), ("C2xC4", "F2", 4, 118), ("C8", "F2", 8, 94), ("C4", "F4", 4, 60),
+])
+def test_exp_u1_products_on_small_two_groups_are_pinned(spec, field, exponent, products,
+                                                         monkeypatch):
+    # the units are walked lexicographically, coordinate 0 first; in
+    # increasing index order F2[Q8] took 181 products, as Q8 has no power
+    # maps and a square walked before its root is walked for nothing
+    group, ctx = parse_group_spec(spec), parse_field(field)
+    assert _exp_u1_products(group, ctx, monkeypatch) == (exponent, products)
+
+
+@pytest.mark.parametrize("spec, exponent", [("trivial", 1), ("C2", 2)])
+def test_exp_u1_beyond_a_byte_of_codes(spec, exponent):
+    # codes beyond a byte; over two coordinates the marks of the units of
+    # coefficient sum 1 take q subtractions, not q^2
+    assert exp_U1(parse_group_spec(spec), parse_field("F1024")) == exponent
 
 
 def test_orders_refuses_a_non_unit():
     # the walk stops at the ring's size; without that bound the powers of a
     # non-unit would run on, and the alarm would fail the test after a second
     ring = GroupRingEnum(cyclic(2), F2)
-    nilpotent = ring._vector(3)  # 1 + g, whose square is 0
+    marks = bytearray(ring.size)
+    marks[3] = 1  # 1 + g, whose square is 0
 
     def timeout(signum, frame):
         raise TimeoutError("the order sweep ran on for a second")
@@ -869,7 +918,7 @@ def test_orders_refuses_a_non_unit():
     signal.setitimer(signal.ITIMER_REAL, 1)
     try:
         with pytest.raises(InternalConsistencyError):
-            _orders(ring, [nilpotent])
+            list(_orders(ring, marks, ring._places))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
