@@ -431,8 +431,8 @@ def _kronecker(p: int, n: int) -> FamilyProduct | None:
 # field context
 # ---------------------------------------------------------------------------
 
-def _convolver(add, mul, reduce=None):
-    """convolve(a, b, table): out[table[h][k]] sums mul(a_h, b_k) by add, then reduce."""
+def _convolver(add, mul):
+    """convolve(a, b, table): out[table[h][k]] sums mul(a_h, b_k) by add."""
 
     def convolve(a, b, table) -> list[int]:
         out = [0] * len(a)
@@ -443,7 +443,7 @@ def _convolver(add, mul, reduce=None):
                     if bk:
                         g = row[k]
                         out[g] = add(out[g], mul(ah, bk))
-        return out if reduce is None else list(map(reduce, out))
+        return out
 
     return convolve
 
