@@ -45,9 +45,10 @@ The order questions (exponent, units of one order, u^n = 1) read one
 the powers of the elements still marked, units or units of coefficient
 sum 1, in :func:`_orders`, on the same marks and lanes: one lane sum per
 power gives the indices of the power and of its images under the ring's
-`automorphisms`, which have the same order, and the walk clears their
-marks, so that no element they reach is walked again (1556 products for
-`exp_U1` on F3[C9]).
+`automorphisms` (the power maps of an abelian group, the conjugations of
+any other, blockwise in a join and there also followed by the transpose),
+which have the same order, and the walk clears their marks, so that no
+element they reach is walked again (1556 products for `exp_U1` on F3[C9]).
 """
 
 from __future__ import annotations
@@ -188,18 +189,18 @@ class GroupRingEnum(EnumerableRing):
     @cached_property
     def symmetries(self) -> list[Sequence[int]]:
         """x -> g sigma(x) k for the units g and k in G and sigma among the
-        `automorphisms`: coefficient h moves to g sigma(h) k.  They form a
-        group, since sigma(g h k) = sigma(g) sigma(h) sigma(k)."""
+        power maps of :func:`_power_maps`: coefficient h moves to
+        g sigma(h) k.  They form a group, since sigma(g h k) = sigma(g)
+        sigma(h) sigma(k)."""
         powers = _power_maps(self.group)
         return [tuple(map(perm.__getitem__, power)) for perm in _two_sided(self.group)
                 for power in powers]
 
     @cached_property
     def automorphisms(self) -> list[Sequence[int]]:
-        """h -> h^k for k prime to exp(G) where G is abelian, otherwise the
-        identity alone: an automorphism of G, so its linear extension is
-        one of F_q[G]."""
-        return _power_maps(self.group)
+        """The automorphisms of G from :func:`_automorphisms`: their linear
+        extensions are ones of F_q[G]."""
+        return _automorphisms(self.group)
 
     def label(self, a) -> str:
         """The `gr` literal of a."""
@@ -253,7 +254,7 @@ class JoinRingEnum(EnumerableRing):
         order of every unit; it took 34 products against 46 for the orders
         of join(C2,C3;F2).
         """
-        return self._transposed(self._blockwise(_power_maps))
+        return self._transposed(self._blockwise(_automorphisms))
 
     def _transposed(self, perms) -> list[tuple[int, ...]]:
         """`perms`, then each of them followed by x -> x^T, each map once:
@@ -289,6 +290,17 @@ def _two_sided(group: FiniteGroup) -> list[tuple[int, ...]]:
     table = group.table
     return list(dict.fromkeys(tuple(table[x][k] for x in row)
                               for row in table for k in range(group.order)))
+
+
+def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The power maps h -> h^k of an abelian G, otherwise its conjugations
+    h -> g h g^-1, each a distinct map.  The conjugations took 109 products
+    against 181 for the identity alone in `exp_U1` on F2[Q8]."""
+    if group.is_abelian:
+        return _power_maps(group)
+    table, inverse = group.table, group.inverse
+    return list(dict.fromkeys(tuple(table[table[g][h]][inverse[g]] for h in range(group.order))
+                              for g in range(group.order)))
 
 
 def _power_maps(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -497,33 +509,31 @@ def list_units(ring: EnumerableRing) -> list:
     return [ring.element(i) for i in _unit_indices(ring)]
 
 
-def _orders(ring: EnumerableRing, marks: bytearray, places: Sequence[int]):
+def _orders(ring: EnumerableRing, marks: bytearray):
     """Walk the powers of every element whose index is marked, by `ring.product`
     on coordinate tuples: one (t, lanes) per walk, t the order of its
     element u and each lane the indices of sigma(u^j) for j = 1..t, for
     one of `ring.automorphisms` sigma, those whose sigma(u) was marked.
 
-    An index here is sum_h v_h places[h]: `ring._places`, or any order of
-    them, in which `marks` is laid out and the elements are walked, in
-    increasing index order.  The walk multiplies by u until it reaches one;
-    every power u^j then has order t / gcd(j, t), and so has sigma(u^j) =
-    sigma(u)^j for each sigma.  One sum of the lanes of
-    :func:`_scaled_lanes` gives the index of a power and of its images at
-    once, and the walk clears the mark of every index it yields: the
-    marked elements left are those no walk has met.  A sigma(u) met
+    The elements are walked in increasing index order.  The walk multiplies
+    by u until it reaches one; every power u^j then has order t / gcd(j, t),
+    and so has sigma(u^j) = sigma(u)^j for each sigma.  One sum of the
+    lanes of :func:`_scaled_lanes` gives the index of a power and of its
+    images at once, and the walk clears the mark of every index it yields:
+    the marked elements left are those no walk has met.  A sigma(u) met
     already, as tau(v^i) for a walk over v, has its powers tau(v^(i j)) met
     too, so its lane is left out.  A unit's order is below the ring's size,
     so a walk that reaches it has left the unit group, and it raises
     instead of running on.
     """
-    product, size, q, one = ring.product, ring.size, ring.ctx.q, ring._one
+    product, size, one, places, q = ring.product, ring.size, ring._one, ring._places, ring.ctx.q
     automorphisms = ring.automorphisms
     scaled, getter = _scaled_lanes(automorphisms, places, q), list.__getitem__
     lanes, width, order = range(len(automorphisms)), 4 * len(automorphisms), sys.byteorder
     ones = sum(map(getter, scaled, one)).to_bytes(width, order)
     index = marks.find(1)
     while index >= 0:
-        u = x = tuple([index // w % q for w in places])
+        u = x = tuple([index // w % q for w in places])  # ring._vector, inlined
         t, images = 1, b""
         while x != one:
             if t == size:
@@ -549,7 +559,7 @@ def unit_orders(ring: EnumerableRing):
     for i in indices:
         marks[i] = 1
     orders = {}
-    for t, lanes in _orders(ring, marks, ring._places):
+    for t, lanes in _orders(ring, marks):
         walk = [t // gcd(j, t) for j in range(1, t + 1)]  # the order of u^j
         for lane in lanes:
             orders.update(zip(lane, walk))
@@ -591,11 +601,8 @@ def exp_U1(group: FiniteGroup, ctx: FieldCtx, cap: int = DEFAULT_CAP) -> int:
         raise AlgebraError(f"{group.name} is not a {p}-group")
     ring = GroupRingEnum(group, ctx, cap)
     # every order is a power of p, so their lcm is the largest, and the
-    # powers a walk meets need no walk of their own.  The units are walked
-    # lexicographically, coordinate 0 first (place q^(n-1)), which took
-    # fewer products than increasing index order: 178 against 181 on F2[Q8]
-    marks = _augmentation_marks(ctx, group.order)  # the same in either order
-    return max(map(itemgetter(0), _orders(ring, marks, ring._places[::-1])))
+    # powers a walk meets need no walk of their own
+    return max(map(itemgetter(0), _orders(ring, _augmentation_marks(ctx, group.order))))
 
 
 def _augmentation_marks(ctx: FieldCtx, n: int) -> bytearray:
