@@ -625,7 +625,7 @@ def _augmentation_marks(ctx: FieldCtx, n: int) -> bytearray:
     sums = list(map(single, range(q)))
     for _ in range(n - 2):
         sums = [b"".join([sums[sub(t, c)] for c in range(q)]) for t in range(q)]
-    return bytearray(b"".join([sums[sub(1, c)] for c in range(q)]))
+    return bytearray().join([sums[sub(1, c)] for c in range(q)])
 
 
 def check_positive(n: int, what: str) -> None:
