@@ -28,15 +28,22 @@ Sums of many products run on plain integers and are reduced once:
   lifts, each lane below p, and no lane carries into the next.  Each lane
   is read back mod p (in characteristic 2 a lift is its code).  A larger
   extension field sums its scalar products.
-- A prime field multiplies in F_p[C_n] = F_p[y]/(y^n - 1) by Kronecker
-  substitution (:func:`_kronecker`) while n (p - 1)^2 fits a byte (F_2 up
-  to C_255, F_3 up to C_63, F_7 up to C_7): each family is packed into one
-  integer, coefficient i in byte i.  One integer product gives every
-  coefficient of the product polynomial, a mask, a shift and an add fold
-  y^n onto 1, and ``bytes.translate`` by :func:`_byte_residues`, the table
-  of :func:`_lane_adder`, reduces every lane mod p.
-  :meth:`FieldCtx.kronecker` offers it from n = 3, where it measured
-  faster than ``convolve``; a larger n (p - 1)^2 keeps ``convolve``.
+- A field of at most ``_TABLE_LIMIT`` elements, prime or not, multiplies in
+  F_q[C_n] = F_q[y]/(y^n - 1) by Kronecker substitution
+  (:func:`_kronecker`) while n k (p - 1)^2 fits a byte (F_2 up to C_255,
+  F_4 up to C_127, F_3 up to C_63, F_9 and F_256 up to C_31, F_25 up to C_7):
+  each family is packed into one integer, base-p digit i of coefficient j
+  in byte (2k - 1) j + i, with k - 1 empty bytes after each coefficient's
+  digits.  One integer product gives every coefficient of the product
+  polynomial, a mask, a shift and an add fold y^n onto 1, and
+  ``bytes.translate`` by :func:`_byte_residues`, the table of
+  :func:`_lane_adder`, reduces every lane mod p.  For k > 1 the lanes of
+  x^k .. x^(2k-2) then fold onto the digits by one multiple each of the
+  digits of x^j mod m, and a second ``translate`` reduces them.
+  :meth:`FieldCtx.kronecker` offers it from the n where it measured faster
+  than ``convolve``: n = 3 in a prime field, 4 in an extension field of
+  odd p, max(8, k + 3) in characteristic 2.  A larger n k (p - 1)^2 keeps
+  ``convolve``.
 - For the eliminations in :mod:`joinrings.linalg`, :class:`PackedRows`
   packs a whole matrix row into one integer: in characteristic 2 each entry
   is its code in whole bytes (one byte up to F_256, F_2 included), and
@@ -55,6 +62,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache
 
@@ -123,7 +131,7 @@ def _irreducible(m: Poly, p: int) -> bool:
     checks = {k // r for r in factorize(k)}
     y = [0, 1]  # x^(p^j) modulo m, from j = 0
     for j in range(1, k + 1):
-        y = power(y, p - 1, mul, y)  # y^p, one product fewer than from 1
+        y = power(y, p, mul, [1])  # y^p
         if j in checks:
             d = y + [0] * (2 - len(y))
             d[1] = prime.sub(d[1], 1)
@@ -402,27 +410,74 @@ def _lane_adder(p: int, width: int) -> Callable[[int, int], int]:
 
 
 @lru_cache(maxsize=256)
-def _kronecker(p: int, n: int) -> FamilyProduct | None:
-    """The product of F_p[C_n] = F_p[y]/(y^n - 1) as one integer product, or None.
+def _kronecker(p: int, k: int, n: int) -> FamilyProduct | None:
+    """The product of F_{p^k}[C_n] = F_{p^k}[y]/(y^n - 1) as one integer product, or None.
 
-    Coefficient i of a family takes byte i, one lane that holds n (p - 1)^2,
-    the largest sum a lane of the folded product can reach, so no lane
-    carries into the next.  The product of two packed families holds the
-    coefficients of y^0 .. y^(2n-2), and y^n = 1 folds lane i + n onto lane
+    Coefficient i of a family takes the 2k - 1 byte lanes from byte
+    (2k - 1) i up: its k base-p digits, then k - 1 zero lanes, room for the
+    digits x^k .. x^(2k-2) of a product of two of them.  A lane of the
+    folded product sums at most k (p - 1)^2 digit products for each of n
+    coefficient pairs, so while n k (p - 1)^2 fits a byte no lane carries
+    into the next.  The product of two packed families holds the
+    coefficients of y^0 .. y^(2n-2), and y^n = 1 folds slot i + n onto slot
     i by one mask, one shift and one add (D. Harvey, "Faster polynomial
     multiplication via multipoint Kronecker substitution", J. Symbolic
     Comput. 44(10), 2009); one ``bytes.translate`` reduces every lane mod p.
-    None where n (p - 1)^2 > 255, which a byte cannot hold.
+    For k > 1 lane j >= k of every coefficient then adds lane j times the
+    digits of x^j mod m to lanes 0 .. k - 1, at most (k - 1) (p - 1)^2 more,
+    within the same bound, and a second ``translate`` reduces them.  Digit i
+    of every code is read at once as the bytes ``data[i::2k-1]``.  None
+    where n k (p - 1)^2 > 255, which a byte cannot hold.
     """
-    if n * (p - 1) ** 2 > 255:
+    if n * k * (p - 1) ** 2 > 255:
         return None
-    bits = 8 * n
+    stride = 2 * k - 1
+    size = n * stride
+    bits = 8 * size
     mask = (1 << bits) - 1
     residues = _byte_residues(p)
+    if k == 1:
+
+        def product(a, b) -> tuple[int, ...]:
+            x = int.from_bytes(a, "little") * int.from_bytes(b, "little")
+            return tuple(((x & mask) + (x >> bits)).to_bytes(n, "little").translate(residues))
+
+        return product
+    q, power_of_x = p**k, _cached_field(p, k).pow
+    lanes = [bytes(_decode_poly(c, p, k) + [0] * (k - 1)) for c in range(q)]
+    digits = (b"\xff" * k).ljust(stride, b"\0") * n  # lanes 0 .. k - 1 of every coefficient
+    low = int.from_bytes(digits, "little")
+    first = int.from_bytes(b"\xff".ljust(stride, b"\0") * n, "little")  # lane 0 of each
+    folds = [(8 * j, int.from_bytes(bytes(_decode_poly(power_of_x(p, j), p, k)), "little"))
+             for j in range(k, stride)]
+    places = list(enumerate(p**i for i in range(k)))
+    lane_of = lanes.__getitem__
+    if q <= 256:  # a code fits the byte of its coefficient
+
+        def read(data: bytes) -> tuple[int, ...]:
+            acc = 0
+            for i, place in places:
+                acc += int.from_bytes(data[i::stride], "little") * place
+            return tuple(acc.to_bytes(n, "little"))
+    else:  # two bytes per code
+        unpack = struct.Struct(f"<{n}H").unpack
+
+        def read(data: bytes) -> tuple[int, ...]:
+            acc, spread = 0, bytearray(2 * n)
+            for i, place in places:
+                spread[::2] = data[i::stride]
+                acc += int.from_bytes(spread, "little") * place
+            return unpack(acc.to_bytes(2 * n, "little"))
 
     def product(a, b) -> tuple[int, ...]:
-        x = int.from_bytes(a, "little") * int.from_bytes(b, "little")
-        return tuple(((x & mask) + (x >> bits)).to_bytes(n, "little").translate(residues))
+        x = (int.from_bytes(b"".join(map(lane_of, a)), "little")
+             * int.from_bytes(b"".join(map(lane_of, b)), "little"))
+        data = ((x & mask) + (x >> bits)).to_bytes(size, "little").translate(residues)
+        x = int.from_bytes(data, "little")
+        y = x & low
+        for shift, lift in folds:
+            y += (x >> shift & first) * lift
+        return read(y.to_bytes(size, "little").translate(residues))
 
     return product
 
@@ -519,7 +574,9 @@ class FieldCtx:
     :attr:`convolve` is the group-ring product kernel of the module
     docstring: ``convolve(a, b, table)`` lists the coefficients of the
     product of the families a and b, ``out[table[h][k]]`` summing a_h b_k;
-    :meth:`kronecker` gives the cyclic one of a prime field.
+    :meth:`kronecker` gives the cyclic one of a field of at most
+    ``_TABLE_LIMIT`` elements, and :meth:`frobenius` the automorphisms
+    a -> a^(p^i) of such a field as tables.
     :attr:`packing`, built on first use, is the :class:`PackedRows` layout.
     """
 
@@ -539,6 +596,14 @@ class FieldCtx:
         self.k = k
         self.q = p**k
         self.modulus: Poly = _canonical_modulus(p, k)
+        # the n whose Kronecker product of F_q[C_n] :meth:`kronecker` offers
+        if k == 1:
+            start = 3
+        elif self.q <= _TABLE_LIMIT:
+            start = max(8, k + 3) if p == 2 else 4
+        else:
+            start = 256  # beyond every n k (p - 1)^2 <= 255
+        self._kronecker_ns = range(start, 255 // (k * (p - 1) ** 2) + 1)
         if p == 2:  # characteristic 2 at every size: a + b = a - b = a XOR b
             self.add = self.sub = operator.xor
             self.neg = operator.pos
@@ -596,13 +661,21 @@ class FieldCtx:
         return PackedRows(self)
 
     def kronecker(self, n: int) -> FamilyProduct | None:
-        """The :func:`_kronecker` product of F_p[C_n] where it measured faster
-        than :attr:`convolve`, else None: in a prime field from n = 3 (below
-        that, packing costs as much as the few terms it saves), while
-        n (p - 1)^2 fits a byte."""
-        if self.k > 1 or n < 3:
+        """The :func:`_kronecker` product of F_q[C_n] where it measured faster
+        than :attr:`convolve`, else None: while n k (p - 1)^2 fits a byte, in
+        a prime field from n = 3, in an extension field of odd p from n = 4,
+        and in one of characteristic 2 from n = max(8, k + 3) (F4 to F32 from
+        C8, F64 from C9, F256 from C11).  Below that, packing costs as much as
+        the terms it saves; above ``_TABLE_LIMIT`` there is no kernel."""
+        return _kronecker(self.p, self.k, n) if n in self._kronecker_ns else None
+
+    def frobenius(self, i: int) -> list[int] | None:
+        """[a^(p^i) for every code a], the field automorphism a -> a^(p^i) as
+        a list, where q is at most ``_TABLE_LIMIT``; None above it."""
+        if self.q > _TABLE_LIMIT:
             return None
-        return _kronecker(self.p, n)
+        place = self.p ** (i % self.k)  # a^(p^k) = a
+        return [self.pow(a, place) for a in range(self.q)] if place > 1 else list(range(self.q))
 
     def _bind_zech(self, exp: list[int], log: list[int], zech: list[int]) -> None:
         # With a = g^i and b = g^j, a + b = g^i (1 + g^(j-i)) = g^(i + zech[j-i]),

@@ -3,26 +3,45 @@
 A :class:`GroupRingElem` stores its coefficient family as a tuple of raw
 field codes indexed by group-element index.  :func:`gr_multiplier` picks
 each ring's product: for C_n built from its one invariant (element i is
-g^i) over a prime field, ``ctx.kronecker(n)``, one integer product of the
-packed families folded by y^n = 1 (:mod:`joinrings.ffield`, "Sums of many
-products"), where it measured faster; else ``ctx.convolve`` on the Cayley
-table.  The join blocks and the oracle's group rings bind it once.  Over
-C_n the ring is F_q[y]/(y^n - 1), so an element a is a unit iff
-gcd(a(y), y^n - 1) = 1, and the extended Euclidean algorithm of
-:mod:`joinrings.poly`, the one the extension fields use, gives its
-inverse.  Every other group decides units through the regular
-representation: the element is a unit iff its circulant image is an
-invertible matrix, and inverses are pulled back through the first row.
-The circulant route stays the independent check of the Euclidean one (the
-oracle adapters and the tests use it).  :func:`wedderburn_abelian` gives the
-:class:`Structure` record of a semisimple abelian F_q[G]: its unit count and exponent.
+g^i) over a field of at most 1024 elements, ``ctx.kronecker(n)``, one
+integer product of the families packed by base-p digit and folded by
+y^n = 1 (:mod:`joinrings.ffield`, "Sums of many products"), where it
+measured faster; else ``ctx.convolve`` on the Cayley table.  The join
+blocks and the oracle's group rings bind it once.
+
+Units take one of three routes, picked once per ring and per operation by
+:func:`_unit_route`:
+
+- Frobenius conjugates (:class:`_Conjugates`) for abelian G with p not
+  dividing |G| over a tabled field: u^-1 = u^(p^M - 2) by Itoh and
+  Tsujii's chain of products of u and its conjugates u^(p^j), each a
+  relabelling of coefficients, where that takes few products: at most
+  |G| / 2 on a cyclic group with a packed product, at most |G| otherwise
+  (join-units' F9[C16] and F2[C3], calc-mix's F2[C7], F3[C8], F16[C15],
+  F25[C4xC4] and F49[C2xC2xC2]; F3[C4] tests units so and inverts by
+  Euclid).
+- Over C_n otherwise the ring is F_q[y]/(y^n - 1), so a is a unit iff
+  gcd(a(y), y^n - 1) = 1, and the extended Euclidean algorithm of
+  :mod:`joinrings.poly`, the one the extension fields use, gives its
+  inverse (F2[C5], the F4, F25 and F256 blocks, F7[C16], F2048[C5]).
+- Every other group decides units through the regular representation:
+  the element is a unit iff its circulant image is an invertible matrix,
+  and inverses are pulled back through the first row (the non-abelian
+  groups, and the groups whose order p divides).
+
+The circulant route stays the independent check of the other two (the
+oracle adapters and the tests use it).  :func:`wedderburn_abelian` gives
+the :class:`Structure` record of a semisimple abelian F_q[G]: its unit
+count and exponent.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm, prod
 
 from . import linalg, poly
@@ -128,14 +147,15 @@ class GroupRingElem:
         return f"<{format_element(self)} in {self.ctx}[{self.group.name}]>"
 
 
-def gr_multiplier(ctx: FieldCtx, group: FiniteGroup) -> FamilyProduct:
+def gr_multiplier(ctx: FieldCtx, group: FiniteGroup, packed: bool = False) -> FamilyProduct | None:
     """(u, v) -> the coefficients of u v in F_q[G], for coefficient families.
 
     The one place that picks a group ring's product (module docstring);
-    callers that multiply many times bind the result once.
+    callers that multiply many times bind the result once.  With `packed`,
+    None where that product is the one on the Cayley table.
     """
     product = ctx.kronecker(group.order) if _is_cyclic(group) else None
-    if product is not None:
+    if product is not None or packed:
         return product
     convolve, table = ctx.convolve, group.table
     return lambda u, v: tuple(convolve(u, v, table))
@@ -202,32 +222,162 @@ def _is_cyclic(group: FiniteGroup) -> bool:
     return group.invariants is not None and len(group.invariants) == 1
 
 
-def _cyclic_modulus(a: GroupRingElem) -> list[int]:
-    """y^n - 1, for a in F_q[C_n] = F_q[y]/(y^n - 1)."""
-    return [a.ctx.neg(1)] + [0] * (a.group.order - 1) + [1]
+def _not_a_unit() -> NotInvertibleError:
+    return NotInvertibleError("group ring element is not a unit")
+
+
+class _Circulant:
+    """Units through the regular representation: a is a unit iff its
+    circulant image is invertible, and a^-1 is the first row of its inverse."""
+
+    def is_unit(self, a: GroupRingElem) -> bool:
+        return linalg.is_invertible(circulant_rows(a), a.ctx)
+
+    def inverse(self, a: GroupRingElem) -> GroupRingElem:
+        try:
+            coeffs = linalg.inverse(circulant_rows(a), a.ctx)[0]
+        except NotInvertibleError:
+            raise _not_a_unit() from None
+        return GroupRingElem(a.ctx, a.group, coeffs)
+
+
+class _Euclid:
+    """Units of F_q[C_n] = F_q[y]/(y^n - 1): a is a unit iff
+    gcd(a(y), y^n - 1) = 1, and the Bezout cofactor gives a^-1."""
+
+    def __init__(self, ctx: FieldCtx, n: int):
+        self.modulus = [ctx.neg(1)] + [0] * (n - 1) + [1]  # y^n - 1
+
+    def is_unit(self, a: GroupRingElem) -> bool:
+        return len(poly.euclid(self.modulus, a.coeffs, a.ctx)[0]) == 1
+
+    def inverse(self, a: GroupRingElem) -> GroupRingElem:
+        ctx = a.ctx
+        last, quotients = poly.euclid(self.modulus, a.coeffs, ctx)
+        if len(last) != 1:
+            raise _not_a_unit()
+        # the cofactor has degree below n, and times a(y) it is c mod y^n - 1
+        c, mul = ctx.inv(last[0]), ctx.mul
+        s = poly.cofactor(quotients, ctx)
+        return GroupRingElem(ctx, a.group, [mul(c, x) for x in s] + [0] * (a.group.order - len(s)))
+
+
+def _power_products(e: int) -> int:
+    """The products :func:`~joinrings.ntheory.power` takes for x^e."""
+    return max(e.bit_length() + bin(e).count("1") - 2, 0)
+
+
+class _Conjugates:
+    """Units of a semisimple abelian F_q[G] from the Frobenius conjugates of a.
+
+    With q = p^k, e = exp G and M = lcm(k, ord_e(p)), each component
+    F_{q^t} of F_q[G] (:func:`wedderburn_abelian`) is F_{p^(kt)} with
+    p^(kt) = 1 mod the order of its characters, so kt divides M and every
+    unit u has u^(p^M - 1) = 1.  In the commutative F_q[G] of
+    characteristic p, phi(u) = u^p = sum a_h^p h^p: phi^j is one
+    permutation of the coefficients, h -> h^(p^j), and the field
+    automorphism a -> a^(p^j) on each (``ctx.frobenius``), built once.
+    Itoh and Tsujii (Inf. Comput. 78(3), 1988) build
+    U_j = prod_{i<j} phi^i(u) by U_2j = U_j phi^j(U_j) and
+    U_(j+1) = u phi(U_j).  Then x = phi(U_(M-1)) and N = u x = U_M, so that
+    N^(p-1) = u^(p^M - 1), which is 1 exactly when u is a unit (a zero
+    component of u is one of N), and u^-1 = x N^(p-2).
+    ``products`` counts the ring products of ``(is_unit, inverse)``.
+    """
+
+    def __init__(self, ctx: FieldCtx, group: FiniteGroup):
+        p, n = ctx.p, group.order
+        self.ctx, self.group, self.p = ctx, group, p
+        self.m = lcm(ctx.k, ord_mod(group.exponent(), p)) - 1
+        self.one = (1,) + (0,) * (n - 1)
+        self.multiply = gr_multiplier(ctx, group)
+        self.phi = self._conjugation(1)
+        self.chain, j = [], 1  # (phi^j, then u phi) for each bit of M - 1 below the top
+        for bit in bin(self.m)[3:]:
+            self.chain.append((self._conjugation(j), bit == "1"))
+            j = 2 * j + (bit == "1")
+        norm = len(self.chain) + sum(step for _, step in self.chain) + (self.m > 0)
+        odd = p > 2
+        self.products = (norm + _power_products(p - 1),
+                         norm + _power_products(p - 2) + odd + (odd and self.m > 0))
+
+    def _conjugation(self, j: int):
+        """The coefficients of phi^j(u) from those of u."""
+        group, r = self.group, pow(self.p, j, self.group.exponent())
+        table = group.table
+        source = [0] * group.order  # source[h^r] = h
+        for h in range(group.order):
+            source[power(h, r, lambda x, y: table[x][y], 0)] = h
+        take = operator.itemgetter(*source) if group.order > 1 else tuple
+        if not j % self.ctx.k:  # a^(p^k) = a
+            return take
+        frobenius = self.ctx.frobenius(j)
+        if self.ctx.q <= 256:
+            codes = bytes(frobenius).ljust(256, b"\0")
+            return lambda u: tuple(bytes(take(u)).translate(codes))
+        return lambda u: tuple(map(frobenius.__getitem__, take(u)))
+
+    def _norm(self, u):
+        """(x, N) of the class docstring, x None where M = 1 and x = 1."""
+        if not self.m:
+            return None, u
+        multiply, phi, acc = self.multiply, self.phi, u  # acc = U_j, from j = 1
+        for conjugate, step in self.chain:
+            acc = multiply(acc, conjugate(acc))
+            if step:
+                acc = multiply(u, phi(acc))
+        x = phi(acc)
+        return x, multiply(u, x)
+
+    def is_unit(self, a: GroupRingElem) -> bool:
+        return power(self._norm(a.coeffs)[1], self.p - 1, self.multiply, self.one) == self.one
+
+    def inverse(self, a: GroupRingElem) -> GroupRingElem:
+        p, multiply, one = self.p, self.multiply, self.one
+        x, norm = self._norm(a.coeffs)
+        y = power(norm, p - 2, multiply, one)  # N^-1 if N^(p-1) = 1
+        if (multiply(norm, y) if p > 2 else norm) != one:
+            raise _not_a_unit()
+        return GroupRingElem(self.ctx, self.group,
+                             y if x is None else x if p == 2 else multiply(x, y))
+
+
+@lru_cache(maxsize=256)
+def _unit_route(ctx: FieldCtx, group: FiniteGroup) -> tuple[Callable[[GroupRingElem], bool],
+                                                            Callable[[GroupRingElem], GroupRingElem]]:
+    """(is_unit, inverse) of F_q[G], each picked once per ring (module
+    docstring): by Frobenius conjugates where their count of products says
+    they are cheaper, else by Euclid on C_n and the circulant elsewhere.
+
+    A packed product costs little beside Euclid's O(n^2) field steps, so a
+    cyclic ring takes at most n / 2 of them, and none on its Cayley table,
+    where one costs about what Euclid does; an elimination of the n x n
+    circulant costs more than n table products.
+    """
+    n, cyclic = group.order, _is_cyclic(group)
+    other = _Euclid(ctx, n) if cyclic else _Circulant()
+    is_unit, inverse = other.is_unit, other.inverse
+    if not cyclic:
+        budget = n
+    else:
+        budget = n // 2 if gr_multiplier(ctx, group, packed=True) else -1
+    # the conjugates need G abelian, p prime to |G| and the field's automorphisms as tables
+    if budget >= 0 and group.is_abelian and n % ctx.p and ctx.frobenius(0) is not None:
+        conjugates = _Conjugates(ctx, group)
+        unit_products, inverse_products = conjugates.products
+        if unit_products <= budget:
+            is_unit = conjugates.is_unit
+        if inverse_products <= budget:
+            inverse = conjugates.inverse
+    return is_unit, inverse
 
 
 def gr_is_unit(a: GroupRingElem) -> bool:
-    if _is_cyclic(a.group):
-        return len(poly.euclid(_cyclic_modulus(a), a.coeffs, a.ctx)[0]) == 1
-    return linalg.is_invertible(circulant_rows(a), a.ctx)
+    return _unit_route(a.ctx, a.group)[0](a)
 
 
 def gr_inverse(a: GroupRingElem) -> GroupRingElem:
-    ctx = a.ctx
-    if not _is_cyclic(a.group):
-        try:
-            coeffs = linalg.inverse(circulant_rows(a), ctx)[0]
-        except NotInvertibleError:
-            raise NotInvertibleError("group ring element is not a unit") from None
-        return GroupRingElem(ctx, a.group, coeffs)
-    last, quotients = poly.euclid(_cyclic_modulus(a), a.coeffs, ctx)
-    if len(last) != 1:
-        raise NotInvertibleError("group ring element is not a unit")
-    # the cofactor has degree below n, and times a(y) it is c mod y^n - 1
-    c, mul = ctx.inv(last[0]), ctx.mul
-    s = poly.cofactor(quotients, ctx)
-    return GroupRingElem(ctx, a.group, [mul(c, x) for x in s] + [0] * (a.group.order - len(s)))
+    return _unit_route(a.ctx, a.group)[1](a)
 
 
 # ---------------------------------------------------------------------------

@@ -429,13 +429,14 @@ def _woodbury_split(a: JoinElem):
     blocks, augs = [], []
     mat = [list(row) for row in a.offdiag]
     for i, (blk, size) in enumerate(zip(a.blocks, shape.sizes)):
-        s = ctx.scalar(size)
+        s, aug = ctx.scalar(size), blk.aug_total()
         # 1/s lies in the prime field, whose codes are its integers mod p
-        t = ctx.mul(sub(blk.aug_total(), 1), pow(s, -1, ctx.p)) if s else 0
-        mat[i][i] = t
-        b = GroupRingElem(ctx, blk.group, [sub(c, t) for c in blk.coeffs])
-        blocks.append(b)
-        augs.append(b.aug_total())
+        t = ctx.mul(sub(aug, 1), pow(s, -1, ctx.p)) if s else 0
+        if t:  # b_i = a_i where t_i = 0, and epsilon(b_i) = 1 where s_i != 0
+            mat[i][i] = t
+            blk, aug = GroupRingElem(ctx, blk.group, [sub(c, t) for c in blk.coeffs]), 1
+        blocks.append(blk)
+        augs.append(aug)
     return blocks, augs, mat
 
 

@@ -138,15 +138,17 @@ def euler_phi(n: int) -> int:
 
 
 def power(x, n: int, mul: Callable, one):
-    """x**n (n >= 0) by square and multiply, in any monoid given by mul and one."""
-    result = one
+    """x**n (n >= 0) by square and multiply, in any monoid given by mul and one:
+    n.bit_length() - 1 squarings and one product fewer than the set bits of
+    n, since the first set bit takes its power as it is."""
+    result = None
     while n:
         if n & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         n >>= 1
         if n:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 def order_dividing(m: int, is_one: Callable[[int], bool]) -> int:

@@ -45,9 +45,10 @@ The order questions (exponent, units of one order, u^n = 1) read one
 the powers of the elements still marked, units or units of coefficient
 sum 1, in :func:`_orders`, on the same marks and lanes: one lane sum per
 power gives the indices of the power and of its images under the ring's
-`automorphisms` (the power maps of an abelian group, the conjugations of
-any other, blockwise in a join and there also followed by the transpose),
-which have the same order, and the walk clears their marks, so that no
+`automorphisms` (in a group ring the power maps of an abelian group, one
+for each coset of the powers of q in (Z/exp G)^x, or the conjugations of
+any other; in a join all of them blockwise, each also followed by the
+transpose), which have the same order, and the walk clears their marks, so that no
 element they reach is walked again (1556 products for `exp_U1` on F3[C9]).
 """
 
@@ -199,8 +200,15 @@ class GroupRingEnum(EnumerableRing):
     @cached_property
     def automorphisms(self) -> list[Sequence[int]]:
         """The automorphisms of G from :func:`_automorphisms`: their linear
-        extensions are ones of F_q[G]."""
-        return _automorphisms(self.group)
+        extensions are ones of F_q[G].  Over an abelian G they are the power
+        maps sigma_k, h -> h^k, less those for k = k' q^m (mod exp G) with
+        m >= 1 and k' among the maps kept: in the commutative F_q[G] of
+        characteristic p, u^q = sum a_h^q h^q = sigma_q(u), so that
+        sigma_k(u) = sigma_k'(u)^(q^m), a power of sigma_k'(u), whose lane
+        clears its mark first.  Over F_3 the three maps of C_5 besides the
+        identity go."""
+        group = self.group
+        return _power_maps(group, self.ctx.q) if group.is_abelian else _automorphisms(group)
 
     def label(self, a) -> str:
         """The `gr` literal of a."""
@@ -303,17 +311,20 @@ def _automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
                               for g in range(group.order)))
 
 
-def _power_maps(group: FiniteGroup) -> list[tuple[int, ...]]:
+def _power_maps(group: FiniteGroup, q: int = 1) -> list[tuple[int, ...]]:
     """The automorphisms h -> h^k of an abelian G, for the k in 1..exp(G)
-    prime to exp(G), each a distinct map; the identity alone otherwise."""
+    prime to exp(G) but the k' q^m (mod exp(G)) of a smaller k' listed, each
+    a distinct map; the identity alone otherwise.  With q = 1 every k is
+    listed."""
     table, identity = group.table, tuple(range(group.order))
     if not group.is_abelian:
         return [identity]
     e = group.exponent()
-    maps, power = [], identity  # power[h] = h^k
+    maps, power, met = [], identity, set()  # power[h] = h^k
     for k in range(1, e + 1):
-        if gcd(k, e) == 1:
+        if gcd(k, e) == 1 and k not in met:
             maps.append(power)
+            met.update(k * pow(q, m, e) % e for m in range(e))
         power = tuple(table[x][h] for h, x in enumerate(power))
     return maps
 

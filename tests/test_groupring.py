@@ -6,6 +6,11 @@ from joinrings.errors import AlgebraError, ContextMismatchError, NotInvertibleEr
 from joinrings.ffield import parse_field
 from joinrings.groupring import (
     GroupRingElem,
+    _Circulant,
+    _Conjugates,
+    _Euclid,
+    _is_cyclic,
+    _unit_route,
     augmentation,
     circulant_rows,
     format_element,
@@ -18,7 +23,13 @@ from joinrings.groupring import (
     parse_element,
     wedderburn_abelian,
 )
-from joinrings.groups import cyclic, from_table, parse_group_spec, symmetric
+from joinrings.groups import (
+    abelian_groups_of_order,
+    cyclic,
+    from_table,
+    parse_group_spec,
+    symmetric,
+)
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -179,21 +190,147 @@ def test_hash_agrees_with_equality_across_equal_groups():
     assert cyclic(4).subgroup([0, 2]).quotient == (quotient, proj)
 
 
-@pytest.mark.parametrize("ctx", [F2, F3, F7], ids=str)
-def test_cyclic_products_agree_with_the_table_route(ctx):
-    # cyclic(n) multiplies by ctx.kronecker from n = 5 here while
-    # n (p - 1)^2 fits a byte (not F7[C9] nor F7[C16]), and from_table of
-    # the same table, without invariants, by ctx.convolve: the two routes
-    # share no code and check each other
+# the first n whose cyclic product is the Kronecker one, where it measured
+# faster than ctx.convolve (ffield.FieldCtx.kronecker)
+KRONECKER_FROM = {"F2": 3, "F3": 3, "F7": 3, "F4": 8, "F9": 4, "F25": 4, "F256": 11}
+
+
+@pytest.mark.parametrize("spec", KRONECKER_FROM)
+def test_cyclic_products_agree_with_the_table_route(spec):
+    # cyclic(n) multiplies by ctx.kronecker from KRONECKER_FROM on while
+    # n k (p - 1)^2 fits a byte (not F7[C9] nor F7[C16], F25[C9] nor
+    # F25[C16]), and from_table of the same table, without invariants, by
+    # ctx.convolve: the two routes share no code and check each other
+    ctx = parse_field(spec)
     rng = random.Random(f"routes/{ctx.q}")
-    for n in (1, 2, 5, 9, 16):
+    start = KRONECKER_FROM[spec]
+    for n in sorted({1, 2, 5, 9, 16, start - 1, start}):
         kron, table = cyclic(n), from_table(cyclic(n).table)
         assert table.invariants is None
-        if n * (ctx.p - 1) ** 2 > 255:
+        if n * ctx.k * (ctx.p - 1) ** 2 > 255 or n < start:
             assert ctx.kronecker(n) is None
-        elif n >= 5:
+            assert gr_multiplier(ctx, kron, packed=True) is None
+        else:
             assert gr_multiplier(ctx, kron) is ctx.kronecker(n) is not None
         for _ in range(40):
             a, b = ([rng.randrange(ctx.q) for _ in range(n)] for _ in range(2))
             want = (GroupRingElem(ctx, table, a) * GroupRingElem(ctx, table, b)).coeffs
             assert (GroupRingElem(ctx, kron, a) * GroupRingElem(ctx, kron, b)).coeffs == want
+
+
+ROUTE_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F16", "F25"]
+
+
+def _route_samples(rng, ctx, group):
+    """Random elements, and non-units of every kind the rings have: u (1 - g)
+    loses the trivial character, u N_G every other, and u (1 - g) N_H those
+    trivial on H = <g> but for the trivial one."""
+    n = group.order
+    rand = [GroupRingElem(ctx, group, [rng.randrange(ctx.q) for _ in range(n)])
+            for _ in range(8)]
+    out = list(rand)
+    if n > 1:
+        g = rng.randrange(1, n)
+        one_minus_g = GroupRingElem.one(ctx, group) - GroupRingElem(
+            ctx, group, [int(h == g) for h in range(n)])
+        h = group.subgroup_generated([g])
+        norm_g = GroupRingElem(ctx, group, [1] * n)
+        norm_h = GroupRingElem(ctx, group, [int(x in h.elements) for x in range(n)])
+        out += [rand[0] * one_minus_g, rand[1] * norm_g, rand[2] * norm_h * one_minus_g]
+    return out + [GroupRingElem.zero(ctx, group), GroupRingElem.one(ctx, group)]
+
+
+@pytest.mark.parametrize("spec", ROUTE_FIELDS)
+def test_conjugate_route_matches_euclid_and_the_circulant(spec):
+    # the Frobenius conjugates decide and invert every unit of each
+    # semisimple abelian F_q[G] with |G| <= 16 as the cofactor of Euclid (on
+    # C_n) and the circulant do, whichever route the ring itself takes, and
+    # refuse every non-unit with the same error
+    ctx = parse_field(spec)
+    rng = random.Random(f"conjugates/{spec}")
+    for n in range(1, 17):
+        if n % ctx.p == 0:
+            continue
+        for group in abelian_groups_of_order(n) + [cyclic(n)]:
+            checks = [_Circulant()] + ([_Euclid(ctx, n)] if _is_cyclic(group) else [])
+            route = _Conjugates(ctx, group)
+            for a in _route_samples(rng, ctx, group):
+                verdict = checks[0].is_unit(a)
+                assert all(c.is_unit(a) == verdict for c in checks[1:]), (group.name, a)
+                assert route.is_unit(a) == verdict == gr_is_unit(a), (group.name, a)
+                if verdict:
+                    inverse = checks[0].inverse(a)
+                    assert all(c.inverse(a) == inverse for c in checks[1:]), (group.name, a)
+                    assert route.inverse(a) == inverse == gr_inverse(a), (group.name, a)
+                    continue
+                for refuse in (route.inverse, gr_inverse):
+                    with pytest.raises(NotInvertibleError, match="^group ring element is not a unit$"):
+                        refuse(a)
+
+
+@pytest.mark.parametrize("label", ["F25[C4xC4]", "F49[C2xC2xC2]"])
+def test_conjugate_route_needs_the_field_degree(label):
+    # ord_{exp G}(p) = 1 here, so M = lcm(k, 1) = 2 comes from the field
+    # alone: p^M - 1 = q - 1 is the exponent of the units, where p - 1 is not
+    field, spec = label[:-1].split("[")
+    ctx, group = parse_field(field), parse_group_spec(spec)
+    rng = random.Random(f"degree/{label}")
+    route, check = _Conjugates(ctx, group), _Circulant()
+    for a in _route_samples(rng, ctx, group):
+        assert route.is_unit(a) == check.is_unit(a), a
+        if check.is_unit(a):
+            assert route.inverse(a) == check.inverse(a) == gr_inverse(a), a
+
+
+@pytest.mark.parametrize("label", ["F2[trivial]", "F5[trivial]", "F2[C5]", "F3[C4]", "F4[C3xC3]",
+                                   "F9[C16]", "F25[C7]", "F25[C4xC4]"])
+def test_conjugate_route_counts_its_products(label):
+    # the route choice reads `products`, so it must be what a unit costs
+    field, spec = label[:-1].split("[")
+    ctx, group = parse_field(field), parse_group_spec(spec)
+    route, calls = _Conjugates(ctx, group), []
+    multiply = route.multiply
+    route.multiply = lambda u, v: calls.append(1) or multiply(u, v)
+    unit = GroupRingElem(ctx, group, [ctx.neg(1)] + [0] * (group.order - 1))
+    for op, want in zip((route.is_unit, route.inverse), route.products):
+        calls.clear()
+        op(unit)
+        assert len(calls) == want, op.__name__
+
+
+def _route_names(ctx, group):
+    return tuple(type(method.__self__).__name__.strip("_") for method in _unit_route(ctx, group))
+
+
+# the (is_unit, inverse) route of each join-units block and each calc-mix
+# group ring and join block: Frobenius conjugates where at most n / 2 packed
+# products (cyclic) or n table products (otherwise) do it, so not F25[C7]
+# (6 and 8 products), F256 (5), F2[C5] (3), nor F7[C16], whose products run
+# on its table; and F3[C4] tests units by 2 products, inverts by Euclid
+ROUTES = {
+    # join-units
+    "F2[C3]": ("Conjugates", "Conjugates"), "F2[C5]": ("Euclid", "Euclid"),
+    "F4[C3]": ("Euclid", "Euclid"), "F4[C5]": ("Euclid", "Euclid"),
+    "F4[C7]": ("Euclid", "Euclid"), "F5[S3]": ("Circulant", "Circulant"),
+    "F5[Q8]": ("Circulant", "Circulant"), "F25[C7]": ("Euclid", "Euclid"),
+    "F25[C9]": ("Euclid", "Euclid"), "F9[C16]": ("Conjugates", "Conjugates"),
+    "F256[C3]": ("Euclid", "Euclid"), "F256[C5]": ("Euclid", "Euclid"),
+    # calc-mix group rings
+    "F2[C7]": ("Conjugates", "Conjugates"), "F3[C8]": ("Conjugates", "Conjugates"),
+    "F4[S3]": ("Circulant", "Circulant"), "F7[C16]": ("Euclid", "Euclid"),
+    "F9[C2xC6]": ("Circulant", "Circulant"), "F16[C15]": ("Conjugates", "Conjugates"),
+    "F25[C4xC4]": ("Conjugates", "Conjugates"), "F64[C32]": ("Euclid", "Euclid"),
+    "F49[C2xC2xC2]": ("Conjugates", "Conjugates"),
+    # calc-mix join blocks besides those above, and wide-field's F2048[C5]
+    "F3[S3]": ("Circulant", "Circulant"), "F3[C2]": ("Euclid", "Euclid"),
+    "F2[C2]": ("Euclid", "Euclid"), "F3[C4]": ("Conjugates", "Euclid"),
+    "F5[trivial]": ("Euclid", "Euclid"), "F5[C3]": ("Euclid", "Euclid"),
+    "F64[C5]": ("Euclid", "Euclid"), "F64[C8]": ("Euclid", "Euclid"),
+    "F2048[C5]": ("Euclid", "Euclid"),
+}
+
+
+@pytest.mark.parametrize("label", ROUTES)
+def test_unit_routes_are_pinned(label):
+    field, group = label[:-1].split("[")
+    assert _route_names(parse_field(field), parse_group_spec(group)) == ROUTES[label]

@@ -244,22 +244,27 @@ def test_convolve_holds_the_largest_lane_sum(spec):
     assert ctx.convolve(a, b, group.table) == _convolve_ref(a, b, group.table, ctx)
 
 
-# a folded lane holds n (p - 1)^2 at most, and one byte holds 255: 240 and
-# 256 on F5[C15] and F5[C16], 252 and 256 on F3[C63] and F3[C64], 255 and
-# 256 on F2[C255] and F2[C256]
-LANE_BOUNDARIES = {2: [255, 256], 3: [63, 64], 5: [15, 16]}
+# every tabled extension field, q <= 1024 with k > 1
+TABLED_EXTENSIONS = [q for q in range(4, 1025) if prime_power(q) and prime_power(q)[1] > 1]
 
 
-@pytest.mark.parametrize("p", [p for p in range(2, 62) if is_prime(p)])
-def test_kronecker_matches_double_loop(p):
-    ctx = parse_field(f"F{p}")
-    rng = random.Random(f"kronecker/{p}")
-    for n in [*range(1, 17), *LANE_BOUNDARIES.get(p, [])]:
-        product, table = _kronecker(p, n), cyclic(n).table
-        if n * (p - 1) ** 2 > 255:
+@pytest.mark.parametrize("q", [p for p in range(2, 62) if is_prime(p)] + TABLED_EXTENSIONS)
+def test_kronecker_matches_double_loop(q):
+    # a folded lane holds n k (p - 1)^2 at most, and one byte holds 255, so
+    # the last n a field packs and the first it refuses are tested too: 240
+    # and 256 on F5[C15] and F5[C16], 255 and 256 on F2[C255] and F2[C256],
+    # 254 and 256 on F4[C127] and F4[C128], 248 and 256 on F9[C31] and
+    # F9[C32] and on F256[C31] and F256[C32], 224 and 256 on F25[C7] and F25[C8]
+    ctx = parse_field(f"F{q}")
+    p, k = ctx.p, ctx.k
+    rng = random.Random(f"kronecker/{q}")
+    last = 255 // (k * (p - 1) ** 2)
+    for n in sorted({*range(1, 17), last, last + 1} - {0}):
+        product, table = _kronecker(p, k, n), cyclic(n).table
+        if n * k * (p - 1) ** 2 > 255:
             assert product is None, n
             continue
-        top, zero = [p - 1] * n, [0] * n
+        top, zero = [q - 1] * n, [0] * n
         cases = [(top, top), (zero, zero), (zero, top), (top, zero)]
         cases += [(_rand(rng, ctx, 1, n)[0], _rand(rng, ctx, 1, n)[0]) for _ in range(4)]
         for a, b in cases:

@@ -4,11 +4,12 @@ bench/layers.py wraps each name in TRACED by module attribute; a name that
 moved would leave its per-layer metric silently at zero.  The file is only
 read here, never changed.  The package's modules import at module level,
 nothing they do not use and no private name of a sibling, the brute-force
-oracle imports none of the closed-form modules or routes, its ring adapters
-leave the unit test and the unit walks to the base class, each ring kind
-has one product, it asks no ring its kind, its sweeps share one orbit
-walk, sums of packed multiples go through PackedRows.combination, one
-linalg routine tests invertibility by leading entries, and every demo
+oracle imports none of the closed-form modules or routes and names none of
+the unit routes, its ring adapters leave the unit test and the unit walks
+to the base class, each ring kind has one product, one helper picks each
+group ring's unit route, the oracle asks no ring its kind, its sweeps share
+one orbit walk, sums of packed multiples go through PackedRows.combination,
+one linalg routine tests invertibility by leading entries, and every demo
 script, README example and the installed console script run cleanly.
 """
 
@@ -245,6 +246,34 @@ def test_one_invertibility_test_reduces_by_leading_entries():
     readers = _scopes_with(ast.parse((SRC / "linalg.py").read_text()), "linalg",
                            calls_bit_length)
     assert readers == {"linalg.rows_invertible"}, f"bit_length called in {sorted(readers)}"
+
+
+def _calls(names: set[str]):
+    return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) in names
+
+
+def _names(names: set[str]):
+    return lambda node: bool(names & {getattr(node, "id", None), getattr(node, "attr", None)})
+
+
+def test_one_helper_picks_the_unit_route():
+    # groupring._unit_route alone builds the unit routes of a group ring,
+    # once per ring, and only gr_is_unit and gr_inverse ask it, so that no
+    # caller tests or inverts a unit on a route other than its ring's
+    routes = {"_Circulant", "_Euclid", "_Conjugates"}
+    assert _package_scopes(_calls(routes)) == {"groupring._unit_route"}
+    assert (_package_scopes(_names({"_unit_route"}))
+            == {"groupring.gr_is_unit", "groupring.gr_inverse"})
+
+
+def test_oracle_tests_units_on_its_own_matrices():
+    # the oracle's unit test is the elimination of its unit_matrix, the
+    # circulant of a group ring; a call of the closed-form unit routes, by
+    # any name, would let both sides of a check run the same code
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    found = _names({"gr_is_unit", "gr_inverse", "_unit_route"})
+    named = [f"oracle.py:{node.lineno}" for node in ast.walk(tree) if found(node)]
+    assert not named, f"oracle.py names a closed-form unit route at {named}"
 
 
 def _steps_by_a_power(node: ast.AST) -> bool:
