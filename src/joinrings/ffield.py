@@ -713,9 +713,8 @@ class FieldCtx:
         def inv(a: int) -> int:
             if not a:
                 raise NotInvertibleError("division by zero in field")
-            last, quotients = poly.euclid(m, _decode_poly(a, p, k), prime)
-            c = prime.inv(last[0])  # m is irreducible, so last is a nonzero constant
-            return _encode_poly([prime.mul(c, x) for x in poly.cofactor(quotients, prime)], p)
+            # m is irreducible, so every nonzero a is prime to it
+            return _encode_poly(poly.inverse(m, _decode_poly(a, p, k), prime), p)
 
         self.mul, self.inv = _code_mul(p, k, m), inv
         if p > 2:  # characteristic 2 adds by XOR (__init__)

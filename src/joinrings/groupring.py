@@ -243,7 +243,7 @@ class _Circulant:
 
 class _Euclid:
     """Units of F_q[C_n] = F_q[y]/(y^n - 1): a is a unit iff
-    gcd(a(y), y^n - 1) = 1, and the Bezout cofactor gives a^-1."""
+    gcd(a(y), y^n - 1) = 1, and the Bezout inverse of poly gives a^-1."""
 
     def __init__(self, ctx: FieldCtx, n: int):
         self.modulus = [ctx.neg(1)] + [0] * (n - 1) + [1]  # y^n - 1
@@ -252,14 +252,10 @@ class _Euclid:
         return len(poly.euclid(self.modulus, a.coeffs, a.ctx)[0]) == 1
 
     def inverse(self, a: GroupRingElem) -> GroupRingElem:
-        ctx = a.ctx
-        last, quotients = poly.euclid(self.modulus, a.coeffs, ctx)
-        if len(last) != 1:
+        s = poly.inverse(self.modulus, a.coeffs, a.ctx)  # of degree below n
+        if s is None:
             raise _not_a_unit()
-        # the cofactor has degree below n, and times a(y) it is c mod y^n - 1
-        c, mul = ctx.inv(last[0]), ctx.mul
-        s = poly.cofactor(quotients, ctx)
-        return GroupRingElem(ctx, a.group, [mul(c, x) for x in s] + [0] * (a.group.order - len(s)))
+        return GroupRingElem(a.ctx, a.group, s + [0] * (a.group.order - len(s)))
 
 
 def _power_products(e: int) -> int:
@@ -276,7 +272,8 @@ class _Conjugates:
     unit u has u^(p^M - 1) = 1.  In the commutative F_q[G] of
     characteristic p, phi(u) = u^p = sum a_h^p h^p: phi^j is one
     permutation of the coefficients, h -> h^(p^j), and the field
-    automorphism a -> a^(p^j) on each (``ctx.frobenius``), built once.
+    automorphism a -> a^(p^j) on each (``ctx.frobenius``), built once from
+    the group's ``power_map`` and the field's table.
     Itoh and Tsujii (Inf. Comput. 78(3), 1988) build
     U_j = prod_{i<j} phi^i(u) by U_2j = U_j phi^j(U_j) and
     U_(j+1) = u phi(U_j).  Then x = phi(U_(M-1)) and N = u x = U_M, so that
@@ -302,12 +299,10 @@ class _Conjugates:
                          norm + _power_products(p - 2) + odd + (odd and self.m > 0))
 
     def _conjugation(self, j: int):
-        """The coefficients of phi^j(u) from those of u."""
-        group, r = self.group, pow(self.p, j, self.group.exponent())
-        table = group.table
-        source = [0] * group.order  # source[h^r] = h
-        for h in range(group.order):
-            source[power(h, r, lambda x, y: table[x][y], 0)] = h
+        """The coefficients of phi^j(u) from those of u: coefficient g is
+        a_h^(p^j) for the h = g^(p^-j) with h^(p^j) = g."""
+        group = self.group
+        source = group.power_map(pow(self.p, -j, group.exponent()))  # p is prime to exp G
         take = operator.itemgetter(*source) if group.order > 1 else tuple
         if not j % self.ctx.k:  # a^(p^k) = a
             return take

@@ -24,7 +24,7 @@ from functools import cache, cached_property, lru_cache, reduce
 from math import factorial, lcm, prod
 
 from .errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError, parse_int
-from .ntheory import factorize, is_prime
+from .ntheory import factorize, is_prime, power
 
 ORDER_CAP = 256
 
@@ -121,6 +121,14 @@ class FiniteGroup:
     def exponent(self) -> int:
         """lcm of the element orders; divides |G|."""
         return reduce(lcm, self.element_orders, 1)
+
+    def power_map(self, k: int) -> tuple[int, ...]:
+        """(h^k for every h), k >= 0, by square and multiply on the table:
+        the one place that computes a power map.  h^k = h^(k mod exp G), so
+        a caller may reduce k first."""
+        t = self.table
+        return power(tuple(range(self.order)), k,
+                     lambda x, y: tuple([t[a][b] for a, b in zip(x, y)]), (0,) * self.order)
 
     def order_counts(self) -> dict[int, int]:
         """Mapping d -> number of elements of order d."""
@@ -230,12 +238,6 @@ class Subgroup:
         ]
         name = f"{self.parent.name}/{self}"
         return FiniteGroup(qtable, name=name), proj
-
-    def __contains__(self, a: int) -> bool:
-        return a in self._eset
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __eq__(self, other):
         return (

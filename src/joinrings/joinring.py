@@ -42,6 +42,7 @@ from .groupring import (
     augmentation,
     circulant_rows,
     gl_order,
+    gr_decompose,
     gr_inverse,
     gr_is_unit,
     gr_multiplier,
@@ -384,15 +385,10 @@ def join_idempotents(shape: JoinShape, subgroups) -> list[JoinElem]:
 def join_decompose(a: JoinElem, subgroups):
     """Split along J = J_{G_i/H_i} x prod Delta(G_i, H_i).
 
-    Returns (gen_augmentation image, [C_i * (1 - e_{H_i})]).
+    Returns (gen_augmentation image, [C_i * (1 - e_{H_i})] by :func:`gr_decompose`).
     """
-    shape = a.shape
-    subgroups = _check_subgroups(shape, subgroups)
-    ctx = shape.ctx
-    deltas = []
-    for blk, h in zip(a.blocks, subgroups):
-        f = GroupRingElem.one(ctx, blk.group) - idempotent_eH(h, ctx)
-        deltas.append(blk * f)
+    subgroups = _check_subgroups(a.shape, subgroups)
+    deltas = [gr_decompose(blk, h)[1] for blk, h in zip(a.blocks, subgroups)]
     return gen_augmentation(a, subgroups), deltas
 
 

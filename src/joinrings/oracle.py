@@ -315,17 +315,15 @@ def _power_maps(group: FiniteGroup, q: int = 1) -> list[tuple[int, ...]]:
     """The automorphisms h -> h^k of an abelian G, for the k in 1..exp(G)
     prime to exp(G) but the k' q^m (mod exp(G)) of a smaller k' listed, each
     a distinct map; the identity alone otherwise.  With q = 1 every k is
-    listed."""
-    table, identity = group.table, tuple(range(group.order))
+    listed.  Each kept map is the group's ``power_map(k)``."""
     if not group.is_abelian:
-        return [identity]
+        return [tuple(range(group.order))]
     e = group.exponent()
-    maps, power, met = [], identity, set()  # power[h] = h^k
+    maps, met = [], set()
     for k in range(1, e + 1):
         if gcd(k, e) == 1 and k not in met:
-            maps.append(power)
+            maps.append(group.power_map(k))
             met.update(k * pow(q, m, e) % e for m in range(e))
-        power = tuple(table[x][h] for h, x in enumerate(power))
     return maps
 
 

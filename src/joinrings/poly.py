@@ -1,4 +1,4 @@
-"""Polynomials over a finite field: product, remainder and extended Euclid.
+"""Polynomials over a finite field: product, remainder, Euclid and the Bezout inverse.
 
 A polynomial is a list of element codes, constant term first, *trimmed*
 when its last code is nonzero; ``[]`` is zero.  The routines use only the
@@ -50,8 +50,8 @@ def euclid(m: list[int], a: list[int], ctx) -> tuple[list[int], list[list[int]]]
 
     Returns the first remainder of degree below 1 (``[]`` for zero) and the
     quotients of the divisions that led to it.  a is invertible modulo m
-    iff that remainder is a nonzero constant c: then gcd(a, m) = 1, and
-    :func:`cofactor` of the quotients times a is c modulo m.
+    iff that remainder is a nonzero constant: then gcd(a, m) = 1, and
+    :func:`inverse` builds a^-1 from the quotients.
     """
     sub, mul_ = ctx.sub, ctx.mul
     r0, r1 = list(m), list(a)
@@ -77,12 +77,17 @@ def euclid(m: list[int], a: list[int], ctx) -> tuple[list[int], list[list[int]]]
     return r1, quotients
 
 
-def cofactor(quotients: list[list[int]], ctx) -> list[int]:
-    """The s with s * a = last (mod m), from ``last, quotients = euclid(m, a)``.
+def inverse(m: list[int], a: list[int], ctx) -> list[int] | None:
+    """The trimmed s with s * a = 1 (mod m) and deg s < deg m, or None when
+    gcd(a, m) != 1; neither m nor a is changed.
 
-    The cofactors run s_{i+1} = s_{i-1} - quotient_i * s_i from s = 0, 1;
-    the last has degree below that of m.
+    From ``last, quotients = euclid(m, a)``, the cofactors run
+    s_{i+1} = s_{i-1} - quotient_i * s_i from s = 0, 1, and the last of
+    them times a is last modulo m; a unit ``last[0]`` scales it to s.
     """
+    last, quotients = euclid(m, a, ctx)
+    if len(last) != 1:
+        return None
     sub, mul_ = ctx.sub, ctx.mul
     s0, s1 = [], [1]
     for quot in quotients:
@@ -93,4 +98,5 @@ def cofactor(quotients: list[list[int]], ctx) -> list[int]:
                     if x:
                         s[j] = sub(s[j], mul_(c, x))
         s0, s1 = s1, s
-    return s1
+    c = ctx.inv(last[0])
+    return [mul_(c, x) for x in s1]

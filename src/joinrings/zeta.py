@@ -122,23 +122,19 @@ def zeta_group_ring(group: FiniteGroup, ctx: FieldCtx) -> ZetaFunction:
 
 
 def _add_orbits(group: FiniteGroup, ctx: FieldCtx, factors: dict[int, int]) -> dict[int, int]:
-    """Add -1 to factors[t] for each orbit of t classes; return factors."""
-    q, p = ctx.q, ctx.p
-    table, orders = group.table, group.element_orders
-    classes = group.conjugacy_classes
+    """Add -1 to factors[t] for each orbit of t classes, followed on the
+    power map g -> g^q of the group from one member of each; return factors."""
+    orders, classes = group.element_orders, group.conjugacy_classes
     label = {g: i for i, c in enumerate(classes) for g in c}
+    frobenius = group.power_map(ctx.q % group.exponent())
     seen: set[int] = set()
     for i, c in enumerate(classes):
-        g, m = c[0], orders[c[0]]
-        if m % p == 0 or i in seen:
+        if orders[c[0]] % ctx.p == 0 or i in seen:
             continue
-        # follow g^(q^t); powers[j] = g^j, built only as far as the orbit reaches
-        powers, k, t = [0, g], 1, 0
-        while t == 0 or label[powers[k]] != i:
-            k, t = k * q % m, t + 1
-            while len(powers) <= k:
-                powers.append(table[powers[-1]][g])
-            seen.add(label[powers[k]])
+        g, t = frobenius[c[0]], 1  # g = c[0]^(q^t)
+        while label[g] != i:
+            seen.add(label[g])
+            g, t = frobenius[g], t + 1
         factors[t] = factors.get(t, 0) - 1
     return factors
 

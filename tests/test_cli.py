@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
-from joinrings import oracle
+from joinrings import arith, oracle
 from joinrings.cli import run
 from joinrings.groups import ORDER_CAP
+from joinrings.joinring import JoinShape
 
 
 def run_json(capsys, *argv):
@@ -533,6 +534,46 @@ def test_wedderburn_self_checks_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(groupring, "ord_mod", lambda d, q: ord_mod(d, q) + 1)
     assert run(["gr", "--field", "F2", "--group", "C3", "--unit-count"]) == 3
     assert capsys.readouterr().err.startswith("internal consistency failure: ")
+
+
+def _flipped(case):
+    def flipped(*args):
+        verdict, *rest = case(*args)
+        return (not verdict, *rest)
+    return flipped
+
+
+def _perturbed_product(product):
+    def perturbed(self, u, v):
+        out = product(self, u, v)
+        return (self.ctx.add(out[0], 1), *out[1:])
+    return perturbed
+
+
+def _off_by_one(count):
+    return lambda shape: count(shape) + 1
+
+
+@pytest.mark.parametrize("owner, name, wrong, argv, message", [
+    (arith, "_field_case", _flipped, ["delta", "--field", "F4", "--p", "3", "--r", "1"],
+     "field case analysis (False) disagrees with divisibility (True)"),
+    (arith, "_group_algebra_case", _flipped,
+     ["delta", "--field", "F3", "--group", "C2", "--p", "2", "--r", "1"],
+     "case analysis (False) disagrees with the unit-group exponent 2"),
+    (arith, "thm_unit_count_rooted", _off_by_one, ["rooted", "--primes", "3", "--base", "2"],
+     "rooted-prime conditions disagree for primes=(3,), q=2"),
+    (JoinShape, "product", _perturbed_product, ["sweep", "block-formula", "--count", "5"],
+     "block product disagrees with the matrix embedding in 25 sampled pairs"),
+], ids=["field-delta", "group-algebra-delta", "rooted-count", "block-formula"])
+def test_cross_checks_exit_3_when_a_route_is_wrong(capsys, monkeypatch, owner, name, wrong,
+                                                     argv, message):
+    # each report compares two routes to one answer; a fault in either
+    # ends the run with exit 3 and the disagreement, and prints no report
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal consistency failure: {message}")
 
 
 @pytest.mark.parametrize("argv", [

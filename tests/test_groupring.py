@@ -218,7 +218,9 @@ def test_cyclic_products_agree_with_the_table_route(spec):
             assert (GroupRingElem(ctx, kron, a) * GroupRingElem(ctx, kron, b)).coeffs == want
 
 
-ROUTE_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F16", "F25"]
+# F512, F729 and F1024 relabel their coefficients through a list, above the
+# byte tables of the fields up to F256
+ROUTE_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F16", "F25", "F512", "F729", "F1024"]
 
 
 def _route_samples(rng, ctx, group):
@@ -243,7 +245,7 @@ def _route_samples(rng, ctx, group):
 @pytest.mark.parametrize("spec", ROUTE_FIELDS)
 def test_conjugate_route_matches_euclid_and_the_circulant(spec):
     # the Frobenius conjugates decide and invert every unit of each
-    # semisimple abelian F_q[G] with |G| <= 16 as the cofactor of Euclid (on
+    # semisimple abelian F_q[G] with |G| <= 16 as the Bezout inverse of Euclid (on
     # C_n) and the circulant do, whichever route the ring itself takes, and
     # refuse every non-unit with the same error
     ctx = parse_field(spec)

@@ -224,6 +224,22 @@ def test_table_files_are_read_no_further_than_the_cap(tmp_path, text):
         parse_group_spec(f"table:{path}")
 
 
+POWER_MAP_GROUPS = [g for n in range(1, 17) for g in abelian_groups_of_order(n)] + [
+    symmetric(3), symmetric(4), quaternion()]
+
+
+@pytest.mark.parametrize("group", POWER_MAP_GROUPS, ids=lambda g: g.name)
+def test_power_map_is_repeated_multiplication(group):
+    # h^k by k - 1 products on the table, for every k up to past twice the
+    # exponent, so that every bit pattern of k below that bound is reached
+    e, t = group.exponent(), group.table
+    power = [0] * group.order  # h^k, from k = 0
+    for k in range(2 * e + 2):
+        assert group.power_map(k) == tuple(power), k
+        power = [t[x][h] for h, x in enumerate(power)]
+    assert group.power_map(e - 1) == group.inverse
+
+
 def test_abelian_groups_of_order():
     # counts are products of partition numbers of the prime multiplicities
     assert len(abelian_groups_of_order(1)) == 1

@@ -41,6 +41,14 @@ def _ref_rem(a, m, ctx):
     return a
 
 
+def _ref_coprime(m, a, ctx):
+    """gcd(a, m) = 1, by remainders alone."""
+    r0, r1 = _trim(m), _trim(a)
+    while r1:
+        r0, r1 = r1, _ref_rem(r0, r1, ctx)
+    return len(r0) == 1
+
+
 def _random_poly(rng, q, degree):
     """Degree exactly `degree` (the zero polynomial for -1)."""
     if degree < 0:
@@ -84,15 +92,16 @@ def _cofactor_cases(ctx, rng):
 
 @pytest.mark.parametrize("spec", FIELDS)
 def test_cofactor_identity(spec):
-    """s * a = last (mod m), with last a nonzero constant iff gcd(a, m) = 1."""
+    """The Bezout cofactor s of poly.inverse has s * a = 1 (mod m) and
+    deg s < deg m exactly when gcd(a, m) = 1, and is None otherwise."""
     ctx = parse_field(spec)
     rng = random.Random(spec)
     kinds = set()
     for m, kind, a in _cofactor_cases(ctx, rng):
         m_before, a_before = list(m), list(a)
         last, quotients = poly.euclid(m, a, ctx)
-        s = poly.cofactor(quotients, ctx)
-        assert (m, a) == (m_before, a_before)  # euclid works on copies
+        s = poly.inverse(m, a, ctx)
+        assert (m, a) == (m_before, a_before)  # euclid and inverse work on copies
         r0, r1 = m, _trim(a)
         for quot in quotients:  # r0 = quot * r1 + (the next remainder)
             r2 = _ref_rem(r0, r1, ctx)
@@ -102,15 +111,18 @@ def test_cofactor_identity(spec):
                 back[j] = ctx.add(back[j], x)
             assert _trim(back) == r0
             r0, r1 = r1, r2
-        assert r1 == last
-        assert len(last) <= 1 and len(s) < len(m)
-        assert _ref_rem(_ref_mul(s, a, ctx), m, ctx) == last, (kind, m, a)
-        if kind in ("zero", "non-coprime"):
-            assert last == []
-        elif kind == "constant":
-            assert last == a and s == [1]
-        kinds.add((kind, bool(quotients)))
-    assert ("random", True) in kinds and ("non-coprime", True) in kinds
+        assert r1 == last and len(last) <= 1
+        coprime = _ref_coprime(m, a, ctx)
+        assert coprime == (kind not in ("zero", "non-coprime")) or kind == "random"
+        if not coprime:
+            assert last == [] and s is None, (kind, m, a)
+        else:
+            assert s == _trim(s) and len(s) < len(m), (kind, m, a)
+            assert _ref_rem(_ref_mul(s, a, ctx), m, ctx) == [1], (kind, m, a)
+        if kind == "constant":
+            assert s == [ctx.inv(a[0])]
+        kinds.add((kind, s is not None, bool(quotients)))
+    assert ("random", True, True) in kinds and ("non-coprime", False, True) in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +195,7 @@ def test_prime_fields_use_no_polynomials(monkeypatch):
     def refuse(*args):
         raise AssertionError("a prime field reached the polynomial core")
 
-    for name in ("mul", "rem", "euclid", "cofactor"):
+    for name in ("mul", "rem", "euclid", "inverse"):
         monkeypatch.setattr(poly, name, refuse)
     for ctx in (FieldCtx(2), FieldCtx(7), FieldCtx(1031), FieldCtx(10**9 + 7)):
         for a in {1, ctx.q - 1, (ctx.q + 1) // 2}:

@@ -266,6 +266,34 @@ def test_one_helper_picks_the_unit_route():
             == {"groupring.gr_is_unit", "groupring.gr_inverse"})
 
 
+def _powers_on_a_table(node: ast.AST) -> bool:
+    """A call of ``power`` whose multiply reads a Cayley table, by the
+    attribute or by a local named for it."""
+    return (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "power"
+            and len(node.args) > 2
+            and any((isinstance(n, ast.Attribute) and n.attr == "table")
+                    or (isinstance(n, ast.Name) and n.id == "table")
+                    for n in ast.walk(node.args[2])))
+
+
+def test_each_shared_map_has_one_home():
+    # h -> h^k is computed by FiniteGroup.power_map alone, the Bezout inverse
+    # by poly.inverse alone, and join_decompose takes its Delta parts from
+    # gr_decompose, so that no copy of one of them can drift from the others
+    assert (_package_scopes(_reads("power_map"))
+            == {"zeta._add_orbits", "groupring._Conjugates._conjugation", "oracle._power_maps"})
+    tabled = {scope for scope in _package_scopes(_powers_on_a_table)
+              if not scope.startswith("groups.")}
+    assert not tabled, f"{sorted(tabled)} take powers on a Cayley table"
+    assert (_package_scopes(_calls({"poly.inverse"}))
+            == {"ffield.FieldCtx._bind_untabled.inv", "groupring._Euclid.inverse"})
+    # the other readers of Euclid's remainders test a gcd and build no cofactor
+    assert (_package_scopes(_calls({"euclid", "poly.euclid"}))
+            == {"ffield._irreducible", "groupring._Euclid.is_unit", "poly.inverse"})
+    assert "joinring.join_decompose" not in _package_scopes(_names({"idempotent_eH"}))
+    assert "joinring.join_decompose" in _package_scopes(_calls({"gr_decompose"}))
+
+
 def test_oracle_tests_units_on_its_own_matrices():
     # the oracle's unit test is the elimination of its unit_matrix, the
     # circulant of a group ring; a call of the closed-form unit routes, by
