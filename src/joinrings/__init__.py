@@ -69,7 +69,6 @@ from .joinring import (
     join_unit_count,
     parse_join_element,
     parse_shape_spec,
-    quotient_shape,
     random_join_element,
     thm_unit_count_rooted,
 )

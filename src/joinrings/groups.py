@@ -56,6 +56,7 @@ class FiniteGroup:
         self._validate()
         self.inverse = tuple(row.index(0) for row in self.table)
         self.element_orders = tuple(self._element_order(a) for a in range(self.order))
+        self._power_maps: list[tuple[int, ...] | None] = [None] * self.exponent()
 
     # -- construction-time checks -------------------------------------------
 
@@ -125,10 +126,15 @@ class FiniteGroup:
     def power_map(self, k: int) -> tuple[int, ...]:
         """(h^k for every h), k >= 0, by square and multiply on the table:
         the one place that computes a power map.  h^k = h^(k mod exp G), so
-        a caller may reduce k first."""
-        t = self.table
-        return power(tuple(range(self.order)), k,
-                     lambda x, y: tuple([t[a][b] for a, b in zip(x, y)]), (0,) * self.order)
+        each map is built once, on the first call for its k mod exp G."""
+        maps = self._power_maps
+        k %= len(maps)
+        if maps[k] is None:
+            t = self.table
+            maps[k] = power(tuple(range(self.order)), k,
+                            lambda x, y: tuple([t[a][b] for a, b in zip(x, y)]),
+                            (0,) * self.order)
+        return maps[k]
 
     def order_counts(self) -> dict[int, int]:
         """Mapping d -> number of elements of order d."""

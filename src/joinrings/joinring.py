@@ -47,7 +47,6 @@ from .groupring import (
     gr_is_unit,
     gr_multiplier,
     gr_unit_count,
-    idempotent_eH,
     parse_element,
     wedderburn_abelian,
 )
@@ -72,8 +71,9 @@ class JoinShape:
         self.offsets = tuple(sum(self.sizes[:i]) for i in range(self.d))
         # r = number of blocks whose order is invertible in F_q
         self.r = sum(g.order % ctx.p != 0 for g in self.groups)
-        # the a_ij in the layout of from_vector, row by row
-        self._pairs = tuple((i, j) for i in range(self.d) for j in range(self.d) if i != j)
+        # (i, j) -> the coordinate of a_ij in the layout of from_vector, row by row
+        pairs = [(i, j) for i in range(self.d) for j in range(self.d) if i != j]
+        self.offdiag_at = {pair: h for h, pair in enumerate(pairs, self.n)}
 
     def zero(self) -> "JoinElem":
         return self.from_vector([0] * self.dimension())
@@ -85,13 +85,11 @@ class JoinShape:
     def from_vector(self, vec) -> "JoinElem":
         """The element whose :meth:`dimension` coordinates are `vec`: every
         block coefficient in block order, then the a_ij row by row."""
-        ctx, d, a = self.ctx, self.d, object.__new__(JoinElem)  # JoinElem's checks hold here
-        a.shape = self
-        a.blocks = tuple([GroupRingElem(ctx, g, vec[lo : lo + g.order])
-                          for g, lo in zip(self.groups, self.offsets)])
-        tail = vec[self.n :]  # row i holds its d - 1 scalars from i (d - 1) on
-        a.offdiag = tuple([(*tail[i * (d - 1) : i * d], 0, *tail[i * d : (i + 1) * (d - 1)])
-                           for i in range(d)])
+        vec = tuple(vec)
+        if len(vec) != self.dimension():
+            raise AlgebraError(f"{self} needs {self.dimension()} coordinates, not {len(vec)}")
+        a = object.__new__(JoinElem)  # JoinElem's checks hold here
+        a.shape, a.coeffs = self, vec
         return a
 
     @cached_property
@@ -105,7 +103,7 @@ class JoinShape:
     @cached_property
     def _terms(self) -> list[list[list[tuple[int, int, int]]]]:
         """[i][j]: the coordinates of a_ik and b_kj, and |G_k|, for each k != i, j."""
-        at = {pair: self.n + h for h, pair in enumerate(self._pairs)}
+        at = self.offdiag_at
         return [[[(at[i, k], at[k, j], self.ctx.scalar(size))
                   for k, size in enumerate(self.sizes) if k not in (i, j)]
                  for j in range(self.d)] for i in range(self.d)]
@@ -131,7 +129,7 @@ class JoinShape:
                 s = add(s, mul(mul(u[ik], v[ki]), size))
             block = times(x, y)
             out += [add(c, s) for c in block] if s else block
-        for ij, (i, j) in enumerate(self._pairs, self.n):
+        for (i, j), ij in self.offdiag_at.items():
             s = add(mul(aug_u[i], v[ij]), mul(u[ij], aug_v[j]))
             for ik, kj, size in terms[i][j]:
                 s = add(s, mul(mul(u[ik], v[kj]), size))
@@ -158,48 +156,59 @@ class JoinShape:
 
 
 class JoinElem:
-    """d diagonal group-ring blocks plus off-diagonal scalars a_ij.
-
-    The constructor checks the block layout but takes the codes of the
-    blocks and scalars unchecked; codes from outside the program are
-    range-checked where they enter, by :func:`parse_join_element` and
-    :meth:`from_json`.
+    """d diagonal group-ring blocks plus off-diagonal scalars a_ij, held as
+    the coordinate tuple `coeffs` of :meth:`JoinShape.from_vector`; `blocks`
+    and `offdiag` are read-only views of it.  The constructor checks the
+    block layout but takes the codes unchecked; codes from outside the
+    program are range-checked where they enter, by
+    :func:`parse_join_element` and :meth:`from_json`.
     """
 
-    __slots__ = ("shape", "blocks", "offdiag")
+    __slots__ = ("shape", "coeffs")
 
     def __init__(self, shape: JoinShape, blocks, offdiag):
-        blocks = tuple(blocks)
-        offdiag = tuple(tuple(row) for row in offdiag)
-        if len(blocks) != shape.d or len(offdiag) != shape.d:
-            raise AlgebraError("block count does not match shape")
-        for g, b in zip(shape.groups, blocks):
-            if b.group != g or b.ctx != shape.ctx:
-                raise ContextMismatchError("block does not live in its slot's group ring")
+        blocks, offdiag = tuple(blocks), [tuple(row) for row in offdiag]
+        if len(blocks) != shape.d or len(offdiag) != shape.d or {*map(len, offdiag)} != {shape.d}:
+            raise AlgebraError("block count or off-diagonal family does not fit the shape")
+        # lists compare item by item, taking an identical item as equal first
+        if ([b.group for b in blocks] != list(shape.groups)
+                or [b.ctx for b in blocks] != [shape.ctx] * shape.d):
+            raise ContextMismatchError("block does not live in its slot's group ring")
         if any(offdiag[i][i] != 0 for i in range(shape.d)):
             raise AlgebraError("diagonal entries of the off-diagonal family must be zero")
-        self.shape = shape
-        self.blocks = blocks
-        self.offdiag = offdiag
+        coeffs = [c for b in blocks for c in b.coeffs]
+        coeffs += [offdiag[i][j] for i, j in shape.offdiag_at]
+        self.shape, self.coeffs = shape, tuple(coeffs)
+
+    @property
+    def blocks(self) -> tuple[GroupRingElem, ...]:
+        shape, c = self.shape, self.coeffs
+        return tuple([GroupRingElem(shape.ctx, g, c[lo : lo + g.order])
+                      for g, lo in zip(shape.groups, shape.offsets)])
+
+    @property
+    def offdiag(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._rows()))
+
+    def _rows(self) -> list[list[int]]:
+        """The d x d family of the a_ij, zero on the diagonal, as new lists."""
+        c, d = self.coeffs, self.shape.d
+        rows = [[0] * d for _ in range(d)]
+        for (i, j), ij in self.shape.offdiag_at.items():
+            rows[i][j] = c[ij]
+        return rows
 
     def _check(self, other: "JoinElem") -> None:
         if self.shape != other.shape:
             raise ContextMismatchError("join elements with different shapes")
 
-    def to_vector(self) -> tuple[int, ...]:
-        """The coordinates that :meth:`JoinShape.from_vector` reads."""
-        return (*chain.from_iterable(b.coeffs for b in self.blocks),
-                *(self.offdiag[i][j] for i, j in self.shape._pairs))
-
     def __add__(self, other):
         self._check(other)
-        add = self.shape.ctx.add
-        return self.shape.from_vector(tuple(map(add, self.to_vector(), other.to_vector())))
+        return self.shape.from_vector(map(self.shape.ctx.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._check(other)
-        sub = self.shape.ctx.sub
-        return self.shape.from_vector(tuple(map(sub, self.to_vector(), other.to_vector())))
+        return self.shape.from_vector(map(self.shape.ctx.sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         return join_mul(self, other)
@@ -213,15 +222,14 @@ class JoinElem:
         return (
             isinstance(other, JoinElem)
             and self.shape == other.shape
-            and self.blocks == other.blocks
-            and self.offdiag == other.offdiag
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.shape, self.blocks, self.offdiag))
+        return hash((self.shape, self.coeffs))
 
     def __bool__(self):
-        return any(self.blocks) or any(any(r) for r in self.offdiag)
+        return any(self.coeffs)
 
     def __repr__(self):
         return f"<join element of {self.shape}>"
@@ -229,13 +237,8 @@ class JoinElem:
     # -- JSON wire format -----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shape": repr(self.shape),
-                "blocks": [list(b.coeffs) for b in self.blocks],
-                "offdiag": [list(r) for r in self.offdiag],
-            }
-        )
+        blocks = [list(b.coeffs) for b in self.blocks]
+        return json.dumps({"shape": repr(self.shape), "blocks": blocks, "offdiag": self._rows()})
 
     @classmethod
     def from_json(cls, text: str) -> "JoinElem":
@@ -278,7 +281,7 @@ def join_mul(a: JoinElem, b: JoinElem) -> JoinElem:
     """The element product by :meth:`JoinShape.product`; it agrees with the embedded product."""
     a._check(b)
     shape = a.shape
-    return shape.from_vector(shape.product(a.to_vector(), b.to_vector()))
+    return shape.from_vector(shape.product(a.coeffs, b.coeffs))
 
 
 def join_embed(a: JoinElem) -> list[list[int]]:
@@ -288,9 +291,9 @@ def join_embed(a: JoinElem) -> list[list[int]]:
         raise AlgebraError(f"embedding {shape} needs a matrix of {shape.n} rows, "
                            f"beyond the cap of {4 * ORDER_CAP}")
     rows = [[0] * shape.n for _ in range(shape.n)]
-    for i, j in shape._pairs:  # a_ij times the all-ones block
+    for (i, j), ij in shape.offdiag_at.items():  # a_ij times the all-ones block
         for r in range(at[i], at[i] + sizes[i]):
-            rows[r][at[j] : at[j] + sizes[j]] = [a.offdiag[i][j]] * sizes[j]
+            rows[r][at[j] : at[j] + sizes[j]] = [a.coeffs[ij]] * sizes[j]
     for blk, lo in zip(a.blocks, at):
         for r, row in enumerate(circulant_rows(blk), lo):
             rows[r][lo : lo + len(row)] = row
@@ -301,7 +304,7 @@ def join_unembed(shape: JoinShape, rows) -> JoinElem:
     """Inverse of join_embed; raises if the matrix is not in the join subring."""
     at = shape.offsets
     blocks = [rows[lo][lo + h] for g, lo in zip(shape.groups, at) for h in range(g.order)]
-    a = shape.from_vector(blocks + [rows[at[i]][at[j]] for i, j in shape._pairs])
+    a = shape.from_vector(blocks + [rows[at[i]][at[j]] for i, j in shape.offdiag_at])
     if join_embed(a) != [list(row) for row in rows]:
         raise AlgebraError(f"the matrix is not in the join subring of {shape}")
     return a
@@ -327,54 +330,47 @@ def _check_subgroups(shape: JoinShape, subgroups) -> list[Subgroup]:
     return subgroups
 
 
-def quotient_shape(shape: JoinShape, subgroups) -> JoinShape:
-    subgroups = _check_subgroups(shape, subgroups)
-    return JoinShape([h.quotient[0] for h in subgroups], shape.ctx)
-
-
 def gen_augmentation(a: JoinElem, subgroups) -> JoinElem:
     """Blockwise augmentation; off-diagonal a_ij picks up a factor |H_j|.
 
     With all H_i = G_i this is the matrix-valued augmentation into M_d(F_q).
     """
-    shape = a.shape
-    subgroups = _check_subgroups(shape, subgroups)
-    ctx = shape.ctx
-    target = quotient_shape(shape, subgroups)
-    blocks = [augmentation(blk, h) for blk, h in zip(a.blocks, subgroups)]
-    scale = [ctx.scalar(h.order) for h in subgroups]  # the diagonal stays 0
-    offdiag = [[ctx.mul(x, s) for x, s in zip(row, scale)] for row in a.offdiag]
-    return JoinElem(target, blocks, offdiag)
+    subgroups = _check_subgroups(a.shape, subgroups)
+    return _augmented(a, subgroups, [augmentation(b, h) for b, h in zip(a.blocks, subgroups)])
+
+
+def _augmented(a: JoinElem, subgroups, images) -> JoinElem:
+    """The image of a by :func:`gen_augmentation` over the checked
+    `subgroups`, given its blocks' `images`: each a_ij is scaled by |H_j|."""
+    shape, ctx = a.shape, a.shape.ctx
+    target = JoinShape([b.group for b in images], ctx)
+    scale = [ctx.scalar(h.order) for h in subgroups]
+    return target.from_vector([*chain.from_iterable(b.coeffs for b in images),
+                               *(ctx.mul(a.coeffs[ij], scale[j])
+                                 for (_, j), ij in shape.offdiag_at.items())])
 
 
 def aug_matrix(a: JoinElem) -> list[list[int]]:
     """The d x d matrix image of a under augmentation by all H_i = G_i."""
-    full = [g.full_subgroup() for g in a.shape.groups]
-    img = gen_augmentation(a, full)
-    d = a.shape.d
-    return [
-        [img.blocks[i].coeffs[0] if i == j else img.offdiag[i][j] for j in range(d)]
-        for i in range(d)
-    ]
+    img = gen_augmentation(a, [g.full_subgroup() for g in a.shape.groups])
+    c, target = img.coeffs, img.shape  # each block of the image has one coefficient
+    return [[c[target.offdiag_at[i, j]] if i != j else c[i] for j in range(target.d)]
+            for i in range(target.d)]
 
 
 def join_idempotents(shape: JoinShape, subgroups) -> list[JoinElem]:
     """The d+1 orthogonal central idempotents behind the decomposition.
 
-    Entries 0..d-1 carry 1 - e_{H_i} in block i; the last is the complement,
-    with e_{H_i} in every diagonal block.
+    Entries 0..d-1 carry 1 - e_{H_i}, the Delta part of 1 by
+    :func:`gr_decompose`, in block i; the last is the complement, with
+    e_{H_i} in every diagonal block.
     """
     subgroups = _check_subgroups(shape, subgroups)
-    ctx = shape.ctx
-    offdiag = [[0] * shape.d for _ in range(shape.d)]
     out = []
-    for i, (g, h) in enumerate(zip(shape.groups, subgroups)):
-        f_i = GroupRingElem.one(ctx, g) - idempotent_eH(h, ctx)
-        blocks = [
-            f_i if j == i else GroupRingElem.zero(ctx, gj)
-            for j, gj in enumerate(shape.groups)
-        ]
-        out.append(JoinElem(shape, blocks, offdiag))
+    for g, h, lo in zip(shape.groups, subgroups, shape.offsets):
+        f = [0] * shape.dimension()
+        f[lo : lo + g.order] = gr_decompose(GroupRingElem.one(shape.ctx, g), h)[1].coeffs
+        out.append(shape.from_vector(f))
     last = shape.one()
     for f in out:
         last = last - f
@@ -385,11 +381,12 @@ def join_idempotents(shape: JoinShape, subgroups) -> list[JoinElem]:
 def join_decompose(a: JoinElem, subgroups):
     """Split along J = J_{G_i/H_i} x prod Delta(G_i, H_i).
 
-    Returns (gen_augmentation image, [C_i * (1 - e_{H_i})] by :func:`gr_decompose`).
+    Returns (gen_augmentation image, [C_i * (1 - e_{H_i})]), both parts of
+    each block by one :func:`gr_decompose`.
     """
     subgroups = _check_subgroups(a.shape, subgroups)
-    deltas = [gr_decompose(blk, h)[1] for blk, h in zip(a.blocks, subgroups)]
-    return gen_augmentation(a, subgroups), deltas
+    images, deltas = zip(*[gr_decompose(b, h) for b, h in zip(a.blocks, subgroups)])
+    return _augmented(a, subgroups, images), list(deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +416,19 @@ def _woodbury_split(a: JoinElem):
     matrices", 1950) its inverse is D^-1 - P E^-1 A K^-1 E^-1 P^T with
     E = diag(epsilon(b_i)).
     """
-    shape = a.shape
+    shape, c = a.shape, a.coeffs
     ctx = shape.ctx
     sub = ctx.sub
-    blocks, augs = [], []
-    mat = [list(row) for row in a.offdiag]
-    for i, (blk, size) in enumerate(zip(a.blocks, shape.sizes)):
-        s, aug = ctx.scalar(size), blk.aug_total()
+    blocks, augs, mat = [], [], a._rows()
+    for i, (g, lo) in enumerate(zip(shape.groups, shape.offsets)):
+        x = c[lo : lo + g.order]
+        s, aug = ctx.scalar(g.order), reduce(ctx.add, x, 0)
         # 1/s lies in the prime field, whose codes are its integers mod p
         t = ctx.mul(sub(aug, 1), pow(s, -1, ctx.p)) if s else 0
         if t:  # b_i = a_i where t_i = 0, and epsilon(b_i) = 1 where s_i != 0
             mat[i][i] = t
-            blk, aug = GroupRingElem(ctx, blk.group, [sub(c, t) for c in blk.coeffs]), 1
-        blocks.append(blk)
+            x, aug = [sub(v, t) for v in x], 1
+        blocks.append(GroupRingElem(ctx, g, x))
         augs.append(aug)
     return blocks, augs, mat
 
@@ -439,11 +436,11 @@ def _woodbury_split(a: JoinElem):
 def _capacitance(shape: JoinShape, mat) -> list[list[int]]:
     """K = I_d + S A with S = diag(s_i) (see :func:`_woodbury_split`)."""
     ctx = shape.ctx
-    add, mul = ctx.add, ctx.mul
-    return [
-        [add(int(i == j), mul(ctx.scalar(size), x)) for j, x in enumerate(row)]
-        for i, (size, row) in enumerate(zip(shape.sizes, mat))
-    ]
+    mul = ctx.mul
+    k = [[mul(s, x) for x in row] for s, row in zip(map(ctx.scalar, shape.sizes), mat)]
+    for i, row in enumerate(k):
+        row[i] = ctx.add(row[i], 1)
+    return k
 
 
 def join_is_unit(a: JoinElem) -> bool:
@@ -475,15 +472,12 @@ def join_inverse(a: JoinElem) -> JoinElem:
         raise NotInvertibleError("join element is not a unit") from None
     w = linalg.mat_mul(mat, k_inv, ctx)
     e_inv = [ctx.inv(e) for e in augs]
-    out_blocks = []
+    coords = []
     for i, b_inv in enumerate(inverses):
         c = mul(mul(e_inv[i], e_inv[i]), w[i][i])
-        out_blocks.append(GroupRingElem(ctx, b_inv.group, [sub(x, c) for x in b_inv.coeffs]))
-    offdiag = [
-        [neg(mul(mul(e_inv[i], e_inv[j]), w[i][j])) if i != j else 0 for j in range(shape.d)]
-        for i in range(shape.d)
-    ]
-    result = JoinElem(shape, out_blocks, offdiag)
+        coords += [sub(x, c) for x in b_inv.coeffs]
+    coords += [neg(mul(mul(e_inv[i], e_inv[j]), w[i][j])) for i, j in shape.offdiag_at]
+    result = shape.from_vector(coords)
     if join_mul(a, result) != shape.one():
         # the formula is exact, so a wrong product means the arithmetic is broken
         raise InternalConsistencyError("Woodbury inverse times the element is not one")

@@ -87,8 +87,8 @@ class EnumerableRing:
     through `product(u, v)`, the ring product on them.  Elements are hashable
     and compare by value.  Subclasses call ``__init__`` before they build
     anything of the ring's size, and provide `one`, `element(i)`,
-    `coordinates(a)`, `product(u, v)`, `unit_matrix(a)` and `label(a)`, a
-    JSON value that names a.
+    `product(u, v)`, `unit_matrix(a)` and `label(a)`, a JSON value that
+    names a; `coordinates(a)` is `a.coeffs` unless they say otherwise.
     `element` and `unit_matrix` must be linear in the coefficient vector, and
     `unit_matrix(a)` invertible iff a is a unit.  An adapter whose units some
     coordinate permutations preserve lists them in `symmetries`, and those
@@ -119,6 +119,9 @@ class EnumerableRing:
     def _vector(self, index: int) -> tuple[int, ...]:
         q = self.ctx.q
         return tuple([index // w % q for w in self._places])
+
+    def coordinates(self, a) -> tuple[int, ...]:
+        return a.coeffs
 
     @cached_property
     def _one(self) -> tuple[int, ...]:
@@ -181,9 +184,6 @@ class GroupRingEnum(EnumerableRing):
     def element(self, index: int) -> GroupRingElem:
         return GroupRingElem(self.ctx, self.group, self._vector(index))
 
-    def coordinates(self, a) -> tuple[int, ...]:
-        return a.coeffs
-
     def unit_matrix(self, a) -> list[list[int]]:
         return circulant_rows(a)
 
@@ -230,9 +230,6 @@ class JoinRingEnum(EnumerableRing):
     def element(self, index: int) -> JoinElem:
         return self.shape.from_vector(self._vector(index))
 
-    def coordinates(self, a) -> tuple[int, ...]:
-        return a.to_vector()
-
     def unit_matrix(self, a) -> list[list[int]]:
         return join_embed(a)
 
@@ -268,10 +265,9 @@ class JoinRingEnum(EnumerableRing):
         """`perms`, then each of them followed by x -> x^T, each map once:
         the circulant of block i transposed is that of the element with h
         moved to h^-1, and a_ij moves to a_ji."""
-        shape = self.shape
-        at = {pair: shape.n + h for h, pair in enumerate(shape._pairs)}
+        shape, at = self.shape, self.shape.offdiag_at
         transpose = [lo + h for g, lo in zip(shape.groups, shape.offsets) for h in g.inverse]
-        transpose += [at[j, i] for i, j in shape._pairs]
+        transpose += [at[j, i] for i, j in at]
         return list(dict.fromkeys(perm for t in perms
                                   for perm in (tuple(t), tuple(map(transpose.__getitem__, t)))))
 

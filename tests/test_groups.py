@@ -240,6 +240,14 @@ def test_power_map_is_repeated_multiplication(group):
     assert group.power_map(e - 1) == group.inverse
 
 
+@pytest.mark.parametrize("group", POWER_MAP_GROUPS, ids=lambda g: g.name)
+def test_power_map_is_built_once_for_each_k_mod_the_exponent(group):
+    e = group.exponent()
+    for k in range(e + 1):
+        assert group.power_map(k) is group.power_map(k + e), k
+        assert type(group.power_map(k)) is tuple
+
+
 def test_abelian_groups_of_order():
     # counts are products of partition numbers of the prime multiplicities
     assert len(abelian_groups_of_order(1)) == 1

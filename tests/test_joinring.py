@@ -52,6 +52,33 @@ def test_from_vector_layout():
     assert a.offdiag == ((0, 6, 7), (8, 0, 9), (10, 11, 0))
 
 
+@pytest.mark.parametrize("spec", ["join(C3,C5;F2)", "join(trivial,C3;F5)", "join(C4;F3)",
+                                  "join(S3,Q8;F5)", "join(C2,C2,C2;F2)", "join(C3,C5;F256)"])
+def test_a_join_element_is_its_coordinate_tuple(spec):
+    # blocks and offdiag are views of one tuple; the constructor, from_vector
+    # and the JSON reader all land on it, and the sums act entry by entry
+    shape = parse_shape_spec(spec)
+    ctx, rng = shape.ctx, random.Random(spec)
+    assert not shape.zero()
+    for _ in range(10):
+        a, b = random_join_element(shape, rng), random_join_element(shape, rng)
+        again = JoinElem(shape, a.blocks, a.offdiag)
+        assert again == a and hash(again) == hash(a)
+        assert again.coeffs == a.coeffs
+        assert shape.from_vector(a.coeffs) == a
+        assert JoinElem.from_json(a.to_json()) == a
+        assert (a + b).blocks == tuple(x + y for x, y in zip(a.blocks, b.blocks))
+        assert (a - b).blocks == tuple(x - y for x, y in zip(a.blocks, b.blocks))
+        for c, op in ((a + b, ctx.add), (a - b, ctx.sub)):
+            assert c.offdiag == tuple(tuple(map(op, r, s)) for r, s in zip(a.offdiag, b.offdiag))
+    with pytest.raises(AttributeError):
+        a.blocks = b.blocks
+    with pytest.raises(AttributeError):
+        a.offdiag = b.offdiag
+    with pytest.raises(AlgebraError, match="coordinates"):
+        shape.from_vector(a.coeffs[1:])
+
+
 def _bench_workloads():
     """bench/workloads.py, read only, for its own copy of the join draw."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -284,6 +311,8 @@ def test_join_elem_refuses_a_family_that_does_not_fit_its_shape():
         JoinElem(shape, one.blocks[::-1], one.offdiag)
     with pytest.raises(AlgebraError, match="diagonal entries"):
         JoinElem(shape, one.blocks, [[1, 0], [0, 0]])
+    with pytest.raises(AlgebraError, match="off-diagonal family does not fit"):
+        JoinElem(shape, one.blocks, [[0, 1], [1]])
 
 
 @pytest.mark.parametrize("field", ["F4", "F5"])

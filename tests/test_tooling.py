@@ -9,8 +9,9 @@ the unit routes, its ring adapters leave the unit test and the unit walks
 to the base class, each ring kind has one product, one helper picks each
 group ring's unit route, the oracle asks no ring its kind, its sweeps share
 one orbit walk, sums of packed multiples go through PackedRows.combination,
-one linalg routine tests invertibility by leading entries, and every demo
-script, README example and the installed console script run cleanly.
+one linalg routine tests invertibility by leading entries, a join element
+has one coordinate layout, and every demo script, README example and the
+installed console script run cleanly.
 """
 
 import ast
@@ -290,8 +291,47 @@ def test_each_shared_map_has_one_home():
     # the other readers of Euclid's remainders test a gcd and build no cofactor
     assert (_package_scopes(_calls({"euclid", "poly.euclid"}))
             == {"ffield._irreducible", "groupring._Euclid.is_unit", "poly.inverse"})
-    assert "joinring.join_decompose" not in _package_scopes(_names({"idempotent_eH"}))
+    # 1 - e_H is built on gr_decompose's path alone
+    e_h_readers = _package_scopes(_names({"idempotent_eH"}))
+    assert {"joinring.join_decompose", "joinring.join_idempotents"}.isdisjoint(e_h_readers)
     assert "joinring.join_decompose" in _package_scopes(_calls({"gr_decompose"}))
+
+
+def _builds_the_pair_map(node: ast.AST) -> bool:
+    """A comprehension over the pairs i != j of two of its own loop
+    variables, or a dict comprehension reading some ``.n``, as the
+    (i, j) -> coordinate map of a join's a_ij is built."""
+    if not isinstance(node, ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp):
+        return False
+    bound = {ast.unparse(n) for g in node.generators for n in ast.walk(g.target)
+             if isinstance(n, ast.Name)}
+    pairs = any(isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.NotEq)
+                and {ast.unparse(c.left), ast.unparse(c.comparators[0])} <= bound
+                for g in node.generators for c in g.ifs)
+    return pairs or (isinstance(node, ast.DictComp)
+                     and any(isinstance(n, ast.Attribute) and n.attr == "n"
+                             for n in ast.walk(node)))
+
+
+def test_a_join_element_has_one_layout():
+    # a JoinElem is its coordinate tuple in the layout of from_vector, and
+    # JoinShape alone maps each (i, j) to the coordinate of a_ij; a second
+    # map or a second form of the element could drift from the first
+    assert _package_scopes(_builds_the_pair_map) == {"joinring.JoinShape.__init__"}
+    readers = {scope for scope in _package_scopes(_reads("_pairs"))
+               if not scope.startswith("joinring.")}
+    assert not readers, f"{sorted(readers)} read a shape's _pairs"
+    defined = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "to_vector"]
+    assert not defined, f"to_vector defined at {defined}"
+    (shape,) = [n for n in ast.parse((SRC / "joinring.py").read_text()).body
+                if isinstance(n, ast.ClassDef) and n.name == "JoinShape"]
+    (from_vector,) = [n for n in shape.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "from_vector"]
+    calls = {ast.unparse(n.func).split(".")[0] for n in ast.walk(from_vector)
+             if isinstance(n, ast.Call)}
+    assert "GroupRingElem" not in calls, "from_vector builds the blocks"
 
 
 def test_oracle_tests_units_on_its_own_matrices():
