@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="multiplicative order of this element code")
 
     p = sub.add_parser("group", help="finite group info")
-    p.add_argument("spec", help='group spec, e.g. "C2xC4", "S3", "Q8"')
+    p.add_argument("spec", help='group spec, e.g. "C2xC4", "S3", "Q8", "D4", "Dic3"')
 
     p = sub.add_parser("gr", help="group ring calculator")
     p.add_argument("--field", required=True)

@@ -9,7 +9,7 @@ y^n = 1 (:mod:`joinrings.ffield`, "Sums of many products"), where it
 measured faster; else ``ctx.convolve`` on the Cayley table.  The join
 blocks and the oracle's group rings bind it once.
 
-Units take one of three routes, picked once per ring and per operation by
+Units take one of four routes, picked once per ring and per operation by
 :func:`_unit_route`:
 
 - Frobenius conjugates (:class:`_Conjugates`) for abelian G with p not
@@ -24,12 +24,18 @@ Units take one of three routes, picked once per ring and per operation by
   gcd(a(y), y^n - 1) = 1, and the extended Euclidean algorithm of
   :mod:`joinrings.poly`, the one the extension fields use, gives its
   inverse (F2[C5], the F4, F25 and F256 blocks, F7[C16], F2048[C5]).
+- A group with a cyclic subgroup H of index 2 otherwise (:class:`_Index2`)
+  embeds F_q[G] in the 2 x 2 matrices over the commutative F_q[H], so a
+  unit test or inverse is one in F_q[H], on its own route, beside two or
+  four products there (S3, Q8, D_n, Dic_n, and C2xC4 or C2xC6 where the
+  conjugates cost more: the join-units F5[S3] and F5[Q8], calc-mix's
+  F4[S3], F3[S3] and F9[C2xC6]).
 - Every other group decides units through the regular representation:
   the element is a unit iff its circulant image is an invertible matrix,
-  and inverses are pulled back through the first row (the non-abelian
-  groups, and the groups whose order p divides).
+  and its inverse is the first row of the circulant's inverse, one
+  solution of the transposed system (A4, S4, and the modular C2xC2xC2).
 
-The circulant route stays the independent check of the other two (the
+The circulant route stays the independent check of the other three (the
 oracle adapters and the tests use it).  :func:`wedderburn_abelian` gives
 the :class:`Structure` record of a semisimple abelian F_q[G]: its unit
 count and exponent.
@@ -54,7 +60,7 @@ from .errors import (
     parse_int,
 )
 from .ffield import FamilyProduct, FieldCtx
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, cyclic
 from .ntheory import ord_mod, power, prime_power
 
 
@@ -228,17 +234,20 @@ def _not_a_unit() -> NotInvertibleError:
 
 class _Circulant:
     """Units through the regular representation: a is a unit iff its
-    circulant image is invertible, and a^-1 is the first row of its inverse."""
+    circulant image C is invertible, and a^-1 is the first row x of C^-1,
+    the solution of C^T x = e_0."""
 
     def is_unit(self, a: GroupRingElem) -> bool:
         return linalg.is_invertible(circulant_rows(a), a.ctx)
 
     def inverse(self, a: GroupRingElem) -> GroupRingElem:
+        n = a.group.order
         try:
-            coeffs = linalg.inverse(circulant_rows(a), a.ctx)[0]
+            column = linalg.solve([*map(list, zip(*circulant_rows(a)))],
+                                  [[1]] + [[0]] * (n - 1), a.ctx)
         except NotInvertibleError:
             raise _not_a_unit() from None
-        return GroupRingElem(a.ctx, a.group, coeffs)
+        return GroupRingElem(a.ctx, a.group, [x for x, in column])
 
 
 class _Euclid:
@@ -337,22 +346,93 @@ class _Conjugates:
                              y if x is None else x if p == 2 else multiply(x, y))
 
 
+def _index2_generator(group: FiniteGroup) -> int | None:
+    """The least r whose <r> has index 2 in G, if G has order at least 4; else None."""
+    half = group.order // 2
+    if half < 2 or group.order % 2:
+        return None
+    return next((g for g, k in enumerate(group.element_orders) if k == half), None)
+
+
+class _Index2:
+    """Units of F_q[G] for G with a cyclic subgroup H = <r> of index 2.
+
+    With s the least element outside H, sigma(h) = s^-1 h s and
+    z = s^2 = r^e, every u is a + s b with a, b in F_q[H] = F_q[C_m]
+    (coefficient i at r^i).  From h s = s sigma(h),
+    (a + s b)(c + s d) = (a c + z sigma(b) d) + s (sigma(a) d + b c), so u
+    acts on the right F_q[H]-module F_q[H] + s F_q[H] as the matrix
+    [[a, z sigma(b)], [b, sigma(a)]] over the commutative F_q[H]
+    (Passman, The Algebraic Structure of Group Rings, 1977).  Its
+    determinant N = a sigma(a) - z b sigma(b) is a unit of F_q[C_m] exactly
+    when u is one of F_q[G], and then u^-1 = sigma(a) N^-1 - s b N^-1: two
+    products for a unit test and four for an inverse, by C_m's
+    :func:`gr_multiplier`, and N's test or inverse on C_m's own route.
+    """
+
+    def __init__(self, ctx: FieldCtx, group: FiniteGroup, r: int):
+        t, m = group.table, group.order // 2
+        powers = [0]  # r^i
+        while len(powers) < m:
+            powers.append(t[powers[-1]][r])
+        at = {h: i for i, h in enumerate(powers)}
+        s = next(g for g in range(group.order) if g not in at)
+        coset = [t[s][h] for h in powers]  # s r^i
+        # sigma(r^i) = r^conjugate[i]; sigma^2 is conjugation by z in the
+        # abelian H, so sigma is its own inverse and moves coefficient
+        # conjugate[j] to j
+        conjugate = [at[t[t[group.inverse[s]][h]][s]] for h in powers]
+        self.ctx, self.group, self.m, self.e = ctx, group, m, at[t[s][s]]
+        self.ring = cyclic(m)
+        self.multiply = gr_multiplier(ctx, self.ring)
+        self.split = operator.itemgetter(*powers, *coset)  # u -> (a, b) in one tuple
+        self.sigma = operator.itemgetter(*conjugate)
+        slot = {g: i for i, g in enumerate(powers + coset)}
+        self.join = operator.itemgetter(*map(slot.__getitem__, range(group.order)))
+
+    def _norm(self, u):
+        """(sigma(a), b, N) of the class docstring."""
+        multiply, sigma, m, e = self.multiply, self.sigma, self.m, self.e
+        x = self.split(u)
+        a, b = x[:m], x[m:]
+        sa, zb = sigma(a), multiply(b, sigma(b))
+        if e:  # z x shifts x by e places
+            zb = zb[m - e :] + zb[: m - e]
+        return sa, b, GroupRingElem(self.ctx, self.ring, map(self.ctx.sub, multiply(a, sa), zb))
+
+    def is_unit(self, a: GroupRingElem) -> bool:
+        return gr_is_unit(self._norm(a.coeffs)[2])
+
+    def inverse(self, a: GroupRingElem) -> GroupRingElem:
+        multiply = self.multiply
+        sa, b, norm = self._norm(a.coeffs)
+        y = gr_inverse(norm).coeffs
+        c = multiply(sa, y)
+        d = map(self.ctx.neg, multiply(b, y))
+        return GroupRingElem(self.ctx, self.group, self.join((*c, *d)))
+
+
 @lru_cache(maxsize=256)
 def _unit_route(ctx: FieldCtx, group: FiniteGroup) -> tuple[Callable[[GroupRingElem], bool],
                                                             Callable[[GroupRingElem], GroupRingElem]]:
     """(is_unit, inverse) of F_q[G], each picked once per ring (module
     docstring): by Frobenius conjugates where their count of products says
-    they are cheaper, else by Euclid on C_n and the circulant elsewhere.
+    they are cheaper, else by Euclid on C_n, through a cyclic subgroup of
+    index 2 where G has one, and by the circulant elsewhere.
 
     A packed product costs little beside Euclid's O(n^2) field steps, so a
     cyclic ring takes at most n / 2 of them, and none on its Cayley table,
     where one costs about what Euclid does; an elimination of the n x n
-    circulant costs more than n table products.
+    circulant costs more than n table products.  The index-2 route takes
+    the circulant's place wherever G has such a subgroup: it costs a few
+    products and one unit test or inverse on C_(n/2).
     """
-    n, cyclic = group.order, _is_cyclic(group)
-    other = _Euclid(ctx, n) if cyclic else _Circulant()
+    n, is_cyclic = group.order, _is_cyclic(group)
+    r = None if is_cyclic else _index2_generator(group)
+    other = (_Euclid(ctx, n) if is_cyclic else _Circulant() if r is None
+             else _Index2(ctx, group, r))
     is_unit, inverse = other.is_unit, other.inverse
-    if not cyclic:
+    if not is_cyclic:
         budget = n
     else:
         budget = n // 2 if gr_multiplier(ctx, group, packed=True) else -1

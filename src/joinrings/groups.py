@@ -11,9 +11,9 @@ identity and bijective rows gives each element a right inverse, so it is
 a group.  The generators, subgroups, normality and commutativity all come
 from one closure, :meth:`FiniteGroup._closure`.
 Groups are immutable once built, so the named constructors keep what they
-build and return the same object for the same group (:func:`abelian` keeps
-its 64 most recent); :func:`from_table` and ``table:`` specs build a new
-group on every call.
+build and return the same object for the same group (:func:`abelian`,
+:func:`dihedral` and :func:`dicyclic` keep their 64 most recent);
+:func:`from_table` and ``table:`` specs build a new group on every call.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Prefer the constructors :func:`cyclic`, :func:`abelian`,
-    :func:`from_table`, :func:`symmetric`, :func:`quaternion`.
+    :func:`from_table`, :func:`symmetric`, :func:`quaternion`,
+    :func:`dihedral`, :func:`dicyclic`.
     """
 
     def __init__(self, table, invariants=None, name=None):
@@ -341,18 +342,48 @@ def quaternion() -> FiniteGroup:
     return FiniteGroup(table, name="Q8")
 
 
+def dihedral(n: int) -> FiniteGroup:
+    """D_n of order 2n: <r, s | r^n = s^2 = 1, s^-1 r s = r^-1>."""
+    if n < 1:
+        raise AlgebraError(f"dihedral group degree must be >= 1, got {n}")
+    _check_order(2 * n)
+    return _index2_table(n, 0, f"D{n}")
+
+
+def dicyclic(n: int) -> FiniteGroup:
+    """Dic_n of order 4n: <r, s | r^2n = 1, s^2 = r^n, s^-1 r s = r^-1>; Dic_2 is Q8."""
+    if n < 1:
+        raise AlgebraError(f"dicyclic group degree must be >= 1, got {n}")
+    _check_order(4 * n)
+    return _index2_table(2 * n, n, f"Dic{n}")
+
+
+@lru_cache(maxsize=64)
+def _index2_table(m: int, e: int, name: str) -> FiniteGroup:
+    """<r, s | r^m = 1, s^2 = r^e, s^-1 r s = r^-1>: index i + m j stands for r^i s^j,
+    and (r^i s^j)(r^k s^l) = r^(i + (-1)^j k + e j l) s^(j + l)."""
+    table = [[(i + (-k if j else k) + e * (j & l)) % m + m * (j ^ l)
+              for l in (0, 1) for k in range(m)]
+             for j in (0, 1) for i in range(m)]
+    return FiniteGroup(table, name=name)
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse the group mini-grammar.
 
-    "C3", "C2xC2xC4" (abelian invariants), "trivial", "S3", "Q8", or
-    "table:<path>" for a whitespace-separated Cayley-table file of
-    0-based indices.
+    "C3", "C2xC2xC4" (abelian invariants), "trivial", "S3", "Q8", "D4"
+    (dihedral, order 2n), "Dic3" (dicyclic, order 4n), or "table:<path>"
+    for a whitespace-separated Cayley-table file of 0-based indices.
     """
     spec = spec.strip()
     if spec == "trivial":
         return trivial()
     if spec == "Q8":
         return quaternion()
+    if spec.startswith("Dic") and spec[3:].isdigit():
+        return dicyclic(parse_int(spec[3:], "dicyclic group degree"))
+    if spec.startswith("D") and spec[1:].isdigit():
+        return dihedral(parse_int(spec[1:], "dihedral group degree"))
     if spec.startswith("S") and spec[1:].isdigit():
         return symmetric(parse_int(spec[1:], "symmetric group degree"))
     if spec.startswith("table:"):

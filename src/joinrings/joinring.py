@@ -79,8 +79,15 @@ class JoinShape:
         return self.from_vector([0] * self.dimension())
 
     def one(self) -> "JoinElem":
-        blocks = [GroupRingElem.one(self.ctx, g) for g in self.groups]
-        return JoinElem(self, blocks, [[0] * self.d] * self.d)
+        return self.from_vector(self._one)
+
+    @cached_property
+    def _one(self) -> tuple[int, ...]:
+        """The coordinates of the identity: a 1 at the start of each block."""
+        vec = [0] * self.dimension()
+        for lo in self.offsets:
+            vec[lo] = 1
+        return tuple(vec)
 
     def from_vector(self, vec) -> "JoinElem":
         """The element whose :meth:`dimension` coordinates are `vec`: every
@@ -434,10 +441,11 @@ def _woodbury_split(a: JoinElem):
 
 
 def _capacitance(shape: JoinShape, mat) -> list[list[int]]:
-    """K = I_d + S A with S = diag(s_i) (see :func:`_woodbury_split`)."""
+    """K^T = I_d + A^T S with S = diag(s_i) (see :func:`_woodbury_split`): an
+    invertible K^T is an invertible K, and W = A K^-1 solves K^T W^T = A^T."""
     ctx = shape.ctx
-    mul = ctx.mul
-    k = [[mul(s, x) for x in row] for s, row in zip(map(ctx.scalar, shape.sizes), mat)]
+    mul, sizes = ctx.mul, [*map(ctx.scalar, shape.sizes)]
+    k = [[mul(x, s) for x, s in zip(col, sizes)] for col in zip(*mat)]
     for i, row in enumerate(k):
         row[i] = ctx.add(row[i], 1)
     return k
@@ -467,21 +475,19 @@ def join_inverse(a: JoinElem) -> JoinElem:
     blocks, augs, mat = _woodbury_split(a)
     try:
         inverses = [gr_inverse(b) for b in blocks]
-        k_inv = linalg.inverse(_capacitance(shape, mat), ctx)
+        w_t = linalg.solve(_capacitance(shape, mat), [*map(list, zip(*mat))], ctx)  # W^T
     except NotInvertibleError:
         raise NotInvertibleError("join element is not a unit") from None
-    w = linalg.mat_mul(mat, k_inv, ctx)
     e_inv = [ctx.inv(e) for e in augs]
     coords = []
     for i, b_inv in enumerate(inverses):
-        c = mul(mul(e_inv[i], e_inv[i]), w[i][i])
+        c = mul(mul(e_inv[i], e_inv[i]), w_t[i][i])
         coords += [sub(x, c) for x in b_inv.coeffs]
-    coords += [neg(mul(mul(e_inv[i], e_inv[j]), w[i][j])) for i, j in shape.offdiag_at]
-    result = shape.from_vector(coords)
-    if join_mul(a, result) != shape.one():
+    coords += [neg(mul(mul(e_inv[i], e_inv[j]), w_t[j][i])) for i, j in shape.offdiag_at]
+    if shape.product(a.coeffs, coords) != shape._one:
         # the formula is exact, so a wrong product means the arithmetic is broken
         raise InternalConsistencyError("Woodbury inverse times the element is not one")
-    return result
+    return shape.from_vector(coords)
 
 
 def join_structure(shape: JoinShape) -> Structure:

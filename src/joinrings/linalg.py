@@ -1,8 +1,8 @@
 """Dense matrices over a FieldCtx, stored as lists of rows of raw codes.
 
 Only what the rest of the package needs: multiplication, invertibility
-(also of rows already packed), inversion, echelon bases and nullspaces, all
-by Gaussian elimination.
+(also of rows already packed), solving a x = b and inversion, echelon bases
+and nullspaces, all by Gaussian elimination.
 
 The loops work on rows packed into one integer each
 (:class:`~joinrings.ffield.PackedRows`: the code in whole bytes in
@@ -143,15 +143,21 @@ def _row_reduce(rows: list[int], ncols: int, ctx: FieldCtx) -> list[int]:
     return pivots
 
 
-def inverse(a: Matrix, ctx: FieldCtx) -> Matrix:
-    """Gauss-Jordan inverse; raises NotInvertibleError on singular input."""
-    n = len(a)
+def solve(a: Matrix, b: Matrix, ctx: FieldCtx) -> Matrix:
+    """The x with a x = b, for square a, by one Gauss-Jordan pass on [a | b];
+    raises NotInvertibleError on singular a."""
+    n, width = len(a), len(b[0])
     packing = ctx.packing
-    rows = [packing.pack(row + ident_row) for row, ident_row in zip(a, identity(n))]
+    rows = [packing.pack(row + rhs) for row, rhs in zip(a, b)]
     if len(_row_reduce(rows, n, ctx)) < n:
         raise NotInvertibleError("matrix is singular")
     shift = n * packing.entry_bits
-    return [packing.unpack(row >> shift, n) for row in rows]
+    return [packing.unpack(row >> shift, width) for row in rows]
+
+
+def inverse(a: Matrix, ctx: FieldCtx) -> Matrix:
+    """Gauss-Jordan inverse; raises NotInvertibleError on singular input."""
+    return solve(a, identity(len(a)), ctx)
 
 
 def echelon_basis(vectors, ctx: FieldCtx) -> list[tuple[int, ...]]:

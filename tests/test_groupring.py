@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from joinrings.groupring import (
     _Circulant,
     _Conjugates,
     _Euclid,
+    _Index2,
+    _index2_generator,
     _is_cyclic,
     _unit_route,
     augmentation,
@@ -300,6 +303,75 @@ def test_conjugate_route_counts_its_products(label):
         assert len(calls) == want, op.__name__
 
 
+INDEX2_GROUPS = ["S3", "Q8", "D4", "D5", "D6", "D7", "Dic3", "C2xC2", "C2xC4", "C2xC6"]
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5", "F7", "F9", "F25"])
+def test_index2_route_matches_the_circulant(spec):
+    # through a cyclic subgroup of index 2, every unit of these rings is
+    # decided and inverted as the circulant does it, whichever route the
+    # ring itself takes, and every non-unit is refused with the same error
+    ctx = parse_field(spec)
+    rng = random.Random(f"index2/{spec}")
+    check = _Circulant()
+    for name in INDEX2_GROUPS:
+        group = parse_group_spec(name)
+        route = _Index2(ctx, group, _index2_generator(group))
+        one = GroupRingElem.one(ctx, group)
+        units = []
+        while len(units) < 6:
+            a = GroupRingElem(ctx, group, [rng.randrange(ctx.q) for _ in range(group.order)])
+            if check.is_unit(a):
+                units.append(a)
+        for a in _route_samples(rng, ctx, group) + units:
+            verdict = check.is_unit(a)
+            assert route.is_unit(a) == verdict == gr_is_unit(a), (name, a)
+            if verdict:
+                inverse = route.inverse(a)
+                assert inverse == check.inverse(a) == gr_inverse(a), (name, a)
+                assert a * inverse == inverse * a == one, (name, a)
+                continue
+            for refuse in (route.inverse, gr_inverse):
+                with pytest.raises(NotInvertibleError, match="^group ring element is not a unit$"):
+                    refuse(a)
+
+
+def test_index2_route_serves_the_groups_with_a_cyclic_subgroup_of_index_2():
+    # the non-abelian groups of INDEX2_GROUPS take it on every field; A4,
+    # S4 and C2xC2xC2 have no such subgroup and keep the circulant
+    for name in INDEX2_GROUPS:
+        group = parse_group_spec(name)
+        r = _index2_generator(group)
+        assert 2 * group.element_orders[r] == group.order, name
+        if not group.is_abelian:
+            for spec in ("F2", "F5", "F25"):
+                assert _route_names(parse_field(spec), group) == ("Index2", "Index2"), name
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i)) % 2 == 0]
+    at = {p: i for i, p in enumerate(even)}
+    a4 = from_table([[at[tuple(x[y[i]] for i in range(4))] for y in even] for x in even])
+    for group in (a4, symmetric(4), parse_group_spec("C2xC2xC2")):
+        assert _index2_generator(group) is None
+        assert _route_names(parse_field("F2"), group) == ("Circulant", "Circulant")
+
+
+@pytest.mark.parametrize("label", ["F5[S3]", "F5[Q8]", "F2[D4]", "F9[Dic3]", "F25[C2xC6]",
+                                   "F64[D7]"])
+def test_index2_route_counts_its_products(label):
+    # two C_m products for a unit test and four for an inverse, on top of
+    # N's own test or inverse in F_q[C_m]
+    field, spec = label[:-1].split("[")
+    ctx, group = parse_field(field), parse_group_spec(spec)
+    route, calls = _Index2(ctx, group, _index2_generator(group)), []
+    multiply = route.multiply
+    route.multiply = lambda u, v: calls.append(1) or multiply(u, v)
+    unit = GroupRingElem(ctx, group, [ctx.neg(1)] + [0] * (group.order - 1))
+    for op, want in ((route.is_unit, 2), (route.inverse, 4)):
+        calls.clear()
+        op(unit)
+        assert len(calls) == want, op.__name__
+
+
 def _route_names(ctx, group):
     return tuple(type(method.__self__).__name__.strip("_") for method in _unit_route(ctx, group))
 
@@ -313,18 +385,18 @@ ROUTES = {
     # join-units
     "F2[C3]": ("Conjugates", "Conjugates"), "F2[C5]": ("Euclid", "Euclid"),
     "F4[C3]": ("Euclid", "Euclid"), "F4[C5]": ("Euclid", "Euclid"),
-    "F4[C7]": ("Euclid", "Euclid"), "F5[S3]": ("Circulant", "Circulant"),
-    "F5[Q8]": ("Circulant", "Circulant"), "F25[C7]": ("Euclid", "Euclid"),
+    "F4[C7]": ("Euclid", "Euclid"), "F5[S3]": ("Index2", "Index2"),
+    "F5[Q8]": ("Index2", "Index2"), "F25[C7]": ("Euclid", "Euclid"),
     "F25[C9]": ("Euclid", "Euclid"), "F9[C16]": ("Conjugates", "Conjugates"),
     "F256[C3]": ("Euclid", "Euclid"), "F256[C5]": ("Euclid", "Euclid"),
     # calc-mix group rings
     "F2[C7]": ("Conjugates", "Conjugates"), "F3[C8]": ("Conjugates", "Conjugates"),
-    "F4[S3]": ("Circulant", "Circulant"), "F7[C16]": ("Euclid", "Euclid"),
-    "F9[C2xC6]": ("Circulant", "Circulant"), "F16[C15]": ("Conjugates", "Conjugates"),
+    "F4[S3]": ("Index2", "Index2"), "F7[C16]": ("Euclid", "Euclid"),
+    "F9[C2xC6]": ("Index2", "Index2"), "F16[C15]": ("Conjugates", "Conjugates"),
     "F25[C4xC4]": ("Conjugates", "Conjugates"), "F64[C32]": ("Euclid", "Euclid"),
     "F49[C2xC2xC2]": ("Conjugates", "Conjugates"),
     # calc-mix join blocks besides those above, and wide-field's F2048[C5]
-    "F3[S3]": ("Circulant", "Circulant"), "F3[C2]": ("Euclid", "Euclid"),
+    "F3[S3]": ("Index2", "Index2"), "F3[C2]": ("Euclid", "Euclid"),
     "F2[C2]": ("Euclid", "Euclid"), "F3[C4]": ("Conjugates", "Euclid"),
     "F5[trivial]": ("Euclid", "Euclid"), "F5[C3]": ("Euclid", "Euclid"),
     "F64[C5]": ("Euclid", "Euclid"), "F64[C8]": ("Euclid", "Euclid"),

@@ -3,12 +3,14 @@ from math import prod
 import pytest
 
 from joinrings.cli import run
-from joinrings.errors import AlgebraError, NotNormalError, NotSubgroupError
+from joinrings.errors import AlgebraError, NotNormalError, NotSubgroupError, ParseError
 from joinrings.groups import (
     ORDER_CAP,
     abelian,
     abelian_groups_of_order,
     cyclic,
+    dicyclic,
+    dihedral,
     from_table,
     parse_group_spec,
     quaternion,
@@ -114,6 +116,49 @@ def test_parse_group_spec():
     assert parse_group_spec("Q8").order == 8
     with pytest.raises(AlgebraError):
         parse_group_spec("C0")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dihedral_and_dicyclic_groups(n):
+    # D_n = <r, s | r^n, s^2, s^-1 r s = r^-1> of order 2n has n involutions
+    # for odd n and n + 1 for even n; Dic_n, of order 4n, has one
+    d, dic = parse_group_spec(f"D{n}"), parse_group_spec(f"Dic{n}")
+    assert (d.name, d.order, dic.name, dic.order) == (f"D{n}", 2 * n, f"Dic{n}", 4 * n)
+    assert d.order_counts().get(2, 0) == (n if n % 2 else n + 1)
+    assert dic.order_counts()[2] == 1
+    assert d.is_abelian == (n <= 2) and dic.is_abelian == (n == 1)
+    for g, m in ((d, n), (dic, 2 * n)):  # index i + m j is r^i s^j
+        r, s, t = 1 % m, m, g.table
+        assert g.element_orders[r] == m and g.element_orders[s] in (2, 4)
+        assert t[t[g.inverse[s]][r]][s] == g.inverse[r]
+    assert parse_group_spec(f"D{n}") is d is dihedral(n) and dicyclic(n) is dic
+
+
+def _order_statistics(g):
+    return g.order, g.order_counts(), sorted(map(len, g.conjugacy_classes))
+
+
+def test_small_dihedral_and_dicyclic_groups_are_the_known_ones():
+    # D1 = C2, D2 = C2xC2, D3 = S3, Dic1 = C4 and Dic2 = Q8, by order
+    # statistics and class sizes; D4 and Q8 share their order and differ
+    for name, other in (("D1", "C2"), ("D2", "C2xC2"), ("D3", "S3"), ("Dic1", "C4"),
+                        ("Dic2", "Q8")):
+        assert _order_statistics(parse_group_spec(name)) == _order_statistics(
+            parse_group_spec(other)), name
+    assert _order_statistics(dihedral(4)) != _order_statistics(quaternion())
+    assert _order_statistics(dicyclic(3)) != _order_statistics(dihedral(6))
+
+
+@pytest.mark.parametrize("spec", ["D0", "Dic0", "D129", "Dic65", "D" + "9" * 60, "Dic" + "9" * 60])
+def test_dihedral_and_dicyclic_degrees_are_checked_before_the_table(spec):
+    with pytest.raises(AlgebraError):
+        parse_group_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["D", "Dic", "D-2", "Dx3", "Dic3x"])
+def test_bad_dihedral_and_dicyclic_specs(spec):
+    with pytest.raises(ParseError, match="bad group spec"):
+        parse_group_spec(spec)
 
 
 def test_order_cap_checked_before_the_table():

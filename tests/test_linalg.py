@@ -111,6 +111,23 @@ def test_invertibility_and_inverse(spec):
         assert _mul_ref(linalg.inverse(a, ctx), a, ctx) == ident(9)
 
 
+@pytest.mark.parametrize("spec", FIELDS)
+def test_solve(spec):
+    # a x = b for a right-hand side of any width, and a refusal on singular a
+    ctx = parse_field(spec)
+    rng = random.Random(f"solve/{spec}")
+    for n, width in ((1, 1), (2, 1), (2, 3), (4, 2), (5, 7)):
+        a, b = _rand(rng, ctx, n, n), _rand(rng, ctx, n, width)
+        if _det_ref(a, ctx):
+            assert _mul_ref(a, linalg.solve(a, b, ctx), ctx) == b
+        else:
+            with pytest.raises(NotInvertibleError):
+                linalg.solve(a, b, ctx)
+    for a in _singular(rng, ctx, 4):
+        with pytest.raises(NotInvertibleError):
+            linalg.solve(a, _rand(rng, ctx, 4, 2), ctx)
+
+
 @pytest.mark.parametrize("spec, room", [("F3", 63), ("F5", 15), ("F7", 6), ("F13", 1),
                                          ("F17", 255)])
 def test_prime_field_rows_add_unreduced_within_their_room(spec, room):

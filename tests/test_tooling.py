@@ -238,6 +238,13 @@ def test_sums_of_packed_multiples_go_through_combination():
     assert readers == allowed, f"{sorted(allowed - readers)} no longer read packing.times"
 
 
+def test_one_gauss_jordan_pass():
+    # _row_reduce is the one Gauss-Jordan elimination: solve (and through
+    # it inverse) and echelon_basis call it, and nothing else does
+    assert _package_scopes(_calls({"_row_reduce", "linalg._row_reduce"})) == {
+        "linalg.solve", "linalg.echelon_basis"}
+
+
 def test_one_invertibility_test_reduces_by_leading_entries():
     # rows_invertible finds each row's leading entry by bit_length for every
     # field; a second reader in linalg.py would be a second invertibility test
@@ -261,7 +268,7 @@ def test_one_helper_picks_the_unit_route():
     # groupring._unit_route alone builds the unit routes of a group ring,
     # once per ring, and only gr_is_unit and gr_inverse ask it, so that no
     # caller tests or inverts a unit on a route other than its ring's
-    routes = {"_Circulant", "_Euclid", "_Conjugates"}
+    routes = {"_Circulant", "_Euclid", "_Conjugates", "_Index2"}
     assert _package_scopes(_calls(routes)) == {"groupring._unit_route"}
     assert (_package_scopes(_names({"_unit_route"}))
             == {"groupring.gr_is_unit", "groupring.gr_inverse"})

@@ -113,12 +113,12 @@ def test_modular_blocks_need_the_augmentation_factors():
 def test_no_elimination_on_the_embedding(monkeypatch):
     """Only d x d matrices reach linalg; cyclic blocks reach it not at all."""
     sizes = []
-    for name in ("is_invertible", "inverse"):
+    for name in ("is_invertible", "inverse", "solve"):
         real = getattr(linalg, name)
 
-        def spy(rows, ctx, real=real):
+        def spy(rows, *rest, real=real):
             sizes.append(len(rows))
-            return real(rows, ctx)
+            return real(rows, *rest)
 
         monkeypatch.setattr(linalg, name, spy)
     rng = random.Random(17)
@@ -185,11 +185,11 @@ def test_group_ring_units_random(field, group):
 
 
 def test_cyclic_route_runs_no_elimination(monkeypatch):
-    def refuse(rows, ctx):
+    def refuse(*args):
         raise AssertionError("elimination on a cyclic group ring")
 
-    monkeypatch.setattr(linalg, "is_invertible", refuse)
-    monkeypatch.setattr(linalg, "inverse", refuse)
+    for name in ("is_invertible", "inverse", "solve"):
+        monkeypatch.setattr(linalg, name, refuse)
     ctx = parse_field("F7")
     for g in (parse_group_spec("C5"), abelian([5])):
         x = GroupRingElem(ctx, g, [3, 1, 0, 0, 0])  # -3 is no fifth root of 1 in F7
@@ -197,3 +197,26 @@ def test_cyclic_route_runs_no_elimination(monkeypatch):
         assert x * gr_inverse(x) == GroupRingElem.one(ctx, g)
     assert groupring._is_cyclic(parse_group_spec("C12"))
     assert not groupring._is_cyclic(parse_group_spec("C4xC3"))
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8"])
+def test_index2_route_runs_no_elimination(monkeypatch, spec):
+    # F5[S3] and F5[Q8] answer through their cyclic subgroup of index 2, so
+    # their unit route shares no elimination with the oracle's circulant
+    def refuse(*args):
+        raise AssertionError(f"elimination on F5[{spec}]")
+
+    for name in ("is_invertible", "inverse", "solve"):
+        monkeypatch.setattr(linalg, name, refuse)
+    ctx, g = parse_field("F5"), parse_group_spec(spec)
+    rng = random.Random(f"index2/{spec}")
+    one, units = GroupRingElem.one(ctx, g), 0
+    while units < 8:
+        x = GroupRingElem(ctx, g, [rng.randrange(5) for _ in range(g.order)])
+        if gr_is_unit(x):
+            y = gr_inverse(x)
+            assert x * y == y * x == one
+            units += 1
+        else:
+            with pytest.raises(NotInvertibleError):
+                gr_inverse(x)

@@ -10,7 +10,6 @@ from joinrings.groups import (
     _partitions,
     abelian_groups_of_order,
     cyclic,
-    from_table,
     parse_group_spec,
 )
 from joinrings.joinring import JoinShape, parse_shape_spec
@@ -157,14 +156,6 @@ def test_zeta_join_with_at_most_one_semisimple_block(spec, factors):
     assert zeta_join(parse_shape_spec(spec)).factors == factors
 
 
-def _dihedral(n: int):
-    """D_n of order 2n: index i + n*j stands for r^i s^j, and s r = r^-1 s."""
-    def mul(a, b):
-        i, j, k, l = a % n, a // n, b % n, b // n
-        return (i + (-k if j else k)) % n + n * ((j + l) % 2)
-    return from_table([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
-
-
 def _centre_degrees(group, ctx) -> dict[int, int]:
     """The multiset {t_i} of Z(F_q[G]) = prod F_{q^t_i}, as zeta factors.
 
@@ -208,7 +199,7 @@ def _centre_degrees(group, ctx) -> dict[int, int]:
     ("C7", "F2", {1: -1, 3: -2}),
 ])
 def test_zeta_matches_the_centre_of_the_group_ring(group, field, factors):
-    g = _dihedral(5) if group == "D5" else parse_group_spec(group)
+    g = parse_group_spec(group)
     ctx = parse_field(field)
     assert _centre_degrees(g, ctx) == factors
     assert zeta_group_ring(g, ctx).factors == factors
